@@ -10,6 +10,13 @@ nearest-neighbor weights (see _subcell_axis_mass), which restores first-order
 self-convergence for alpha close to 2.  Cell integrals are computed on the
 unit-spacing lattice and rescaled by h^(d-alpha), which makes the scaling
 identity between dilated grids exact rather than approximate.
+
+Every coefficient family is node fields times one translation-invariant
+stencil kernel K.  The reach n/4 stays below n/2, so K is an exact circulant
+on the torus, and the generator and the energies are FFT convolutions of
+node fields with K (see SparseSymmetricForm).  Explicit per-displacement
+weight slabs are built only on demand, for the dense-generator, pair-dump
+and brute-force oracles, which share no code with the FFT path.
 """
 
 from __future__ import annotations
@@ -36,9 +43,6 @@ from .kernel import (
     full_space_cone,
     in_cone,
 )
-
-_MEMORY_BUDGET_BYTES = 2 << 30  # default cap on materialized stencil weights
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -226,10 +230,24 @@ def _stencil_geometry(
 class SparseSymmetricForm:
     """Jump energy E(f,g) = 1/2 sum_{i != j} (f_i - f_j)(g_i - g_j) w(i, j).
 
-    Weights live on a shared displacement stencil: w(i, i+s) = coefficient at
-    the node pair times a geometry factor per displacement.  `weights` holds
-    one lattice-shaped slab per stencil entry when materialized; otherwise
-    slabs are recomputed from the stored node coefficients on demand.
+    Every node shares one displacement stencil, and the weights factor as
+
+        w(i, i+s) = K_s sum_t a_t(i) b_t(i+s),
+
+    with K_s (`stencil_kernel`) the geometry factor of displacement s times
+    its kernel constant and angular weight, and node-field pairs (a_t, b_t):
+    (1, 1) for the constant and angular kernels, (lambda, 1) and (1, lambda)
+    for the summation form, (nu1, nu2) and (nu2, nu1) for the product form.
+    K is circulant, so with * the FFT convolution (K * v)_i = sum_s K_s v_{i+s}
+
+        A u = sum_t a_t (K * (b_t u)) - d u,    d = sum_t a_t (K * b_t),
+
+    and E(f, g) = -<f, A g>, with K masked to a band for band energies.
+    Inputs are shifted by their first entry before transforming; A
+    annihilates constants, so constants keep exactly zero energy.
+    `weight_slab` builds w(i, i+s) explicitly from the same pairs; it is the
+    independent oracle behind `dense_generator`, `iter_pair_blocks` and
+    `dump_weights`.
     """
 
     def __init__(
@@ -238,23 +256,18 @@ class SparseSymmetricForm:
         params: KernelParams,
         cone: ConeSpec,
         stencil: np.ndarray,
-        geom: np.ndarray,
-        coefficient,
-        weights: list[np.ndarray] | None,
+        stencil_kernel: np.ndarray,
+        pairs: list[tuple[np.ndarray, np.ndarray]],
     ):
         self.grid = grid
         self.params = params
         self.cone = cone
         self.stencil = stencil
-        self.geom = geom
-        self.r_min = grid.h
-        self.r_max = grid.length / 4.0
-        self._coefficient = coefficient
-        self._weights = weights
-
-    @property
-    def materialized(self) -> bool:
-        return self._weights is not None
+        self.stencil_kernel = stencil_kernel
+        self._a = np.stack([a for a, _ in pairs])
+        self._b = np.stack([b for _, b in pairs])
+        self._khat = self._symbol(np.ones(len(stencil), dtype=bool))
+        self._d = self._row_sums(self._khat)
 
     @property
     def stencil_size(self) -> int:
@@ -265,51 +278,55 @@ class SparseSymmetricForm:
         return self.stencil.astype(float) * self.grid.h
 
     def weight_slab(self, k: int) -> np.ndarray:
-        """Lattice-shaped w(i, i + s_k) for stencil entry k."""
-        if self._weights is not None:
-            return self._weights[k]
-        return _coefficient_slab(self._coefficient, self.grid, self.stencil[k], self.geom[k])
+        """Lattice-shaped w(i, i + s_k) for stencil entry k, built explicitly."""
+        shift = tuple(-int(v) for v in self.stencil[k])
+        axes = tuple(range(self.grid.dim))
+        pairs = sum(a * np.roll(b, shift, axis=axes) for a, b in zip(self._a, self._b))
+        return self.stencil_kernel[k] * pairs
 
-    def _slab_indices(self, r_lo: float | None = None, r_hi: float | None = None):
-        if r_lo is None and r_hi is None:
-            return range(self.stencil_size)
-        dist = np.sqrt((self.displacements() ** 2).sum(axis=1))
-        keep = np.ones(self.stencil_size, dtype=bool)
-        if r_lo is not None:
-            keep &= dist >= r_lo
-        if r_hi is not None:
-            keep &= dist <= r_hi
-        return np.nonzero(keep)[0]
+    def _symbol(self, keep: np.ndarray) -> np.ndarray:
+        """Fourier symbol of K restricted to the stencil entries `keep`.
+
+        K_s sits at -s mod n so that (K * v)_i = sum_s K_s v_{i+s}; K is even,
+        so its symbol is real."""
+        lattice = np.zeros(self.grid.shape)
+        lattice[tuple((-self.stencil[keep] % self.grid.n).T)] = self.stencil_kernel[keep]
+        return np.fft.rfftn(lattice, axes=tuple(range(self.grid.dim))).real
+
+    def _convolve(self, fields: np.ndarray, khat: np.ndarray) -> np.ndarray:
+        """K * v for each field v stacked along the leading axis."""
+        axes = tuple(range(1, self.grid.dim + 1))
+        spectrum = np.fft.rfftn(fields, axes=axes) * khat
+        return np.fft.irfftn(spectrum, s=self.grid.shape, axes=axes)
+
+    def _row_sums(self, khat: np.ndarray) -> np.ndarray:
+        return (self._a * self._convolve(self._b, khat)).sum(axis=0)
+
+    def _generator(self, u: np.ndarray, khat: np.ndarray, d: np.ndarray) -> np.ndarray:
+        u = u - u.flat[0]
+        return (self._a * self._convolve(self._b * u, khat)).sum(axis=0) - d * u
 
     def energy(self, f: np.ndarray, g: np.ndarray, r_lo=None, r_hi=None) -> float:
         """Dirichlet energy, optionally restricted to jumps with r_lo <= |z| <= r_hi."""
         F = self._as_lattice(f)
         G = F if g is f else self._as_lattice(g)
-        total = 0.0
-        axes = tuple(range(self.grid.dim))
-        for k in self._slab_indices(r_lo, r_hi):
-            shift = tuple(-int(v) for v in self.stencil[k])
-            df = np.roll(F, shift, axis=axes) - F
-            dg = df if G is F else np.roll(G, shift, axis=axes) - G
-            total += float((self.weight_slab(k) * df * dg).sum())
-        return 0.5 * total
+        if r_lo is None and r_hi is None:
+            khat, d = self._khat, self._d
+        else:
+            dist = np.sqrt((self.displacements() ** 2).sum(axis=1))
+            hi = math.inf if r_hi is None else r_hi
+            khat = self._symbol((dist >= (r_lo or 0.0)) & (dist <= hi))
+            d = self._row_sums(khat)
+        # 0.0 - x keeps a vanishing energy unsigned
+        return 0.0 - float(np.vdot(F - F.flat[0], self._generator(G, khat, d)))
 
     def apply_generator(self, u: np.ndarray) -> np.ndarray:
-        """(A u)_i = sum_j w(i,j) (u_j - u_i); rows sum to zero by construction."""
-        U = self._as_lattice(u)
-        out = np.zeros_like(U)
-        axes = tuple(range(self.grid.dim))
-        for k in range(self.stencil_size):
-            shift = tuple(-int(v) for v in self.stencil[k])
-            out += self.weight_slab(k) * (np.roll(U, shift, axis=axes) - U)
-        return out.reshape(u.shape)
+        """(A u)_i = sum_j w(i,j) (u_j - u_i); annihilates constants."""
+        return self._generator(self._as_lattice(u), self._khat, self._d).reshape(u.shape)
 
     def row_weight_sums(self) -> np.ndarray:
         """sum_j w(i, j) per node (= |A_ii|), flat layout."""
-        total = np.zeros(self.grid.shape)
-        for k in range(self.stencil_size):
-            total += self.weight_slab(k)
-        return total.ravel()
+        return self._d.ravel().copy()
 
     def iter_pair_blocks(self):
         """Yield (i, j, w) index/weight arrays, one block per stencil entry,
@@ -351,27 +368,6 @@ class SparseSymmetricForm:
         return f.reshape(self.grid.shape)
 
 
-def _coefficient_slab(coefficient, grid: Grid, s: np.ndarray, geom: float) -> np.ndarray:
-    """Weight slab w(i, i+s) for one displacement from stored node data."""
-    kind = coefficient[0]
-    axes = tuple(range(grid.dim))
-    shift = tuple(-int(v) for v in s)
-    if kind == "constant":
-        return np.full(grid.shape, coefficient[1] * geom)
-    if kind == "summation":
-        lam, angular = coefficient[1], coefficient[2]
-        rho = float(angular.rho(s.astype(float)[None, :])[0])
-        return (lam + np.roll(lam, shift, axis=axes)) * (rho * geom)
-    if kind == "product":
-        nu1, nu2 = coefficient[1], coefficient[2]
-        return (nu1 * np.roll(nu2, shift, axis=axes) + np.roll(nu1, shift, axis=axes) * nu2) * geom
-    if kind == "angular":
-        c, angular = coefficient[1], coefficient[2]
-        rho = float(angular.rho(s.astype(float)[None, :])[0])
-        return np.full(grid.shape, 2.0 * c * rho * geom)
-    raise AssertionError(f"unknown coefficient tag {kind!r}")
-
-
 def _check_dims(grid: Grid, cone: ConeSpec, params: KernelParams):
     if not (grid.dim == cone.dim == params.dim):
         raise ConfigurationError(
@@ -387,37 +383,24 @@ def _oscillation_check(grid: Grid, eps: float, cell_size: float):
         )
 
 
-def _build(grid, params, cone, coefficient, memory_budget) -> SparseSymmetricForm:
+def _build(grid, params, cone, pairs, c=1.0, angular=None) -> SparseSymmetricForm:
+    """Form with K_s = c rho(s) geom(s) and node-field pairs `pairs` (None: (1, 1))."""
     stencil, q = _stencil_geometry(grid.dim, grid.n, params.alpha, cone)
     geom = grid.h ** (grid.dim - params.alpha) * q
-    budget = _MEMORY_BUDGET_BYTES if memory_budget is None else memory_budget
-    materialize = len(stencil) * grid.size * 8 <= budget
-    weights = None
-    if materialize:
-        slabs = [
-            _coefficient_slab(coefficient, grid, stencil[k], geom[k])
-            for k in range(len(stencil))
-        ]
-        # Mirror-average each +/- displacement pair: w(i,j) and w(j,i) are
-        # already equal by construction, so this is the documented guard
-        # against floating-point asymmetry, not a correction.
-        index = {tuple(int(v) for v in stencil[k]): k for k in range(len(stencil))}
-        axes = tuple(range(grid.dim))
-        for k in range(len(stencil)):
-            s = tuple(int(v) for v in stencil[k])
-            neg = tuple(-v for v in s)
-            k2 = index[neg]
-            if k2 < k:
-                continue
-            partner = np.roll(slabs[k2], neg, axis=axes)  # w(i+s, i) aligned to i
-            avg = 0.5 * (slabs[k] + partner)
-            slabs[k] = avg
-            slabs[k2] = np.roll(avg, s, axis=axes)
-        for slab in slabs:
-            assert (slab >= 0.0).all(), "negative jump weight"
-        weights = slabs
-    form = SparseSymmetricForm(grid, params, cone, stencil, geom, coefficient, weights)
-    return form
+    rho = 1.0 if angular is None else angular.rho(stencil.astype(float))
+    stencil_kernel = c * rho * geom
+    if pairs is None:
+        one = np.ones(grid.shape)
+        pairs = [(one, one)]
+    # Nonnegative factors make every weight nonnegative (NaN fails too).
+    if not (stencil_kernel >= 0.0).all():
+        raise DomainError(f"negative jump kernel: min K_s = {stencil_kernel.min():g}")
+    for a, b in pairs:
+        if not ((a >= 0.0).all() and (b >= 0.0).all()):
+            raise DomainError(
+                f"negative coefficient field: min value {min(a.min(), b.min()):g}"
+            )
+    return SparseSymmetricForm(grid, params, cone, stencil, stencil_kernel, pairs)
 
 
 def assemble_form(
@@ -426,7 +409,6 @@ def assemble_form(
     cone: ConeSpec,
     params: KernelParams,
     eps: float,
-    memory_budget: int | None = None,
 ) -> SparseSymmetricForm:
     """Assemble the environment energy with coefficient kappa(x/eps, y/eps)."""
     _check_dims(grid, cone, params)
@@ -436,18 +418,20 @@ def assemble_form(
     if cell is not None:
         _oscillation_check(grid, eps, cell)
     nodes = grid.nodes()
+
+    def node_field(field: env.RandomField) -> np.ndarray:
+        return env.field_values(field, nodes / eps).reshape(grid.shape)
+
     if isinstance(form, ConstantForm):
-        coefficient = ("constant", form.k0)
-    elif isinstance(form, SummationForm):
-        lam = env.field_values(form.lambda_field, nodes / eps).reshape(grid.shape)
-        coefficient = ("summation", lam, form.angular)
-    elif isinstance(form, ProductForm):
-        nu1 = env.field_values(form.nu1, nodes / eps).reshape(grid.shape)
-        nu2 = env.field_values(form.nu2, nodes / eps).reshape(grid.shape)
-        coefficient = ("product", nu1, nu2)
-    else:
-        raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
-    return _build(grid, params, cone, coefficient, memory_budget)
+        return _build(grid, params, cone, None, c=form.k0)
+    if isinstance(form, SummationForm):
+        lam = node_field(form.lambda_field)
+        one = np.ones(grid.shape)
+        return _build(grid, params, cone, [(lam, one), (one, lam)], angular=form.angular)
+    if isinstance(form, ProductForm):
+        nu1, nu2 = node_field(form.nu1), node_field(form.nu2)
+        return _build(grid, params, cone, [(nu1, nu2), (nu2, nu1)])
+    raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
 
 
 def assemble_effective_form(
@@ -455,21 +439,14 @@ def assemble_effective_form(
     kernel: EffectiveKernel,
     cone: ConeSpec,
     params: KernelParams,
-    memory_budget: int | None = None,
 ) -> SparseSymmetricForm:
     """Assemble the deterministic limit energy with kernel K(x - y)."""
     _check_dims(grid, cone, params)
     if isinstance(kernel, FlatKernel):
-        coefficient = ("constant", kernel.k0)
-    elif isinstance(kernel, AngularConstantKernel):
-        coefficient = ("angular", kernel.c, kernel.angular)
-    else:
-        raise ConfigurationError(f"unknown effective kernel {type(kernel).__name__}")
-    return _build(grid, params, cone, coefficient, memory_budget)
-
-
-def dirichlet_energy(form: SparseSymmetricForm, f: np.ndarray, g: np.ndarray) -> float:
-    return form.energy(f, g)
+        return _build(grid, params, cone, None, c=kernel.k0)
+    if isinstance(kernel, AngularConstantKernel):
+        return _build(grid, params, cone, None, c=2.0 * kernel.c, angular=kernel.angular)
+    raise ConfigurationError(f"unknown effective kernel {type(kernel).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +481,8 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
             raise ConfigurationError(f"eps must be positive, got {eps}")
         _oscillation_check(grid, eps, mu_field.cell_size)
         m = env.field_values(mu_field, grid.nodes() / eps) * hd
-    assert (m > 0).all(), "measure weights must be strictly positive"
+    if not (m > 0).all():
+        raise DomainError(f"measure weights must be strictly positive, min {m.min():g}")
     return MeasureWeights(grid=grid, m=m)
 
 

@@ -361,6 +361,10 @@ def field_values(field: RandomField, points) -> np.ndarray:
         )
     shift = np.array(_global_shift(field.seed, field.dim, field.cell_size))
     cells = np.floor((pts + shift) / field.cell_size).astype(np.int64)
+    if field.mixing.kind == "moving_average":
+        # The window sum dominates; grid nodes share few distinct cells.
+        distinct, inverse = np.unique(cells, axis=0, return_inverse=True)
+        return _values_at_cells(field, field.seed, distinct)[inverse.reshape(-1)]
     return _values_at_cells(field, field.seed, cells)
 
 

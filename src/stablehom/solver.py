@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .discrete import MeasureWeights, SparseSymmetricForm
-from .errors import ConfigurationError, ConvergenceFailure, DomainError
+from .errors import ConfigurationError, ConvergenceFailure, DomainError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,9 @@ def solve_resolvent(
 
     The residual is measured relative to ||f||_M in the M^{-1} norm, which
     makes the reported number the relative defect of the weak formulation
-    lambda <u, g>_m + E(u, g) = <f, g>_m over all test vectors g.
+    lambda <u, g>_m + E(u, g) = <f, g>_m over all test vectors g.  The loop
+    stops on the recursively updated residual; the reported one is
+    recomputed from b - S u with one more matvec.
     """
     if not (0.0 < tol <= 1e-2):
         raise ConfigurationError(f"tol must lie in (0, 1e-2], got {tol}")
@@ -98,7 +100,8 @@ def solve_resolvent(
             )
         ap = _apply_system(problem, p)
         pap = float(np.dot(p, ap))
-        assert pap > 0.0, "negative curvature: system is not positive definite"
+        if not pap > 0.0:
+            raise NumericalError("negative curvature: system is not positive definite")
         alpha = rz / pap
         u = u + alpha * p
         r = r - alpha * ap
@@ -108,6 +111,8 @@ def solve_resolvent(
         rz = rz_new
         iterations += 1
         residual = res_norm(r)
+    # Report the true defect: the recurrence drifts from b - S u by roundoff.
+    residual = res_norm(b - _apply_system(problem, u))
     return ResolventSolution(
         u=u, iterations=iterations, residual=residual,
         wall_time=time.perf_counter() - start, converged=True,

@@ -225,11 +225,11 @@ def test_dense_generator_matches_apply_and_refuses_large():
     assert np.allclose(a @ u, form.apply_generator(u), rtol=1e-12, atol=1e-12)
     big = discrete.Grid(dim=1, length=8.0, n=8192)
     params = kernel.KernelParams(alpha=1.0, dim=1)
-    lazy = discrete.assemble_effective_form(
-        big, kernel.FlatKernel(1.0), kernel.full_space_cone(1), params, memory_budget=1
+    large = discrete.assemble_effective_form(
+        big, kernel.FlatKernel(1.0), kernel.full_space_cone(1), params
     )
     with pytest.raises(ConfigurationError):
-        lazy.dense_generator()
+        large.dense_generator()
 
 
 def test_length_rescaling_scales_weights_exactly():
@@ -271,20 +271,72 @@ def test_plain_angular_kernel_equals_flat_two_bitwise():
         assert np.array_equal(a.weight_slab(k), b.weight_slab(k))
 
 
-def test_lazy_matches_materialized_bitwise():
-    grid = discrete.Grid(dim=1, length=4.0, n=16)
-    params = kernel.KernelParams(alpha=1.4, dim=1)
-    cone = kernel.full_space_cone(1)
-    nu1 = env.sample_field(1, env.uniform(0.5, 1.5), seed=1)
-    nu2 = env.sample_field(1, env.uniform(0.5, 2.5), seed=2)
-    prod = kernel.ProductForm(nu1=nu1, nu2=nu2)
-    eager = discrete.assemble_form(grid, prod, cone, params, eps=1.0)
-    lazy = discrete.assemble_form(grid, prod, cone, params, eps=1.0, memory_budget=1)
-    assert eager.materialized and not lazy.materialized
-    for k in range(eager.stencil_size):
-        assert np.array_equal(eager.weight_slab(k), lazy.weight_slab(k))
-    f = np.sin(np.linspace(0, 2 * math.pi, 16, endpoint=False))
-    assert eager.energy(f, f) == lazy.energy(f, f)
+def _roll_oracle(form, r_lo=None, r_hi=None):
+    """Generator and row sums from explicit weight slabs, one np.roll each."""
+    dist = np.sqrt((form.displacements() ** 2).sum(axis=1))
+    keep = np.ones(form.stencil_size, dtype=bool)
+    if r_lo is not None:
+        keep &= dist >= r_lo
+    if r_hi is not None:
+        keep &= dist <= r_hi
+    axes = tuple(range(form.grid.dim))
+    slabs = [
+        (tuple(-int(v) for v in form.stencil[k]), form.weight_slab(k))
+        for k in np.nonzero(keep)[0]
+    ]
+
+    def apply(u):
+        U = u.reshape(form.grid.shape)
+        return sum(w * (np.roll(U, shift, axis=axes) - U) for shift, w in slabs).ravel()
+
+    return apply, sum(w for _, w in slabs).ravel()
+
+
+def _oracle_case(kind, dim, coned):
+    grid = discrete.Grid(dim=dim, length=4.0, n=32 if dim == 1 else 16)
+    params = kernel.KernelParams(alpha=1.3, dim=dim)
+    axis = (1.0,) + (0.0,) * (dim - 1)
+    if not coned:
+        cone = kernel.full_space_cone(dim)
+    else:
+        cone = kernel.ConeSpec(axis=(0.6, 0.8) if dim == 2 else axis, aperture=0.5)
+    if kind == "angular":
+        k = kernel.AngularConstantKernel(c=0.7, angular=kernel.angular_cos2(axis))
+        return grid, discrete.assemble_effective_form(grid, k, cone, params)
+    fields = [env.sample_field(dim, env.lognormal(0.0, 0.6), seed=s) for s in (1, 2)]
+    form = {
+        "constant": kernel.ConstantForm(1.7),
+        "summation": kernel.SummationForm(
+            lambda_field=fields[0], angular=kernel.angular_cos2(axis)
+        ),
+        "product": kernel.ProductForm(nu1=fields[0], nu2=fields[1]),
+    }[kind]
+    return grid, discrete.assemble_form(grid, form, cone, params, eps=1.0)
+
+
+@pytest.mark.parametrize("coned", [False, True], ids=["full", "cone"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "summation", "product", "angular"])
+def test_fft_generator_matches_slab_oracle(kind, dim, coned):
+    # the FFT convolutions against an np.roll matvec over the explicit slabs
+    grid, form = _oracle_case(kind, dim, coned)
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=grid.size)
+    g = rng.normal(size=grid.size)
+
+    def close(got, want):
+        scale = np.max(np.abs(want))
+        assert scale > 0.0
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12 * scale
+
+    apply, rows = _roll_oracle(form)
+    close(form.apply_generator(f), apply(f))
+    close(form.row_weight_sums(), rows)
+    close(form.energy(f, g), -float(f @ apply(g)))
+    close(form.energy(f, f), -float(f @ apply(f)))
+    for r_lo, r_hi in ((None, 0.5), (0.3, None), (0.3, 0.6)):
+        band_apply, _ = _roll_oracle(form, r_lo, r_hi)
+        close(form.energy(f, g, r_lo=r_lo, r_hi=r_hi), -float(f @ band_apply(g)))
 
 
 def test_n_doubling_energy_drift_small():

@@ -86,6 +86,19 @@ def test_evaluation_is_pure_and_order_independent():
     assert (forward == single).all()
 
 
+def test_moving_average_grid_matches_per_point_bitwise():
+    # field_values evaluates each distinct cell once; a grid with eps < 1
+    # puts many nodes in one cell
+    field = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.5), seed=4)
+    axis = -1.5 + 0.25 * np.arange(12)
+    xx, yy = np.meshgrid(axis, axis, indexing="ij")
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=1) / 0.5
+    vals = env.field_values(field, pts)
+    single = np.array([env.field_at(field, p) for p in pts])
+    assert len(np.unique(vals)) < len(pts)
+    assert np.array_equal(vals, single)
+
+
 def test_iid_empirical_mean_within_three_se():
     # 10^4 distinct cells of a uniform(0, 2) field in d=2
     field = env.sample_field(2, env.uniform(0.0, 2.0), seed=11)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import stablehom
 
 from stablehom import discrete, env, kernel, solver
 from stablehom.errors import ConfigurationError, ConvergenceFailure, DomainError
@@ -197,7 +203,7 @@ def test_dense_oracle_refuses_large_systems():
     big = discrete.Grid(dim=1, length=8.0, n=8192)
     params = kernel.KernelParams(alpha=1.0, dim=1)
     form = discrete.assemble_effective_form(
-        big, kernel.FlatKernel(1.0), kernel.full_space_cone(1), params, memory_budget=1
+        big, kernel.FlatKernel(1.0), kernel.full_space_cone(1), params
     )
     problem = solver.ResolventProblem(
         form=form, measure=discrete.measure_weights(big, None), lam=1.0,
@@ -205,3 +211,54 @@ def test_dense_oracle_refuses_large_systems():
     )
     with pytest.raises(ConfigurationError):
         solver.dense_oracle_solve(problem)
+
+
+_GUARD_SCRIPT = """
+import numpy as np
+from stablehom import discrete, env, kernel, solver
+from stablehom.errors import DomainError, NumericalError
+
+def fired(fn, exc):
+    try:
+        fn()
+    except exc as e:
+        return type(e).__name__
+    return "none"
+
+grid = discrete.Grid(dim=1, length=4.0, n=16)
+params = kernel.KernelParams(alpha=1.0, dim=1)
+cone = kernel.full_space_cone(1)
+print(__debug__)
+print(fired(lambda: discrete.assemble_effective_form(
+    grid, kernel.FlatKernel(-1.0), cone, params), DomainError))
+negative = -np.ones(grid.shape)
+print(fired(lambda: discrete._build(grid, params, cone, [(negative, negative)]), DomainError))
+vanishing = env.sample_field(1, env.lognormal(-800.0, 0.0))
+print(fired(lambda: discrete.measure_weights(grid, vanishing, eps=1.0), DomainError))
+
+class Indefinite:
+    def __init__(self):
+        self.grid = grid
+    def apply_generator(self, u):
+        return 10.0 * u
+    def row_weight_sums(self):
+        return np.ones(grid.size)
+
+problem = solver.ResolventProblem(
+    form=Indefinite(), measure=discrete.measure_weights(grid, None), lam=1.0,
+    rhs=np.ones(grid.size),
+)
+print(fired(lambda: solver.solve_resolvent(problem), NumericalError))
+"""
+
+
+def test_runtime_guards_fire_under_optimize():
+    # python -O strips assert statements; the guards must not depend on them
+    src = os.path.dirname(os.path.dirname(stablehom.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _GUARD_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out == ["False", "DomainError", "DomainError", "DomainError", "NumericalError"]
