@@ -93,6 +93,7 @@ def test_moving_average_grid_matches_per_point_bitwise():
     axis = -1.5 + 0.25 * np.arange(12)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1) / 0.5
+    pts = pts[np.random.default_rng(0).permutation(len(pts))]
     vals = env.field_values(field, pts)
     single = np.array([env.field_at(field, p) for p in pts])
     assert len(np.unique(vals)) < len(pts)
