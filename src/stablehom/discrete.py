@@ -11,12 +11,10 @@ self-convergence for alpha close to 2.  Cell integrals are computed on the
 unit-spacing lattice and rescaled by h^(d-alpha), which makes the scaling
 identity between dilated grids exact rather than approximate.
 
-Every coefficient family is node fields times one translation-invariant
-stencil kernel K.  The reach n/4 stays below n/2, so K is an exact circulant
-on the torus, and the generator and the energies are FFT convolutions of
-node fields with K (see SparseSymmetricForm).  Explicit per-displacement
-weight slabs are built only on demand, for the dense-generator, pair-dump
-and brute-force oracles, which share no code with the FFT path.
+Every coefficient family is node fields times one stencil kernel K; the
+reach n/4 < n/2 makes K an exact circulant on the torus, so the generator and
+the energies are FFT convolutions (see SparseSymmetricForm).  Explicit weight
+slabs are built only on demand, as the oracle path behind the dense checks.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import stablehom
-
 from stablehom import discrete, env, kernel, solver
 from stablehom.errors import ConfigurationError, ConvergenceFailure, DomainError
 
