@@ -38,22 +38,23 @@ CASES = {  # label -> (dim, n, length, eps)
     "2d-n64": (2, 64, 4.0, 0.5),
     "2d-n128": (2, 128, 4.0, 0.5),
 }
-REPEATS = 5  # samples per layer, unless the time budget runs out first
+REPEATS = 5  # samples per layer, unless BUDGET_S runs out first
+BUDGET_S = 3.0  # seconds per layer after which repeats stop
 
 
-def median_time(fn, budget: float) -> float:
-    """Median of up to REPEATS timed calls; stops early once `budget` seconds
+def median_time(fn) -> float:
+    """Median of up to REPEATS timed calls; stops early once BUDGET_S seconds
     have gone by, after at least one call."""
     times = []
     start = time.perf_counter()
-    while len(times) < REPEATS and (not times or time.perf_counter() - start < budget):
+    while len(times) < REPEATS and (not times or time.perf_counter() - start < BUDGET_S):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
-def run_case(dim: int, n: int, length: float, eps: float, budget: float) -> dict:
+def run_case(dim: int, n: int, length: float, eps: float) -> dict:
     import numpy as np
 
     from stablehom import discrete, env, kernel, solver
@@ -69,25 +70,25 @@ def run_case(dim: int, n: int, length: float, eps: float, budget: float) -> dict
     iid = env.sample_field(dim, env.uniform(0.5, 1.5), seed=2)
     points = grid.nodes() / eps
     out = {"nodes": grid.size}
-    out["field_iid_s"] = median_time(lambda: env.field_values(iid, points), budget)
-    out["field_ma_s"] = median_time(lambda: env.field_values(form.nu1, points), budget)
+    out["field_iid_s"] = median_time(lambda: env.field_values(iid, points))
+    out["field_ma_s"] = median_time(lambda: env.field_values(form.nu1, points))
     out["assembly_s"] = median_time(
-        lambda: discrete.assemble_form(grid, form, cone, params, eps), budget
+        lambda: discrete.assemble_form(grid, form, cone, params, eps)
     )
     op = discrete.assemble_form(grid, form, cone, params, eps)
     out["stencil"] = op.stencil_size
     u = np.random.default_rng(0).normal(size=grid.size)
-    out["matvec_s"] = median_time(lambda: op.apply_generator(u), budget)
+    out["matvec_s"] = median_time(lambda: op.apply_generator(u))
     f = discrete.evaluate(grid, discrete.bump(grid))
     problem = solver.ResolventProblem(
         form=op, measure=discrete.measure_weights(grid, None), lam=1.0, rhs=f
     )
     solutions = []
     out["solve_s"] = median_time(
-        lambda: solutions.append(solver.solve_resolvent(problem, tol=1e-9)), budget
+        lambda: solutions.append(solver.solve_resolvent(problem, tol=1e-9))
     )
     out["solve_iterations"] = solutions[-1].iterations
-    out["energy_s"] = median_time(lambda: op.energy(f, f), budget)
+    out["energy_s"] = median_time(lambda: op.energy(f, f))
     return out
 
 
@@ -112,9 +113,6 @@ def main() -> int:
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="source tree that holds the stablehom package")
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_fft_generator.json"))
-    parser.add_argument("--cases", nargs="*", choices=sorted(CASES), default=list(CASES))
-    parser.add_argument("--budget", type=float, default=3.0,
-                        help="seconds per layer after which repeats stop")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np
@@ -129,9 +127,8 @@ def main() -> int:
         },
         "cases": {},
     }
-    for name in args.cases:
-        dim, n, length, eps = CASES[name]
-        run["cases"][name] = run_case(dim, n, length, eps, args.budget)
+    for name, (dim, n, length, eps) in CASES.items():
+        run["cases"][name] = run_case(dim, n, length, eps)
         print(name, json.dumps(run["cases"][name]), flush=True)
     doc = {"runs": {}}
     if os.path.exists(args.out):
