@@ -11,11 +11,12 @@ it reports the median wall time of
 - one energy of the bump.
 
 Each run is stored in the output JSON under a label, next to the runs already
-there, so two checkouts measured on the same machine sit side by side.  From
-the repository root:
+there, so two checkouts measured on the same machine sit side by side.  The
+output file has no default, so a run never lands in another change's record.
+From the repository root:
 
-    python3 benchmarks/bench.py --label after
-    python3 benchmarks/bench.py --label before --src /path/to/other/checkout/src
+    python3 benchmarks/bench.py --label before --src /path/to/parent/src --out BENCH_x.json
+    python3 benchmarks/bench.py --label after --out BENCH_x.json
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="key of this run in the output")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="source tree that holds the stablehom package")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_fft_generator.json"))
+    parser.add_argument("--out", required=True, help="BENCH_<label>.json file to add the run to")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     import numpy as np

@@ -10,6 +10,7 @@ and `plotdata` turns a report into per-metric whitespace-delimited files.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -598,7 +599,17 @@ def _sweep_results(report: H.ConvergenceReport) -> tuple[dict, list]:
     results = {
         "metrics": _quartile_table(report),
         "cells": [
-            {"eps": c.eps, "seed": c.seed_index, **{m: getattr(c, m) for m in H.METRICS}}
+            {
+                "eps": c.eps,
+                "seed": c.seed_index,
+                **{m: getattr(c, m) for m in H.METRICS},
+                "telemetry": {
+                    "iterations": c.iterations,
+                    "residual": c.residual,
+                    "assembly_s": c.assembly_s,
+                    "solve_s": c.solve_s,
+                },
+            }
             for c in report.cells
         ],
         "failures": [
@@ -942,8 +953,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
 def write_report(report: dict, out_dir: str, deterministic: bool = False) -> str:
     os.makedirs(out_dir, exist_ok=True)
     if deterministic:
-        report = dict(report)
-        report["provenance"] = dict(report["provenance"], wall_time=0.0)
+        # times vary from run to run; counts and residuals do not
+        report = copy.deepcopy(report)
+        report["provenance"]["wall_time"] = 0.0
+        for cell in report["results"].get("sweep", {}).get("cells", []):
+            cell["telemetry"].update(assembly_s=0.0, solve_s=0.0)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1)

@@ -11,7 +11,9 @@ kernel moment bound that the convergence theory assumes.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -121,6 +123,14 @@ class SweepCell:
     pairing_err: float
     form_err: float
     norm_err: float
+    # solver telemetry: CG iterations and final residual of the cell's solve,
+    # seconds spent assembling the form and measure (field evaluation
+    # included) and seconds in the solve; times vary between runs, so cells
+    # compare equal without them
+    iterations: int
+    residual: float
+    assembly_s: float = dataclasses.field(compare=False)
+    solve_s: float = dataclasses.field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -162,6 +172,7 @@ def _sweep_cell(
 ) -> SweepCell:
     eps = config.eps_list[eps_index]
     cell_seed = env.derive_seed(config.master_seed, "sweep", eps_index, seed_index)
+    start = time.perf_counter()
     form_eps = assemble_form(
         config.grid, reseed_form(config.form, cell_seed), config.cone, config.params, eps
     )
@@ -170,6 +181,7 @@ def _sweep_cell(
     else:
         mu = _reseed_field(config.mu_field, env.derive_seed(cell_seed, "mu"))
         mw = measure_weights(config.grid, mu, eps)
+    assembly_s = time.perf_counter() - start
     sol = solve_resolvent(
         ResolventProblem(form_eps, mw, config.lam, config.rhs), tol=config.tol
     )
@@ -193,6 +205,10 @@ def _sweep_cell(
         pairing_err=pairing_err,
         form_err=form_err,
         norm_err=norm_err,
+        iterations=sol.iterations,
+        residual=sol.residual,
+        assembly_s=assembly_s,
+        solve_s=sol.wall_time,
     )
 
 

@@ -176,6 +176,27 @@ def test_run_sweep_writes_report_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 2 * len(cli.H.METRICS)  # eps x seeds x metrics
 
 
+def test_sweep_cells_carry_solver_telemetry(tmp_path):
+    cfg_path = write_config(tmp_path, sweep_config())
+    timed, zeroed = tmp_path / "timed", tmp_path / "zeroed"
+    assert cli.main(["run", cfg_path, "--out", str(timed)]) == 0
+    assert cli.main(["run", cfg_path, "--out", str(zeroed), "--deterministic"]) == 0
+    timed_cells, zeroed_cells = (
+        json.loads((out / "report.json").read_text())["results"]["sweep"]["cells"]
+        for out in (timed, zeroed)
+    )
+    assert len(timed_cells) == 4
+    for t, z in zip(timed_cells, zeroed_cells):
+        assert set(t["telemetry"]) == {"iterations", "residual", "assembly_s", "solve_s"}
+        assert t["telemetry"]["iterations"] > 0
+        assert 0.0 <= t["telemetry"]["residual"] <= 1e-9
+        assert t["telemetry"]["assembly_s"] > 0.0 and t["telemetry"]["solve_s"] > 0.0
+        # --deterministic zeroes the times and keeps the counts
+        assert z["telemetry"] == dict(t["telemetry"], assembly_s=0.0, solve_s=0.0)
+    # the metric rows of cells.csv stay as they were
+    assert (timed / "cells.csv").read_bytes() == (zeroed / "cells.csv").read_bytes()
+
+
 def test_deterministic_runs_are_byte_identical(tmp_path):
     cfg_path = write_config(tmp_path, sweep_config())
     out1, out2 = tmp_path / "a", tmp_path / "b"

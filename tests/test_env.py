@@ -65,6 +65,36 @@ def test_marginal_validation():
         env.DistributionSpec("nonsense", (1.0,))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: env.lognormal(m=math.nan),
+        lambda: env.lognormal(s=math.inf),
+        lambda: env.constant(math.inf),
+        lambda: env.uniform(0.0, math.inf),
+        lambda: env.shifted_pareto(1.0, math.nan),
+        lambda: env.uniform(0.0, 1.0, declared_p=math.nan),
+        lambda: env.moving_average(q=math.nan),
+        lambda: env.moving_average(q=math.inf),
+        lambda: env.sample_field(1, env.uniform(0.5, 1.5), scale=math.nan),
+        lambda: env.sample_field(1, env.uniform(0.5, 1.5), scale=math.inf),
+        lambda: env.sample_field(1, env.uniform(0.5, 1.5), cell_size=math.nan),
+        lambda: env.sample_field(1, env.uniform(0.5, 1.5), cell_size=math.inf),
+    ],
+)
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
+@pytest.mark.parametrize("mixing", [env.iid_cells(), env.moving_average(1.5)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+def test_non_finite_points_rejected(mixing, bad):
+    field = env.sample_field(2, env.uniform(0.5, 1.5), mixing, seed=3)
+    with pytest.raises(ConfigurationError, match="finite"):
+        env.field_values(field, [[bad, 0.0], [1.0, 1.0]])
+
+
 # ---------------------------------------------------------------------------
 # field construction and evaluation
 
@@ -87,8 +117,8 @@ def test_evaluation_is_pure_and_order_independent():
 
 
 def test_moving_average_grid_matches_per_point_bitwise():
-    # field_values evaluates each distinct cell once; a grid with eps < 1
-    # puts many nodes in one cell
+    # field_values hashes each cell of the padded bounding box once; a grid
+    # with eps < 1 puts many nodes in one cell
     field = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.5), seed=4)
     axis = -1.5 + 0.25 * np.arange(12)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
@@ -98,6 +128,48 @@ def test_moving_average_grid_matches_per_point_bitwise():
     single = np.array([env.field_at(field, p) for p in pts])
     assert len(np.unique(vals)) < len(pts)
     assert np.array_equal(vals, single)
+
+
+def _grid_points(dim: int, n: int, eps: float, origin: float = -2.0) -> np.ndarray:
+    axis = origin + 4.0 * (np.arange(n) + 0.5) / n
+    grids = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1) / eps
+
+
+@pytest.mark.parametrize(
+    "dim, cell_size, seed, points, box",
+    [
+        (1, 1.0, 0, _grid_points(1, 512, 0.5), True),
+        (1, 1.0, 9, _grid_points(1, 512, 0.125), True),
+        (1, 0.7, 0, _grid_points(1, 64, 0.25, origin=-90.0), True),
+        (2, 1.0, 9, _grid_points(2, 32, 0.5), True),
+        (2, 1.0, 0, _grid_points(2, 32, 0.125), True),
+        (2, 0.7, 9, _grid_points(2, 16, 0.25, origin=-60.0), True),
+        (3, 1.0, 0, _grid_points(3, 6, 0.25), True),
+        (1, 1.0, 9, np.array([[-3.3]]), True),
+        (2, 0.7, 0, np.array([[-41.2, 5.9]]), True),
+        (3, 1.0, 9, np.array([[0.4, -7.5, 2.2]]), True),
+        (1, 1.0, 0, np.array([[-5e3], [0.0], [7e3]]), False),
+        (2, 1.0, 9, np.random.default_rng(1).uniform(-1e4, 1e4, size=(20, 2)), False),
+    ],
+)
+def test_moving_average_box_matches_window_loop_bitwise(
+    monkeypatch, dim, cell_size, seed, points, box
+):
+    # the per-offset loop over every window cell of every point is the oracle
+    field = env.sample_field(
+        dim, env.lognormal(0.1, 0.8), env.moving_average(1.5), cell_size=cell_size, seed=seed
+    )
+    box_calls = []
+    box_path = env._ma_values_on_box
+    monkeypatch.setattr(
+        env, "_ma_values_on_box", lambda *a: box_calls.append(1) or box_path(*a)
+    )
+    vals = env.field_values(field, points)
+    shift = np.array(env._global_shift(seed, dim, cell_size))
+    cells = np.floor((points + shift) / cell_size).astype(np.int64)
+    assert bool(box_calls) == box
+    assert np.array_equal(vals, env._values_at_cells(field, seed, cells))
 
 
 def test_iid_empirical_mean_within_three_se():
