@@ -379,7 +379,7 @@ def field_values(field: RandomField, points) -> np.ndarray:
         raise ConfigurationError("points must be finite, with cell indices below 2^62")
     cells = scaled.astype(np.int64)
     if field.mixing.kind == "moving_average" and len(cells):
-        # Python ints, so a spread near 2^63 cannot wrap into a small box.
+        # Python ints, so the box size cannot wrap around int64 into a small one.
         lo = [int(c) - _MA_RADIUS for c in cells.min(axis=0)]
         pad = [int(c) + _MA_RADIUS + 1 - a for c, a in zip(cells.max(axis=0), lo)]
         window = len(_ma_window(field.dim, field.mixing.q)[1])
