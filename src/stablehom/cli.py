@@ -1,8 +1,9 @@
 """Command line front end: validate configs, run experiments, emit plot data.
 
-Configs are JSON documents validated strictly (unknown or inapplicable keys
-are rejected with their full path) and echoed back with every default
-expanded, so the echo can be re-run to reproduce the report.  Reports are
+Configs are JSON documents validated strictly against one declarative schema
+(unknown, inapplicable, missing and mistyped keys and non-finite numbers are
+rejected with their full path) and echoed back with every default expanded,
+so the echo can be re-run to reproduce the report.  Reports are
 JSON with a versioned schema; per-cell sweep data also lands in a flat CSV,
 and `plotdata` turns a report into per-metric whitespace-delimited files.
 """
@@ -24,6 +25,7 @@ from . import env
 from . import homogenize as H
 from .discrete import (
     Grid,
+    _oscillation_check,
     assemble_form,
     bump,
     cone_comparability_check,
@@ -41,6 +43,7 @@ from .kernel import (
     KernelParams,
     ProductForm,
     SummationForm,
+    form_cell_size,
 )
 from .solver import ResolventProblem, solve_resolvent
 from . import __version__
@@ -48,112 +51,171 @@ from . import __version__
 SCHEMA_VERSION = 1
 
 _EXPERIMENTS = ("sweep", "estimate_constant", "mosco", "diagnostics", "example17")
-_DIAGNOSTICS = (
-    "nash", "cone", "translation", "birkhoff", "maximal", "covariance", "tails", "moments",
-)
-
-# which top-level keys each experiment reads, and which of those must be given
-_RELEVANT = {
-    "sweep": ("grid", "alpha", "cone", "form", "lambda", "eps_list", "seeds",
-              "mu", "report_radius", "rhs_radius", "tol"),
-    "estimate_constant": ("grid", "alpha", "cone", "form", "estimate"),
-    "mosco": ("grid", "alpha", "cone", "form", "eps_list", "seeds", "mosco"),
-    "example17": ("grid", "alpha", "cone", "lambda", "eps_list", "seeds", "tol",
-                  "example17"),
-}
-_REQUIRED = {
-    "sweep": ("grid", "alpha", "form", "eps_list"),
-    "estimate_constant": ("grid", "alpha", "form", "estimate"),
-    "mosco": ("grid", "alpha", "form", "eps_list"),
-    "example17": ("grid", "alpha", "example17"),
-}
-_DIAG_RELEVANT = {
-    "nash": ("grid", "alpha", "cone"),
-    "cone": ("grid", "alpha", "cone"),
-    "translation": ("grid", "alpha", "cone", "form", "lambda", "tol", "rhs_radius"),
-    "tails": ("grid", "alpha", "cone", "form", "rhs_radius"),
-    "moments": ("grid", "form"),
-    "birkhoff": ("field",),
-    "maximal": ("field",),
-    "covariance": ("field",),
-}
-_DIAG_REQUIRED = {
-    "nash": ("grid", "alpha"),
-    "cone": ("grid", "alpha"),
-    "translation": ("grid", "alpha", "form"),
-    "tails": ("grid", "alpha", "form"),
-    "moments": ("grid", "form"),
-    "birkhoff": ("field",),
-    "maximal": ("field",),
-    "covariance": ("field",),
-}
-_ALL_TOP_KEYS = (
-    "schema_version", "experiment", "master_seed", "grid", "alpha", "cone",
-    "form", "lambda", "eps_list", "seeds", "mu", "report_radius", "rhs_radius",
-    "tol", "field", "estimate", "mosco", "diagnostics", "example17",
-)
+# the eps values of example17's sweep when the config gives no eps_list
+_EXAMPLE17_LADDER = [1.0, 0.5, 0.25, 0.125, 0.0625]
 
 
 # ---------------------------------------------------------------------------
-# strict config traversal
+# config schema.  A key is (kind, default); a kind maps (raw value, path,
+# config resolved so far) to the resolved value or raises ConfigurationError
+# naming the path.
 
 
-def _check_keys(obj: dict, path: str, required: tuple, optional: tuple):
+def _typed(noun: str, *types):
+    def resolve(v, path, out=None):
+        if not isinstance(v, types) or (isinstance(v, bool) and bool not in types):
+            raise ConfigurationError(f"{path} must be {noun}")
+        return v
+    return resolve
+
+
+_integer = _typed("an integer", int)
+_boolean = _typed("a boolean", bool)
+_string = _typed("a string", str)
+_numeric = _typed("a number", int, float)
+
+
+def _number(v, path, out=None) -> float:
+    # NaN, infinities and ints beyond the float range fail the comparison
+    if not abs(_numeric(v, path)) <= sys.float_info.max:
+        raise ConfigurationError(f"{path} must be a finite number")
+    return float(v)
+
+
+def _array(item, noun: str):
+    def resolve(v, path, out) -> list:
+        if not isinstance(v, list) or not v:
+            raise ConfigurationError(f"{path} must be a nonempty array of {noun}")
+        return [item(x, f"{path}[{i}]", out) for i, x in enumerate(v)]
+    return resolve
+
+
+_numbers = _array(_number, "numbers")
+
+
+def _rule(kind, problem):
+    """Values of `kind` for which `problem(value, out)` returns no complaint; a
+    problem that calls a library check lets that check's error through."""
+    def resolve(v, path, out=None):
+        value = kind(v, path, out)
+        complaint = problem(value, out)
+        if complaint:
+            raise ConfigurationError(f"{path} {complaint}")
+        return value
+    return resolve
+
+
+def _one_of(*choices):
+    return _rule(_string, lambda v, out: None if v in choices
+                 else f"must be one of {sorted(choices)}, got '{v}'")
+
+
+_REQUIRED = object()  # the default of a key that must be given
+
+
+def _resolve_key(obj: dict, key: str, kind, default, path: str, out: dict):
+    """obj[key] resolved by `kind`.  A missing key takes the default (a callable
+    default is computed from `out`); so does a null one whose default is null
+    or an object."""
+    v = obj.get(key)
+    if v is None and (key not in obj or default is None or isinstance(default, dict)):
+        if default is _REQUIRED:
+            raise ConfigurationError(f"missing required key '{key}' in {path}")
+        v = default(out) if callable(default) else default
+        if v is None:
+            return None
+    return kind(v, f"{path}.{key}", out)
+
+
+def _known_keys(obj, path: str, keys) -> None:
     if not isinstance(obj, dict):
         raise ConfigurationError(f"{path} must be an object")
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in keys:
             raise ConfigurationError(f"unknown key '{key}' in {path}")
-    for key in required:
-        if key not in obj:
-            raise ConfigurationError(f"missing required key '{key}' in {path}")
 
 
-def _number(obj, path) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigurationError(f"{path} must be a number")
-    return float(obj)
+def _object(keys: dict, variants: dict | None = None, label: str | None = None):
+    """An object with `keys` (name -> (kind, default)), echoed in that order.
+
+    With `variants` it is a tagged union: a required 'kind' puts the keys of
+    variants[kind] ahead of `keys`, and a key of another kind is reported as
+    not belonging to `label` '<kind>', or as unknown when there is no label.
+    """
+    known = set(keys)
+    if variants:
+        known |= {"kind", *(key for extra in variants.values() for key in extra)}
+        kinds = _one_of(*variants)
+
+    def resolve(v, path, out) -> dict:
+        _known_keys(v, path, known)
+        resolved, fields = {}, keys
+        if variants:
+            kind = _resolve_key(v, "kind", kinds, _REQUIRED, path, out)
+            resolved["kind"], fields = kind, {**variants[kind], **keys}
+            for key in v:
+                if key != "kind" and key not in fields:
+                    raise ConfigurationError(
+                        f"key '{key}' in {path} does not belong to {label} '{kind}'" if label
+                        else f"unknown key '{key}' in {path}"
+                    )
+        for key, spec in fields.items():
+            resolved[key] = _resolve_key(v, key, *spec, path, out)
+        return resolved
+    return resolve
 
 
-def _integer(obj, path) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ConfigurationError(f"{path} must be an integer")
-    return obj
+def _grid_problem(grid: dict, out) -> None:
+    Grid(**grid)  # discrete.Grid rejects dim < 1, length <= 0 and odd or small n
 
 
-def _boolean(obj, path) -> bool:
-    if not isinstance(obj, bool):
-        raise ConfigurationError(f"{path} must be a boolean")
-    return obj
+def _resolved_at(eps_values, out, cell=None) -> None:
+    """discrete's h <= eps*cell/4 check at each eps; the cell is the form's unless given."""
+    if cell is None and "form" in out:
+        cell = form_cell_size(_build_form(out["form"]))
+    if cell is not None:
+        grid = Grid(**out["grid"])
+        for eps in eps_values:
+            _oscillation_check(grid, eps, cell)
 
 
-def _string(obj, path, choices=None) -> str:
-    if not isinstance(obj, str):
-        raise ConfigurationError(f"{path} must be a string")
-    if choices is not None and obj not in choices:
-        raise ConfigurationError(f"{path} must be one of {sorted(choices)}, got '{obj}'")
-    return obj
+def _region(v, path, out) -> list:
+    if not isinstance(v, list) or len(v) != 2:
+        raise ConfigurationError(f"{path} must be a [lo, hi] pair of corner arrays")
+    corners = [_numbers(corner, f"{path}[{i}]", out) for i, corner in enumerate(v)]
+    dim = out["field"]["dim"]
+    if any(len(corner) != dim for corner in corners):
+        raise ConfigurationError(f"{path} corners must have {dim} entries")
+    return corners
 
 
-def _number_list(obj, path) -> list[float]:
-    if not isinstance(obj, list) or not obj:
-        raise ConfigurationError(f"{path} must be a nonempty array of numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+def _inside_torus(note: str = ""):
+    """Bump radii, at most L/8 so that the support stays inside the torus."""
+    def problem(r, out):
+        eighth = out["grid"]["length"] / 8.0
+        return f"{r:g} exceeds L/8 = {eighth:g}{note}" if r > eighth + 1e-12 else None
+    return _rule(_number, problem)
 
 
-# ---------------------------------------------------------------------------
-# section parsers: each returns the resolved (defaults-expanded) echo dict
+_AXIS = (
+    _rule(_numbers, lambda axis, out: None if len(axis) == out["grid"]["dim"]
+          else f"has {len(axis)} entries, grid dim is {out['grid']['dim']}"),
+    lambda out: [1.0] + [0.0] * (out["grid"]["dim"] - 1),
+)
+_QUARTER_RADIUS = (_number, lambda out: out["grid"]["length"] / 4.0)
+_schema_version = _rule(_integer, lambda v, out: None if v == SCHEMA_VERSION
+                        else f"{v} not recognized (expected {SCHEMA_VERSION})")
+_alpha = _rule(_number, lambda a, out: None if 0.0 < a < 2.0 else f"must lie in (0, 2), got {a}")
+_eps_list = _rule(_numbers, lambda eps, out: "must be strictly decreasing"
+                  if any(b >= a for a, b in zip(eps, eps[1:]))
+                  else _resolved_at(eps, out))
+# the one eps of an estimate or a diagnostic
+_eps = _rule(_number, lambda eps, out: _resolved_at([eps], out))
+# a field under a grid lives in the grid's dimension
+_field_dim = _rule(_integer, lambda d, out: None if "grid" not in out or d == out["grid"]["dim"]
+                   else f"is {d}, grid dim is {out['grid']['dim']}")
 
-
-def _parse_grid(obj, path) -> dict:
-    _check_keys(obj, path, ("dim", "length", "n"), ())
-    return {
-        "dim": _integer(obj["dim"], f"{path}.dim"),
-        "length": _number(obj["length"], f"{path}.length"),
-        "n": _integer(obj["n"], f"{path}.n"),
-    }
-
-
+# the schema proper
 _MARGINAL_PARAMS = {
     "constant": ("c",),
     "uniform": ("a", "b"),
@@ -161,126 +223,92 @@ _MARGINAL_PARAMS = {
     "exp_abs_gauss": ("s",),
     "shifted_pareto": ("x_min", "tail_index"),
 }
+_MARGINAL = _object({"declared_p": (_number, 2.0)}, {
+    kind: {p: (_number, _REQUIRED) for p in params} for kind, params in _MARGINAL_PARAMS.items()
+}, label="marginal kind")
+_MIXING = _object({}, {"iid_cells": {}, "moving_average": {"q": (_number, 1.0)}}, label="kind")
+_FIELD = _object({
+    "marginal": (_MARGINAL, _REQUIRED),
+    "mixing": (_MIXING, {"kind": "iid_cells"}),
+    "cell_size": (_number, 1.0),
+    "seed": (_integer, 0),
+    "scale": (_number, 1.0),
+    "dim": (_field_dim, lambda out: out["grid"]["dim"] if "grid" in out else 1),
+})
+_CONE = _object({"axis": _AXIS, "aperture": (_number, 0.0), "full_space": (_boolean, False)})
+_GRID = _rule(_object({"dim": (_integer, _REQUIRED), "length": (_number, _REQUIRED),
+                       "n": (_integer, _REQUIRED)}), _grid_problem)
+_ANGULAR = _object({"axis": _AXIS}, {"one": {}, "cos2": {}})
+_FORM = _object({}, {
+    "constant": {"k0": (_number, _REQUIRED)},
+    "summation": {"field": (_FIELD, _REQUIRED), "angular": (_ANGULAR, {"kind": "one"})},
+    "product": {"nu1": (_FIELD, _REQUIRED), "nu2": (_FIELD, _REQUIRED)},
+})
+_ESTIMATE = _object({
+    "eps": (_eps, _REQUIRED),
+    "seeds": (_integer, 20),
+    "test_radii": (_array(_inside_torus(), "numbers"),
+                   lambda out: [out["grid"]["length"] / 8.0, out["grid"]["length"] / 16.0]),
+})
+_EXAMPLE17 = _object({
+    "lambda2": (_rule(_number, lambda v, out: None if v > 0 else "must be positive"), 1.0),
+    "inv_lambda1": (_MARGINAL, _REQUIRED),
+    "eps": (_number, 0.0625),
+    "seeds": (_integer, 20),
+    # the sweep's measure has cell size 1
+    "sweep": (_rule(_boolean, lambda sweep, out: _resolved_at(
+        out["eps_list"] or _EXAMPLE17_LADDER, out, 1.0) if sweep else None), False),
+})
+_DIAGNOSTIC_KEYS = {
+    "nash": {},
+    "cone": {},
+    "translation": {"h_multiples": (_array(_integer, "integers"), [1, 2, 4, 8]),
+                    "radius": _QUARTER_RADIUS, "eps": (_eps, 1.0)},
+    "tails": {"eta_list": (_numbers, _REQUIRED), "eps": (_eps, 1.0)},
+    "moments": {"eps_list": (_numbers, _REQUIRED), "seeds": (_integer, 5),
+                "radius": _QUARTER_RADIUS},
+    "birkhoff": {"eps": (_number, _REQUIRED),
+                 "region": (_region, lambda out: [[x] * out["field"]["dim"] for x in (0.0, 1.0)]),
+                 "n_seeds": (_integer, 20)},
+    "maximal": {"eps_grid": (_numbers, [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]),
+                "r0": (_number, 1.0), "n_seeds": (_integer, 200)},
+    "covariance": {"z1": (_numbers, _REQUIRED), "z2": (_numbers, _REQUIRED),
+                   "x": (_numbers, _REQUIRED), "trials": (_integer, 1000),
+                   "truncation": (_number, 1e3)},
+}
 
+_GRIDDED = "sweep estimate_constant mosco example17 nash cone translation tails moments"
+_JUMPS = "sweep estimate_constant mosco example17 nash cone translation tails"
+_FORMS = "sweep estimate_constant mosco translation tails moments"
+_SOLVES = "sweep example17 translation"
 
-def _parse_marginal(obj, path) -> dict:
-    all_params = tuple({k for ks in _MARGINAL_PARAMS.values() for k in ks})
-    _check_keys(obj, path, ("kind",), all_params + ("declared_p",))
-    kind = _string(obj["kind"], f"{path}.kind", choices=set(_MARGINAL_PARAMS))
-    out = {"kind": kind}
-    for key in _MARGINAL_PARAMS[kind]:
-        if key not in obj:
-            raise ConfigurationError(f"missing required key '{key}' in {path}")
-        out[key] = _number(obj[key], f"{path}.{key}")
-    for key in obj:
-        if key not in ("kind", "declared_p") and key not in _MARGINAL_PARAMS[kind]:
-            raise ConfigurationError(
-                f"key '{key}' in {path} does not belong to marginal kind '{kind}'"
-            )
-    out["declared_p"] = _number(obj.get("declared_p", 2.0), f"{path}.declared_p")
-    return out
-
-
-def _parse_mixing(obj, path) -> dict:
-    _check_keys(obj, path, ("kind",), ("q",))
-    kind = _string(obj["kind"], f"{path}.kind", choices={"iid_cells", "moving_average"})
-    out = {"kind": kind}
-    if kind == "moving_average":
-        out["q"] = _number(obj.get("q", 1.0), f"{path}.q")
-    elif "q" in obj:
-        raise ConfigurationError(f"key 'q' in {path} does not belong to kind 'iid_cells'")
-    return out
-
-
-def _parse_field(obj, path, dim: int) -> dict:
-    _check_keys(obj, path, ("marginal",), ("mixing", "cell_size", "seed", "scale"))
-    return {
-        "marginal": _parse_marginal(obj["marginal"], f"{path}.marginal"),
-        "mixing": _parse_mixing(obj.get("mixing", {"kind": "iid_cells"}), f"{path}.mixing"),
-        "cell_size": _number(obj.get("cell_size", 1.0), f"{path}.cell_size"),
-        "seed": _integer(obj.get("seed", 0), f"{path}.seed"),
-        "scale": _number(obj.get("scale", 1.0), f"{path}.scale"),
-        "dim": dim,
-    }
-
-
-def _default_axis(dim: int) -> list[float]:
-    return [1.0] + [0.0] * (dim - 1)
-
-
-def _parse_cone(obj, path, dim: int) -> dict:
-    if obj is None:
-        return {"axis": _default_axis(dim), "aperture": 0.0, "full_space": True}
-    _check_keys(obj, path, (), ("axis", "aperture", "full_space"))
-    axis = _number_list(obj.get("axis", _default_axis(dim)), f"{path}.axis")
-    if len(axis) != dim:
-        raise ConfigurationError(f"{path}.axis has {len(axis)} entries, grid dim is {dim}")
-    return {
-        "axis": axis,
-        "aperture": _number(obj.get("aperture", 0.0), f"{path}.aperture"),
-        "full_space": _boolean(obj.get("full_space", False), f"{path}.full_space"),
-    }
-
-
-def _parse_angular(obj, path, dim: int) -> dict:
-    if obj is None:
-        return {"kind": "one", "axis": _default_axis(dim)}
-    _check_keys(obj, path, ("kind",), ("axis",))
-    kind = _string(obj["kind"], f"{path}.kind", choices={"one", "cos2"})
-    axis = _number_list(obj.get("axis", _default_axis(dim)), f"{path}.axis")
-    if len(axis) != dim:
-        raise ConfigurationError(f"{path}.axis has {len(axis)} entries, grid dim is {dim}")
-    return {"kind": kind, "axis": axis}
-
-
-def _parse_form(obj, path, dim: int) -> dict:
-    _check_keys(obj, path, ("kind",), ("k0", "field", "angular", "nu1", "nu2"))
-    kind = _string(obj["kind"], f"{path}.kind", choices={"constant", "summation", "product"})
-    if kind == "constant":
-        _check_keys(obj, path, ("kind", "k0"), ())
-        return {"kind": "constant", "k0": _number(obj["k0"], f"{path}.k0")}
-    if kind == "summation":
-        _check_keys(obj, path, ("kind", "field"), ("angular",))
-        return {
-            "kind": "summation",
-            "field": _parse_field(obj["field"], f"{path}.field", dim),
-            "angular": _parse_angular(obj.get("angular"), f"{path}.angular", dim),
-        }
-    _check_keys(obj, path, ("kind", "nu1", "nu2"), ())
-    return {
-        "kind": "product",
-        "nu1": _parse_field(obj["nu1"], f"{path}.nu1", dim),
-        "nu2": _parse_field(obj["nu2"], f"{path}.nu2", dim),
-    }
-
-
-def _form_cell_sizes(form_d: dict) -> list[float]:
-    if form_d["kind"] == "summation":
-        return [form_d["field"]["cell_size"]]
-    if form_d["kind"] == "product":
-        return [form_d["nu1"]["cell_size"], form_d["nu2"]["cell_size"]]
-    return []
-
-
-def _check_resolution(grid_d: dict, cell_sizes, eps_values):
-    """Mirror of the assembly-time invariant so `validate` catches it early."""
-    h = grid_d["length"] / grid_d["n"]
-    for cell in cell_sizes:
-        for eps in eps_values:
-            if h > eps * cell / 4.0 + 1e-15:
-                raise ConfigurationError(
-                    f"h > eps*cell_size/4: h={h:g} does not resolve environment "
-                    f"cells of size eps*cell_size={eps * cell:g}; refine the grid "
-                    "or raise eps"
-                )
+# top-level key -> (kind, default, the experiments and diagnostic kinds it
+# applies to; a trailing '!' makes it required there), in echo order
+_CONFIG = {
+    "master_seed": (_integer, 0, " ".join(_EXPERIMENTS + tuple(_DIAGNOSTIC_KEYS))),
+    "field": (_FIELD, _REQUIRED, "birkhoff maximal covariance"),
+    "grid": (_GRID, _REQUIRED, _GRIDDED),
+    "alpha": (_alpha, _REQUIRED, _JUMPS),
+    "cone": (_CONE, {"full_space": True}, _JUMPS),
+    "form": (_FORM, _REQUIRED, _FORMS),
+    "lambda": (_number, 1.0, _SOLVES),
+    "tol": (_number, 1e-9, _SOLVES),
+    "seeds": (_integer, 10, "sweep mosco example17"),
+    "eps_list": (_eps_list, None, "sweep! mosco! example17"),
+    "mu": (_rule(_FIELD, lambda mu, out: _resolved_at(out["eps_list"], out, mu["cell_size"])),
+           None, "sweep"),
+    "report_radius": (_number, None, "sweep"),
+    "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None,
+                   "sweep translation tails"),
+    "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),
+    "mosco": (_object({"threshold": (_number, None)}), {}, "mosco"),
+    "example17": (_EXAMPLE17, _REQUIRED, "example17"),
+    "diagnostics": (_object({}, _DIAGNOSTIC_KEYS), _REQUIRED, " ".join(_DIAGNOSTIC_KEYS)),
+}
 
 
 # ---------------------------------------------------------------------------
 # builders: resolved echo dicts -> library objects
-
-
-def _build_grid(d: dict) -> Grid:
-    return Grid(dim=d["dim"], length=d["length"], n=d["n"])
 
 
 def _build_marginal(d: dict) -> env.DistributionSpec:
@@ -289,15 +317,8 @@ def _build_marginal(d: dict) -> env.DistributionSpec:
 
 
 def _build_field(d: dict) -> env.RandomField:
-    mixing = env.MixingSpec(kind=d["mixing"]["kind"], q=d["mixing"].get("q", 1.0))
-    return env.RandomField(
-        dim=d["dim"],
-        marginal=_build_marginal(d["marginal"]),
-        mixing=mixing,
-        cell_size=d["cell_size"],
-        seed=d["seed"],
-        scale=d["scale"],
-    )
+    return env.RandomField(**{**d, "marginal": _build_marginal(d["marginal"]),
+                              "mixing": env.MixingSpec(**d["mixing"])})
 
 
 def _build_cone(d: dict) -> ConeSpec:
@@ -335,222 +356,32 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigurationError(
             f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
-    _check_keys(raw, "config", ("schema_version", "experiment"), _ALL_TOP_KEYS)
-    version = _integer(raw["schema_version"], "config.schema_version")
-    if version != SCHEMA_VERSION:
-        raise ConfigurationError(
-            f"config.schema_version {version} not recognized (expected {SCHEMA_VERSION})"
-        )
-    kind = _string(raw["experiment"], "config.experiment", choices=set(_EXPERIMENTS))
-
-    if kind == "diagnostics":
-        diag_raw = raw.get("diagnostics")
-        if not isinstance(diag_raw, dict) or "kind" not in diag_raw:
+    _known_keys(raw, "config", ("schema_version", "experiment", *_CONFIG))
+    version = _resolve_key(raw, "schema_version", _schema_version, _REQUIRED, "config", {})
+    experiment = _resolve_key(raw, "experiment", _one_of(*_EXPERIMENTS), _REQUIRED, "config", {})
+    kind, label = experiment, f"experiment '{experiment}'"
+    if experiment == "diagnostics":
+        diag = raw.get("diagnostics")
+        if not isinstance(diag, dict) or "kind" not in diag:
             raise ConfigurationError(
                 "experiment 'diagnostics' requires config.diagnostics with a 'kind'"
             )
-        diag_kind = _string(diag_raw["kind"], "config.diagnostics.kind", choices=set(_DIAGNOSTICS))
-        relevant = _DIAG_RELEVANT[diag_kind] + ("diagnostics",)
-        required = _DIAG_REQUIRED[diag_kind] + ("diagnostics",)
-        label = f"experiment 'diagnostics' (kind '{diag_kind}')"
-    else:
-        diag_kind = None
-        relevant = _RELEVANT[kind]
-        required = _REQUIRED[kind]
-        label = f"experiment '{kind}'"
+        kind = _one_of(*_DIAGNOSTIC_KEYS)(diag["kind"], "config.diagnostics.kind")
+        label += f" (kind '{kind}')"
+
+    applicable = {key: spec for key, spec in _CONFIG.items()
+                  if kind in spec[2].replace("!", "").split()}
     for key in raw:
-        if key in ("schema_version", "experiment", "master_seed"):
-            continue
-        if key not in relevant:
+        if key not in applicable and key not in ("schema_version", "experiment"):
             raise ConfigurationError(f"key '{key}' does not apply to {label}")
-    for key in required:
-        if key not in raw or raw[key] is None:
+    for key, (_, default, where) in applicable.items():
+        if (default is _REQUIRED or f"{kind}!" in where.split()) and raw.get(key) is None:
             raise ConfigurationError(f"{label} requires top-level key '{key}'")
 
-    out = {
-        "schema_version": version,
-        "experiment": kind,
-        "master_seed": _integer(raw.get("master_seed", 0), "config.master_seed"),
-    }
-    if "field" in relevant:
-        field_raw = raw["field"]
-        _check_keys(field_raw, "config.field",
-                    ("marginal",), ("mixing", "cell_size", "seed", "scale", "dim"))
-        fdim = _integer(field_raw.get("dim", 1), "config.field.dim")
-        trimmed = {k: v for k, v in field_raw.items() if k != "dim"}
-        out["field"] = _parse_field(trimmed, "config.field", fdim)
-        out["diagnostics"] = _parse_diagnostics(raw["diagnostics"], diag_kind, out)
-        return ExperimentConfig(kind=kind, resolved=out)
-
-    grid_d = _parse_grid(raw["grid"], "config.grid")
-    out["grid"] = grid_d
-    dim = grid_d["dim"]
-    if "alpha" in relevant:
-        out["alpha"] = _number(raw["alpha"], "config.alpha")
-        if not (0.0 < out["alpha"] < 2.0):
-            raise ConfigurationError(f"config.alpha must lie in (0, 2), got {out['alpha']}")
-    if "cone" in relevant:
-        out["cone"] = _parse_cone(raw.get("cone"), "config.cone", dim)
-    if "form" in relevant:
-        out["form"] = _parse_form(raw["form"], "config.form", dim)
-    if "lambda" in relevant:
-        out["lambda"] = _number(raw.get("lambda", 1.0), "config.lambda")
-    if "tol" in relevant:
-        out["tol"] = _number(raw.get("tol", 1e-9), "config.tol")
-    if "seeds" in relevant:
-        out["seeds"] = _integer(raw.get("seeds", 10), "config.seeds")
-    if "eps_list" in relevant:
-        if raw.get("eps_list") is not None:
-            eps = _number_list(raw["eps_list"], "config.eps_list")
-            if any(b >= a for a, b in zip(eps, eps[1:])):
-                raise ConfigurationError("config.eps_list must be strictly decreasing")
-            out["eps_list"] = eps
-        else:
-            out["eps_list"] = None
-    if "mu" in relevant:
-        out["mu"] = (
-            _parse_field(raw["mu"], "config.mu", dim) if raw.get("mu") is not None else None
-        )
-    if "report_radius" in relevant:
-        out["report_radius"] = (
-            _number(raw["report_radius"], "config.report_radius")
-            if raw.get("report_radius") is not None else None
-        )
-    if "rhs_radius" in relevant:
-        out["rhs_radius"] = (
-            _number(raw["rhs_radius"], "config.rhs_radius")
-            if raw.get("rhs_radius") is not None else None
-        )
-        if out["rhs_radius"] is not None and out["rhs_radius"] > grid_d["length"] / 8.0 + 1e-12:
-            raise ConfigurationError(
-                f"config.rhs_radius {out['rhs_radius']:g} exceeds L/8 = "
-                f"{grid_d['length'] / 8:g}; the bump must stay well inside the torus"
-            )
-
-    if kind == "sweep":
-        cells = _form_cell_sizes(out["form"]) + (
-            [out["mu"]["cell_size"]] if out["mu"] else []
-        )
-        _check_resolution(grid_d, cells, out["eps_list"])
-    elif kind == "estimate_constant":
-        est = raw["estimate"]
-        _check_keys(est, "config.estimate", ("eps",), ("seeds", "test_radii"))
-        out["estimate"] = {
-            "eps": _number(est["eps"], "config.estimate.eps"),
-            "seeds": _integer(est.get("seeds", 20), "config.estimate.seeds"),
-            "test_radii": _number_list(
-                est.get("test_radii", [grid_d["length"] / 8.0, grid_d["length"] / 16.0]),
-                "config.estimate.test_radii",
-            ),
-        }
-        for i, r in enumerate(out["estimate"]["test_radii"]):
-            if r > grid_d["length"] / 8.0 + 1e-12:
-                raise ConfigurationError(
-                    f"config.estimate.test_radii[{i}] {r:g} exceeds L/8 = "
-                    f"{grid_d['length'] / 8:g}"
-                )
-        _check_resolution(grid_d, _form_cell_sizes(out["form"]), [out["estimate"]["eps"]])
-    elif kind == "mosco":
-        mos = raw.get("mosco") or {}
-        _check_keys(mos, "config.mosco", (), ("threshold",))
-        out["mosco"] = {
-            "threshold": _number(mos["threshold"], "config.mosco.threshold")
-            if mos.get("threshold") is not None else None
-        }
-        _check_resolution(grid_d, _form_cell_sizes(out["form"]), out["eps_list"])
-    elif kind == "example17":
-        ex = raw["example17"]
-        _check_keys(ex, "config.example17",
-                    ("inv_lambda1",), ("lambda2", "eps", "seeds", "sweep"))
-        out["example17"] = {
-            "lambda2": _number(ex.get("lambda2", 1.0), "config.example17.lambda2"),
-            "inv_lambda1": _parse_marginal(ex["inv_lambda1"], "config.example17.inv_lambda1"),
-            "eps": _number(ex.get("eps", 0.0625), "config.example17.eps"),
-            "seeds": _integer(ex.get("seeds", 20), "config.example17.seeds"),
-            "sweep": _boolean(ex.get("sweep", False), "config.example17.sweep"),
-        }
-        if out["example17"]["lambda2"] <= 0:
-            raise ConfigurationError("config.example17.lambda2 must be positive")
-        if out["example17"]["sweep"]:
-            ladder = out["eps_list"] or [1.0, 0.5, 0.25, 0.125, 0.0625]
-            _check_resolution(grid_d, [1.0], ladder)
-    elif kind == "diagnostics":
-        out["diagnostics"] = _parse_diagnostics(raw["diagnostics"], diag_kind, out)
-    return ExperimentConfig(kind=kind, resolved=out)
-
-
-def _parse_diagnostics(obj: dict, diag_kind: str, out: dict) -> dict:
-    path = "config.diagnostics"
-    if diag_kind in ("nash", "cone"):
-        _check_keys(obj, path, ("kind",), ())
-        return {"kind": diag_kind}
-    if diag_kind == "translation":
-        _check_keys(obj, path, ("kind",), ("h_multiples", "radius", "eps"))
-        parsed = {
-            "kind": diag_kind,
-            "h_multiples": [
-                _integer(v, f"{path}.h_multiples[{i}]")
-                for i, v in enumerate(obj.get("h_multiples", [1, 2, 4, 8]))
-            ],
-            "radius": _number(obj.get("radius", out["grid"]["length"] / 4.0), f"{path}.radius"),
-            "eps": _number(obj.get("eps", 1.0), f"{path}.eps"),
-        }
-        _check_resolution(out["grid"], _form_cell_sizes(out["form"]), [parsed["eps"]])
-        return parsed
-    if diag_kind == "tails":
-        _check_keys(obj, path, ("kind", "eta_list"), ("eps",))
-        parsed = {
-            "kind": diag_kind,
-            "eta_list": _number_list(obj["eta_list"], f"{path}.eta_list"),
-            "eps": _number(obj.get("eps", 1.0), f"{path}.eps"),
-        }
-        _check_resolution(out["grid"], _form_cell_sizes(out["form"]), [parsed["eps"]])
-        return parsed
-    if diag_kind == "moments":
-        _check_keys(obj, path, ("kind", "eps_list"), ("seeds", "radius"))
-        return {
-            "kind": diag_kind,
-            "eps_list": _number_list(obj["eps_list"], f"{path}.eps_list"),
-            "seeds": _integer(obj.get("seeds", 5), f"{path}.seeds"),
-            "radius": _number(obj.get("radius", out["grid"]["length"] / 4.0), f"{path}.radius"),
-        }
-    if diag_kind == "birkhoff":
-        _check_keys(obj, path, ("kind", "eps"), ("region", "n_seeds"))
-        fdim = out["field"]["dim"]
-        region = obj.get("region", [[0.0] * fdim, [1.0] * fdim])
-        if not isinstance(region, list) or len(region) != 2:
-            raise ConfigurationError(f"{path}.region must be a [lo, hi] pair of corner arrays")
-        lo = _number_list(region[0], f"{path}.region[0]")
-        hi = _number_list(region[1], f"{path}.region[1]")
-        if len(lo) != fdim or len(hi) != fdim:
-            raise ConfigurationError(f"{path}.region corners must have {fdim} entries")
-        return {
-            "kind": diag_kind,
-            "eps": _number(obj["eps"], f"{path}.eps"),
-            "region": [lo, hi],
-            "n_seeds": _integer(obj.get("n_seeds", 20), f"{path}.n_seeds"),
-        }
-    if diag_kind == "maximal":
-        _check_keys(obj, path, ("kind",), ("eps_grid", "r0", "n_seeds"))
-        return {
-            "kind": diag_kind,
-            "eps_grid": _number_list(
-                obj.get("eps_grid", [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]),
-                f"{path}.eps_grid",
-            ),
-            "r0": _number(obj.get("r0", 1.0), f"{path}.r0"),
-            "n_seeds": _integer(obj.get("n_seeds", 200), f"{path}.n_seeds"),
-        }
-    # covariance
-    _check_keys(obj, path, ("kind", "z1", "z2", "x"), ("trials", "truncation"))
-    return {
-        "kind": diag_kind,
-        "z1": _number_list(obj["z1"], f"{path}.z1"),
-        "z2": _number_list(obj["z2"], f"{path}.z2"),
-        "x": _number_list(obj["x"], f"{path}.x"),
-        "trials": _integer(obj.get("trials", 1000), f"{path}.trials"),
-        "truncation": _number(obj.get("truncation", 1e3), f"{path}.truncation"),
-    }
+    out = {"schema_version": version, "experiment": experiment}
+    for key, (resolve, default, _) in applicable.items():
+        out[key] = _resolve_key(raw, key, resolve, default, "config", out)
+    return ExperimentConfig(kind=experiment, resolved=out)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +389,7 @@ def _parse_diagnostics(obj: dict, diag_kind: str, out: dict) -> dict:
 
 
 def _sweep_config(resolved: dict) -> H.SweepConfig:
-    grid = _build_grid(resolved["grid"])
+    grid = Grid(**resolved["grid"])
     rhs = None
     if resolved.get("rhs_radius") is not None:
         rhs = evaluate(grid, bump(grid, resolved["rhs_radius"]))
@@ -593,6 +424,11 @@ def _quartile_table(report: H.ConvergenceReport) -> dict:
             "q75": q75,
         }
     return table
+
+
+def _finite(values) -> bool:
+    """A check passes only on finite medians; max() and < skip or hide a NaN."""
+    return bool(np.isfinite(values).all())
 
 
 def _sweep_results(report: H.ConvergenceReport) -> tuple[dict, list]:
@@ -631,7 +467,7 @@ def _sweep_results(report: H.ConvergenceReport) -> tuple[dict, list]:
         checks.append(
             {
                 "name": "err_l2_mu_end_to_end_decrease",
-                "passed": med[-1] < med[0] or at_floor,
+                "passed": _finite(med) and (med[-1] < med[0] or at_floor),
                 "detail": f"median {med[0]:.6g} -> {med[-1]:.6g}",
             }
         )
@@ -642,7 +478,8 @@ def _run_sweep_experiment(resolved: dict, threads: int) -> tuple[dict, list]:
     report = H.run_sweep(_sweep_config(resolved), threads=threads)
     results, checks = _sweep_results(report)
     if resolved["form"]["kind"] == "constant":
-        worst = max(max(report.medians[m]) for m in H.METRICS)
+        # np.max propagates a NaN median, which then fails the bound
+        worst = float(np.max([report.medians[m] for m in H.METRICS]))
         checks.append(
             {
                 "name": "constant_form_environment_independence",
@@ -654,7 +491,7 @@ def _run_sweep_experiment(resolved: dict, threads: int) -> tuple[dict, list]:
 
 
 def _run_estimate_experiment(resolved: dict) -> tuple[dict, list]:
-    grid = _build_grid(resolved["grid"])
+    grid = Grid(**resolved["grid"])
     fns = [evaluate(grid, bump(grid, r)) for r in resolved["estimate"]["test_radii"]]
     est = H.estimate_effective_constant(
         grid,
@@ -686,7 +523,7 @@ def _run_estimate_experiment(resolved: dict) -> tuple[dict, list]:
 
 
 def _run_mosco_experiment(resolved: dict) -> tuple[dict, list]:
-    grid = _build_grid(resolved["grid"])
+    grid = Grid(**resolved["grid"])
     report = H.mosco_form_check(
         grid,
         _build_form(resolved["form"]),
@@ -710,7 +547,8 @@ def _run_mosco_experiment(resolved: dict) -> tuple[dict, list]:
     # convergence already achieved, not a stalled sequence
     at_floor = max(report.medians) <= 1e-10
     checks = [
-        {"name": "mosco_medians_decreasing", "passed": report.decreasing or at_floor,
+        {"name": "mosco_medians_decreasing",
+         "passed": _finite(report.medians) and (report.decreasing or at_floor),
          "detail": f"medians {[float(f'{v:.6g}') for v in report.medians]}"},
         {"name": "mosco_final_below_threshold", "passed": report.final_below_threshold,
          "detail": f"final {report.medians[-1]:.6g} vs threshold {report.threshold:.6g}"},
@@ -720,7 +558,7 @@ def _run_mosco_experiment(resolved: dict) -> tuple[dict, list]:
 
 def _run_example17(resolved: dict, threads: int) -> tuple[dict, list]:
     ex = resolved["example17"]
-    grid = _build_grid(resolved["grid"])
+    grid = Grid(**resolved["grid"])
     c2 = ex["lambda2"]
     inv_marginal = _build_marginal(ex["inv_lambda1"])
     e_inv = env.mean_value(inv_marginal)
@@ -762,7 +600,7 @@ def _run_example17(resolved: dict, threads: int) -> tuple[dict, list]:
             seed=0,
             scale=c2 / z_mu,
         )
-        eps_list = tuple(resolved["eps_list"] or [1.0, 0.5, 0.25, 0.125, 0.0625])
+        eps_list = tuple(resolved["eps_list"] or _EXAMPLE17_LADDER)
         config = H.SweepConfig(
             grid=grid, form=form, cone=cone, params=params, eps_list=eps_list,
             seeds=resolved["seeds"], lam=resolved["lambda"], mu_field=mu_field,
@@ -777,7 +615,8 @@ def _run_example17(resolved: dict, threads: int) -> tuple[dict, list]:
             sweep_checks.append(
                 {
                     "name": "measure_metrics_end_to_end_decrease",
-                    "passed": pairing[-1] < pairing[0] and norm[-1] < norm[0],
+                    "passed": _finite(pairing + norm)
+                    and pairing[-1] < pairing[0] and norm[-1] < norm[0],
                     "detail": f"pairing {pairing[0]:.4g}->{pairing[-1]:.4g}, "
                     f"norm {norm[0]:.4g}->{norm[-1]:.4g}",
                 }
@@ -789,7 +628,7 @@ def _run_example17(resolved: dict, threads: int) -> tuple[dict, list]:
 def _run_diagnostics(resolved: dict) -> tuple[dict, list]:
     diag = resolved["diagnostics"]
     kind = diag["kind"]
-    grid = _build_grid(resolved["grid"]) if "grid" in resolved else None
+    grid = Grid(**resolved["grid"]) if "grid" in resolved else None
     params = (
         KernelParams(alpha=resolved["alpha"], dim=grid.dim)
         if "alpha" in resolved else None
@@ -1052,7 +891,13 @@ def main(argv=None) -> int:
         elif args.threads is not None:
             threads = args.threads
         else:
-            threads = int(os.environ.get("STABLEHOM_THREADS", "1"))
+            threads = os.environ.get("STABLEHOM_THREADS", "1")
+            try:
+                threads = int(threads)
+            except ValueError:
+                raise ConfigurationError(
+                    f"STABLEHOM_THREADS must be an integer, got {threads!r}"
+                ) from None
         report = run_experiment(config, threads=threads)
         write_report(report, out_dir, deterministic=args.deterministic)
         write_csv(report, out_dir)

@@ -410,7 +410,7 @@ def assemble_form(
 ) -> SparseSymmetricForm:
     """Assemble the environment energy with coefficient kappa(x/eps, y/eps)."""
     _check_dims(grid, cone, params)
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise ConfigurationError(f"eps must be positive, got {eps}")
     cell = form_cell_size(form)
     if cell is not None:
@@ -475,7 +475,7 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
             raise ConfigurationError(
                 f"measure field dim {mu_field.dim} does not match grid dim {grid.dim}"
             )
-        if eps <= 0:
+        if not eps > 0:
             raise ConfigurationError(f"eps must be positive, got {eps}")
         _oscillation_check(grid, eps, mu_field.cell_size)
         m = env.field_values(mu_field, grid.nodes() / eps) * hd

@@ -449,7 +449,7 @@ def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> flo
     hi = np.asarray(region[1], dtype=float).reshape(field.dim)
     if not np.all(hi > lo):
         raise ConfigurationError(f"empty averaging region: min={lo}, max={hi}")
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise ConfigurationError(f"eps must be positive, got {eps}")
     cap = 4096 if field.dim == 1 else 128
     points = _midpoint_grid(lo, hi, eps * field.cell_size, cap)

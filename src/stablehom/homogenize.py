@@ -90,17 +90,17 @@ class SweepConfig:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
-        if len(eps) < 1 or any(e <= 0 for e in eps):
+        if len(eps) < 1 or not all(e > 0 for e in eps):
             raise ConfigurationError("eps_list must contain positive values")
         if any(b >= a for a, b in zip(eps, eps[1:])) and len(eps) > 1:
             raise ConfigurationError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
         if self.seeds < 1:
             raise ConfigurationError(f"seeds must be >= 1, got {self.seeds}")
-        if self.lam <= 0:
-            raise ConfigurationError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ConfigurationError(f"lambda must be positive and finite, got {self.lam}")
         r = self.grid.length / 8.0 if self.report_radius is None else self.report_radius
-        if r <= 0:
+        if not r > 0:
             raise ConfigurationError(f"report radius must be positive, got {r}")
         object.__setattr__(self, "report_radius", float(r))
         if self.rhs is None:

@@ -168,8 +168,8 @@ class ConstantForm:
     k0: float
 
     def __post_init__(self):
-        if self.k0 < 0:
-            raise ConfigurationError(f"constant coefficient must be >= 0, got {self.k0}")
+        if not 0 <= self.k0 < math.inf:
+            raise ConfigurationError(f"constant coefficient must be finite and >= 0, got {self.k0}")
 
 
 CoefficientForm = SummationForm | ProductForm | ConstantForm
@@ -202,7 +202,7 @@ def kappa(form: CoefficientForm, x, y, eps: float) -> float:
         raise DomainError("x and y must have the same dimension")
     if np.array_equal(x, y):
         raise DomainError("kappa is undefined on the diagonal x = y")
-    if eps <= 0:
+    if not eps > 0:
         raise ConfigurationError(f"eps must be positive, got {eps}")
     if isinstance(form, ConstantForm):
         return form.k0

@@ -28,8 +28,8 @@ class ResolventProblem:
     rhs: np.ndarray
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigurationError(f"lambda must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ConfigurationError(f"lambda must be positive and finite, got {self.lam}")
         if self.measure.grid != self.form.grid:
             raise ConfigurationError("measure and form were assembled on different grids")
         rhs = np.asarray(self.rhs, dtype=float)
@@ -37,6 +37,8 @@ class ResolventProblem:
             raise DomainError(
                 f"rhs has {rhs.size} entries, grid has {self.form.grid.size} nodes"
             )
+        if not np.isfinite(rhs).all():
+            raise DomainError("rhs must be finite")
         object.__setattr__(self, "rhs", rhs.reshape(-1))
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -28,6 +30,15 @@ def write_config(tmp_path, cfg, name="config.json"):
     return str(path)
 
 
+# Configs with the resolved echo (json.dumps(resolved, indent=1)) or the
+# rejection message that parse_config gave for each at commit c7a8b35, before
+# the config layer became a declarative schema: one minimal and one fully
+# specified config per experiment and diagnostic kind, and rejections of
+# unknown, missing, mistyped and inapplicable keys, wrong-kind parameters,
+# bad axis and corner lengths, range rules and unresolved grids.
+CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
+
+
 # ---------------------------------------------------------------------------
 # parsing: defaults, echo stability, rejection messages
 
@@ -45,11 +56,34 @@ def test_defaults_are_expanded():
 
 
 def test_echo_reparses_identically():
-    first = cli.parse_config(json.dumps(sweep_config())).resolved
-    text = json.dumps(first, indent=1)
-    second = cli.parse_config(text).resolved
-    assert first == second
-    assert json.dumps(second, indent=1) == text
+    configs = [json.dumps(sweep_config())] + [e["config"] for e in CORPUS if "echo" in e]
+    for config in configs:
+        first = cli.parse_config(config).resolved
+        text = json.dumps(first, indent=1)
+        second = cli.parse_config(text).resolved
+        assert first == second
+        assert json.dumps(second, indent=1) == text
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=[e["name"] for e in CORPUS])
+def test_corpus_echoes_and_messages_unchanged(entry):
+    if "echo" in entry:
+        assert json.dumps(cli.parse_config(entry["config"]).resolved, indent=1) == entry["echo"]
+    else:
+        with pytest.raises(ConfigurationError) as exc:
+            cli.parse_config(entry["config"])
+        assert str(exc.value) == entry["error"]
+
+
+@pytest.mark.parametrize(
+    "literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"],
+)
+def test_non_finite_numbers_rejected(literal):
+    text = json.dumps(sweep_config()).replace('"eps_list": [1.0, 0.5]',
+                                              f'"eps_list": [1.0, {literal}]')
+    with pytest.raises(ConfigurationError, match=r"^config.eps_list\[1\] must be a finite number$"):
+        cli.parse_config(text)
 
 
 def test_unknown_top_level_key():
@@ -152,6 +186,31 @@ def test_unknown_diagnostic_kind():
     }
     with pytest.raises(ConfigurationError):
         cli.parse_config(json.dumps(cfg))
+
+
+def test_checks_fail_on_nan_medians(monkeypatch):
+    # max() skips a NaN after the first entry, so these checks used to pass
+    medians = (0.0, math.nan)
+    report = cli.H.ConvergenceReport(
+        eps_list=(1.0, 0.5), cells=(), failures=(),
+        medians={m: medians for m in cli.H.METRICS}, iqrs={m: (0.0, 0.0) for m in cli.H.METRICS},
+    )
+    _, checks = cli._sweep_results(report)
+    assert [c["passed"] for c in checks] == [True, False]
+    resolved = cli.parse_config(json.dumps(sweep_config())).resolved
+    monkeypatch.setattr(cli.H, "run_sweep", lambda config, threads: report)
+    _, checks = cli._run_sweep_experiment(resolved, threads=1)
+    assert checks[-1]["name"] == "constant_form_environment_independence"
+    assert not checks[-1]["passed"]
+    mosco = cli.H.MoscoReport(
+        eps_list=(1.0, 0.5), medians=medians, iqrs=(0.0, 0.0), threshold=0.1,
+        decreasing=False, final_below_threshold=False, passed=False,
+    )
+    monkeypatch.setattr(cli.H, "mosco_form_check", lambda *args, **kwargs: mosco)
+    resolved = cli.parse_config(json.dumps(sweep_config(experiment="mosco", seeds=1))).resolved
+    _, checks = cli._run_mosco_experiment(resolved)
+    assert checks[0]["name"] == "mosco_medians_decreasing"
+    assert not checks[0]["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +351,19 @@ def test_failing_check_exits_one(tmp_path, capsys):
     assert "[FAIL] moment_bound_no_growth" in captured.out
 
 
-def test_config_error_exits_two(tmp_path, capsys):
+def test_config_error_exits_two(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, sweep_config(alpa=1.0))
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+    # a grid that discrete.Grid refuses
+    cfg_path = write_config(tmp_path, sweep_config(grid={"dim": 1, "length": 8.0, "n": 0}))
+    assert cli.main(["validate", cfg_path]) == 2
+    assert "config error: grid needs even n >= 4, got 0" in capsys.readouterr().err
+    # a thread count that is not an integer
+    monkeypatch.setenv("STABLEHOM_THREADS", "abc")
+    cfg_path = write_config(tmp_path, sweep_config())
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "STABLEHOM_THREADS must be an integer" in capsys.readouterr().err
 
 
 def test_io_error_exits_two(tmp_path, capsys):

@@ -351,6 +351,27 @@ def test_n_doubling_energy_drift_small():
     assert abs(energies[1] / energies[0] - 1.0) < 0.02
 
 
+_GRID16 = discrete.Grid(dim=1, length=4.0, n=16)
+_UNIT = (kernel.full_space_cone(1), kernel.KernelParams(alpha=1.0, dim=1))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: kernel.ConstantForm(math.nan),
+        lambda: kernel.ConstantForm(math.inf),
+        lambda: discrete.assemble_form(_GRID16, kernel.ConstantForm(1.0), *_UNIT, eps=math.nan),
+        lambda: discrete.measure_weights(
+            _GRID16, env.sample_field(1, env.constant(1.0)), eps=math.nan
+        ),
+        lambda: kernel.kappa(kernel.ConstantForm(1.0), [0.0], [1.0], eps=math.nan),
+    ],
+)
+def test_non_finite_form_inputs_rejected(make):
+    with pytest.raises(ConfigurationError):
+        make()
+
+
 def test_dimension_mismatch_rejected():
     grid = discrete.Grid(dim=2, length=4.0, n=8)
     with pytest.raises(ConfigurationError):

@@ -80,6 +80,9 @@ def test_marginal_validation():
         lambda: env.sample_field(1, env.uniform(0.5, 1.5), scale=math.inf),
         lambda: env.sample_field(1, env.uniform(0.5, 1.5), cell_size=math.nan),
         lambda: env.sample_field(1, env.uniform(0.5, 1.5), cell_size=math.inf),
+        lambda: env.birkhoff_average(
+            env.sample_field(1, env.constant(1.0)), math.nan, ([0.0], [1.0])
+        ),
     ],
 )
 def test_non_finite_parameters_rejected(make):

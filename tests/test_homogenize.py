@@ -65,9 +65,12 @@ def test_sweep_config_validation_and_defaults():
     with pytest.raises(ConfigurationError):
         H.SweepConfig(eps_list=(1.0, -0.5), seeds=2, **base)
     with pytest.raises(ConfigurationError):
-        H.SweepConfig(eps_list=(1.0,), seeds=0, **base)
+        H.SweepConfig(eps_list=(1.0, math.nan), seeds=2, **base)
     with pytest.raises(ConfigurationError):
-        H.SweepConfig(eps_list=(1.0,), seeds=2, lam=0.0, **base)
+        H.SweepConfig(eps_list=(1.0,), seeds=0, **base)
+    for lam in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            H.SweepConfig(eps_list=(1.0,), seeds=2, lam=lam, **base)
     with pytest.raises(ConfigurationError):
         H.SweepConfig(eps_list=(1.0,), seeds=2, rhs=np.ones(5), **base)
     with pytest.raises(ConfigurationError):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -184,9 +185,20 @@ def test_parameter_validation():
         solver.ResolventProblem(
             form=problem.form, measure=problem.measure, lam=0.0, rhs=problem.rhs
         )
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            solver.ResolventProblem(
+                form=problem.form, measure=problem.measure, lam=lam, rhs=problem.rhs
+            )
     with pytest.raises(DomainError):
         solver.ResolventProblem(
             form=problem.form, measure=problem.measure, lam=1.0, rhs=np.ones(5)
+        )
+    # a NaN entry used to give converged=True after 0 iterations with u = 0
+    with pytest.raises(DomainError, match="finite"):
+        solver.ResolventProblem(
+            form=problem.form, measure=problem.measure, lam=1.0,
+            rhs=np.where(np.arange(problem.rhs.size) == 3, math.nan, problem.rhs),
         )
     other_grid = discrete.Grid(dim=1, length=4.0, n=32)
     with pytest.raises(ConfigurationError):
