@@ -1,7 +1,8 @@
 """Per-layer micro-benchmark of the stablehom engine.
 
-For 1D grids with n in {512, 2048, 8192} and 2D grids with n in {32, 64, 128}
-it reports the median wall time of
+For 1D grids with n in {512, 2048, 8192} and 2D grids with n in {32, 64, 128},
+and for a degenerate 1D case (n = 2048, factors uniform(0, 2), which come
+arbitrarily close to 0), it reports the median wall time of
 
 - field evaluation at the grid nodes, for iid and moving-average mixing;
 - assembly of a product form with moving-average factors;
@@ -9,6 +10,11 @@ it reports the median wall time of
 - one resolvent solve (lambda = 1, bump right-hand side, Lebesgue measure,
   tol 1e-9), together with its CG iteration count;
 - one energy of the bump.
+
+End to end, it times the acceptance-size sweep: acceptance criterion 3's
+config (1D, n = 512, summation form with lognormal(-1/8, 1/2) lambda,
+5 eps values x 10 seeds) through `homogenize.run_sweep`, and reports the CG
+iterations summed over its cells.
 
 Each run is stored in the output JSON under a label, next to the runs already
 there, so two checkouts measured on the same machine sit side by side.  The
@@ -31,13 +37,15 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CASES = {  # label -> (dim, n, length, eps)
-    "1d-n512": (1, 512, 8.0, 0.25),
-    "1d-n2048": (1, 2048, 8.0, 0.25),
-    "1d-n8192": (1, 8192, 8.0, 0.25),
-    "2d-n32": (2, 32, 4.0, 0.5),
-    "2d-n64": (2, 64, 4.0, 0.5),
-    "2d-n128": (2, 128, 4.0, 0.5),
+BOUNDED, DEGENERATE = (0.5, 1.5), (0.0, 2.0)  # uniform factor marginals
+CASES = {  # label -> (dim, n, length, eps, factor marginal)
+    "1d-n512": (1, 512, 8.0, 0.25, BOUNDED),
+    "1d-n2048": (1, 2048, 8.0, 0.25, BOUNDED),
+    "1d-n8192": (1, 8192, 8.0, 0.25, BOUNDED),
+    "2d-n32": (2, 32, 4.0, 0.5, BOUNDED),
+    "2d-n64": (2, 64, 4.0, 0.5, BOUNDED),
+    "2d-n128": (2, 128, 4.0, 0.5, BOUNDED),
+    "1d-n2048-degenerate": (1, 2048, 8.0, 0.25, DEGENERATE),
 }
 REPEATS = 5  # samples per layer, unless BUDGET_S runs out first
 BUDGET_S = 3.0  # seconds per layer after which repeats stop
@@ -55,7 +63,7 @@ def median_time(fn) -> float:
     return statistics.median(times)
 
 
-def run_case(dim: int, n: int, length: float, eps: float) -> dict:
+def run_case(dim: int, n: int, length: float, eps: float, factor: tuple) -> dict:
     import numpy as np
 
     from stablehom import discrete, env, kernel, solver
@@ -65,8 +73,8 @@ def run_case(dim: int, n: int, length: float, eps: float) -> dict:
     params = kernel.KernelParams(alpha=1.0, dim=dim)
     ma = env.moving_average(1.5)
     form = kernel.ProductForm(
-        nu1=env.sample_field(dim, env.uniform(0.5, 1.5), ma, seed=0),
-        nu2=env.sample_field(dim, env.uniform(0.5, 1.5), ma, seed=1),
+        nu1=env.sample_field(dim, env.uniform(*factor), ma, seed=0),
+        nu2=env.sample_field(dim, env.uniform(*factor), ma, seed=1),
     )
     iid = env.sample_field(dim, env.uniform(0.5, 1.5), seed=2)
     points = grid.nodes() / eps
@@ -90,6 +98,29 @@ def run_case(dim: int, n: int, length: float, eps: float) -> dict:
     )
     out["solve_iterations"] = solutions[-1].iterations
     out["energy_s"] = median_time(lambda: op.energy(f, f))
+    return out
+
+
+def run_acceptance_sweep() -> dict:
+    from stablehom import discrete, env, kernel
+    from stablehom import homogenize as H
+
+    config = H.SweepConfig(
+        grid=discrete.Grid(dim=1, length=8.0, n=512),
+        form=kernel.SummationForm(
+            lambda_field=env.sample_field(1, env.lognormal(-0.125, 0.5), seed=0)
+        ),
+        cone=kernel.full_space_cone(1),
+        params=kernel.KernelParams(alpha=1.0, dim=1),
+        eps_list=(1.0, 0.5, 0.25, 0.125, 0.0625),
+        seeds=10,
+    )
+    reports = []
+    out = {"sweep_s": median_time(lambda: reports.append(H.run_sweep(config)))}
+    cells = reports[-1].cells
+    out["cells"] = len(cells)
+    out["failures"] = len(reports[-1].failures)
+    out["cell_iterations"] = sum(c.iterations for c in cells)
     return out
 
 
@@ -128,17 +159,21 @@ def main() -> int:
         },
         "cases": {},
     }
-    for name, (dim, n, length, eps) in CASES.items():
-        run["cases"][name] = run_case(dim, n, length, eps)
+    for name, case in CASES.items():
+        run["cases"][name] = run_case(*case)
         print(name, json.dumps(run["cases"][name]), flush=True)
+    run["cases"]["1d-n512-acceptance-sweep"] = run_acceptance_sweep()
+    print("1d-n512-acceptance-sweep", json.dumps(run["cases"]["1d-n512-acceptance-sweep"]))
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
     doc["description"] = (
         "Median wall time per layer (seconds) of benchmarks/bench.py: product form "
-        "with moving-average uniform(0.5, 1.5) factors, alpha = 1, full-space cone; "
-        "1D L = 8, eps = 1/4; 2D L = 4, eps = 1/2."
+        "with moving-average uniform(0.5, 1.5) factors (uniform(0, 2) for the "
+        "degenerate case), alpha = 1, full-space cone; 1D L = 8, eps = 1/4; 2D L = 4, "
+        "eps = 1/2.  1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
+        "end (5 eps x 10 seeds) and the CG iterations summed over its cells."
     )
     doc["runs"][args.label] = run
     with open(args.out, "w") as fh:

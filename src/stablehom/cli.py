@@ -45,7 +45,7 @@ from .kernel import (
     SummationForm,
     form_cell_size,
 )
-from .solver import ResolventProblem, solve_resolvent
+from .solver import ResolventProblem, check_lambda, check_tol, solve_resolvent
 from . import __version__
 
 SCHEMA_VERSION = 1
@@ -169,6 +169,10 @@ def _grid_problem(grid: dict, out) -> None:
     Grid(**grid)  # discrete.Grid rejects dim < 1, length <= 0 and odd or small n
 
 
+def _cone_problem(cone: dict, out) -> None:
+    _build_cone(cone)  # ConeSpec rejects an aperture outside [0, 1) and a zero axis
+
+
 def _resolved_at(eps_values, out, cell=None) -> None:
     """discrete's h <= eps*cell/4 check at each eps; the cell is the form's unless given."""
     if cell is None and "form" in out:
@@ -209,6 +213,11 @@ _alpha = _rule(_number, lambda a, out: None if 0.0 < a < 2.0 else f"must lie in 
 _eps_list = _rule(_numbers, lambda eps, out: "must be strictly decreasing"
                   if any(b >= a for a, b in zip(eps, eps[1:]))
                   else _resolved_at(eps, out))
+# bounds the library checks only when a run reaches them
+_lambda = _rule(_number, lambda lam, out: check_lambda(lam))
+_tol = _rule(_number, lambda tol, out: check_tol(tol))
+_seeds = _rule(_integer, lambda seeds, out: H.check_seeds(seeds))
+_report_radius = _rule(_number, lambda r, out: H.check_report_radius(r))
 # the one eps of an estimate or a diagnostic
 _eps = _rule(_number, lambda eps, out: _resolved_at([eps], out))
 # a field under a grid lives in the grid's dimension
@@ -235,7 +244,8 @@ _FIELD = _object({
     "scale": (_number, 1.0),
     "dim": (_field_dim, lambda out: out["grid"]["dim"] if "grid" in out else 1),
 })
-_CONE = _object({"axis": _AXIS, "aperture": (_number, 0.0), "full_space": (_boolean, False)})
+_CONE = _rule(_object({"axis": _AXIS, "aperture": (_number, 0.0),
+                       "full_space": (_boolean, False)}), _cone_problem)
 _GRID = _rule(_object({"dim": (_integer, _REQUIRED), "length": (_number, _REQUIRED),
                        "n": (_integer, _REQUIRED)}), _grid_problem)
 _ANGULAR = _object({"axis": _AXIS}, {"one": {}, "cos2": {}})
@@ -246,7 +256,7 @@ _FORM = _object({}, {
 })
 _ESTIMATE = _object({
     "eps": (_eps, _REQUIRED),
-    "seeds": (_integer, 20),
+    "seeds": (_seeds, 20),
     "test_radii": (_array(_inside_torus(), "numbers"),
                    lambda out: [out["grid"]["length"] / 8.0, out["grid"]["length"] / 16.0]),
 })
@@ -254,7 +264,7 @@ _EXAMPLE17 = _object({
     "lambda2": (_rule(_number, lambda v, out: None if v > 0 else "must be positive"), 1.0),
     "inv_lambda1": (_MARGINAL, _REQUIRED),
     "eps": (_number, 0.0625),
-    "seeds": (_integer, 20),
+    "seeds": (_seeds, 20),
     # the sweep's measure has cell size 1
     "sweep": (_rule(_boolean, lambda sweep, out: _resolved_at(
         out["eps_list"] or _EXAMPLE17_LADDER, out, 1.0) if sweep else None), False),
@@ -265,7 +275,7 @@ _DIAGNOSTIC_KEYS = {
     "translation": {"h_multiples": (_array(_integer, "integers"), [1, 2, 4, 8]),
                     "radius": _QUARTER_RADIUS, "eps": (_eps, 1.0)},
     "tails": {"eta_list": (_numbers, _REQUIRED), "eps": (_eps, 1.0)},
-    "moments": {"eps_list": (_numbers, _REQUIRED), "seeds": (_integer, 5),
+    "moments": {"eps_list": (_numbers, _REQUIRED), "seeds": (_seeds, 5),
                 "radius": _QUARTER_RADIUS},
     "birkhoff": {"eps": (_number, _REQUIRED),
                  "region": (_region, lambda out: [[x] * out["field"]["dim"] for x in (0.0, 1.0)]),
@@ -291,13 +301,13 @@ _CONFIG = {
     "alpha": (_alpha, _REQUIRED, _JUMPS),
     "cone": (_CONE, {"full_space": True}, _JUMPS),
     "form": (_FORM, _REQUIRED, _FORMS),
-    "lambda": (_number, 1.0, _SOLVES),
-    "tol": (_number, 1e-9, _SOLVES),
-    "seeds": (_integer, 10, "sweep mosco example17"),
+    "lambda": (_lambda, 1.0, _SOLVES),
+    "tol": (_tol, 1e-9, _SOLVES),
+    "seeds": (_seeds, 10, "sweep mosco example17"),
     "eps_list": (_eps_list, None, "sweep! mosco! example17"),
     "mu": (_rule(_FIELD, lambda mu, out: _resolved_at(out["eps_list"], out, mu["cell_size"])),
            None, "sweep"),
-    "report_radius": (_number, None, "sweep"),
+    "report_radius": (_report_radius, None, "sweep"),
     "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None,
                    "sweep translation tails"),
     "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),

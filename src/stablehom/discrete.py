@@ -326,6 +326,17 @@ class SparseSymmetricForm:
         """sum_j w(i, j) per node (= |A_ii|), flat layout."""
         return self._d.ravel().copy()
 
+    def mean_symbol(self) -> np.ndarray:
+        """Fourier symbol c (K^(0) - K^(xi)) of -A_bar, in rfftn layout.
+
+        A_bar is the translation-invariant generator with kernel c K, where
+        c = mean(row sums) / K^(0) gives it this form's mean row sum (c = 0
+        when K vanishes).  For constant coefficients A_bar = A.
+        """
+        k0 = float(self._khat.flat[0])
+        c = float(self._d.mean()) / k0 if k0 > 0.0 else 0.0
+        return c * (k0 - self._khat)
+
     def iter_pair_blocks(self):
         """Yield (i, j, w) index/weight arrays, one block per stencil entry,
         each unordered pair appearing exactly once."""

@@ -41,7 +41,7 @@ from .kernel import (
     effective_kernel,
     FlatKernel,
 )
-from .solver import ResolventProblem, solve_resolvent
+from .solver import ResolventProblem, check_lambda, solve_resolvent
 
 METRICS = ("err_l2_mu", "err_l1_ball", "pairing_err", "form_err", "norm_err")
 
@@ -73,6 +73,18 @@ def reseed_form(form: CoefficientForm, cell_seed: int) -> CoefficientForm:
     raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
 
 
+def check_seeds(seeds: int) -> None:
+    """Every study needs at least one environment realization per eps."""
+    if seeds < 1:
+        raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
+
+
+def check_report_radius(radius: float) -> None:
+    """The ball of the L1 error metric needs a positive radius; NaN fails too."""
+    if not radius > 0:
+        raise ConfigurationError(f"report radius must be positive, got {radius}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     grid: Grid
@@ -95,13 +107,10 @@ class SweepConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])) and len(eps) > 1:
             raise ConfigurationError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
-        if self.seeds < 1:
-            raise ConfigurationError(f"seeds must be >= 1, got {self.seeds}")
-        if not 0 < self.lam < math.inf:
-            raise ConfigurationError(f"lambda must be positive and finite, got {self.lam}")
+        check_seeds(self.seeds)
+        check_lambda(self.lam)
         r = self.grid.length / 8.0 if self.report_radius is None else self.report_radius
-        if not r > 0:
-            raise ConfigurationError(f"report radius must be positive, got {r}")
+        check_report_radius(r)
         object.__setattr__(self, "report_radius", float(r))
         if self.rhs is None:
             object.__setattr__(self, "rhs", evaluate(self.grid, bump(self.grid)))
@@ -288,8 +297,7 @@ def estimate_effective_constant(
     summation family, 2 E[nu1] E[nu2] for the product family, and the constant
     itself for constant coefficients.
     """
-    if seeds < 1:
-        raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
+    check_seeds(seeds)
     reference = assemble_effective_form(grid, FlatKernel(1.0), cone, params)
     ref_energy, skipped = [], []
     fns = [np.asarray(f, dtype=float) for f in test_fns]
@@ -342,6 +350,7 @@ def mosco_form_check(
     eps_list = tuple(float(e) for e in eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("eps_list must be strictly decreasing")
+    check_seeds(seeds)
     form_k = assemble_effective_form(grid, effective_kernel(form), cone, params)
     fns = [np.asarray(f, dtype=float) for f in test_fns]
     limits = [form_k.energy(f, f) for f in fns]
@@ -496,8 +505,7 @@ def moment_bound_report(
     eps_list = tuple(float(e) for e in eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or not eps_list:
         raise ConfigurationError("eps_list must be nonempty and strictly decreasing")
-    if seeds < 1:
-        raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
+    check_seeds(seeds)
     p = _declared_p(form)
     points = grid.nodes()[grid.ball_mask(radius)]
     if len(points) < 2:

@@ -2,9 +2,14 @@
 
 M is the diagonal mass matrix of the symmetrizing measure and A the jump
 generator, so the system is symmetric positive definite.  The preconditioner
-is the diagonal lambda m_i + |A_ii|; the measure can be heavy-tailed, which
-makes the raw diagonal wildly nonuniform.  All reductions go through numpy
-dot products in a fixed order, so identical inputs give identical iterates.
+is the averaged, translation-invariant operator lambda m_bar - A_bar, which
+is diagonal in Fourier space (`SparseSymmetricForm.mean_symbol`), scaled on
+both sides by s = sqrt(diag(P) / diag(S)) so that it keeps the diagonal of
+the random system: the measure can be heavy-tailed and the coefficients
+degenerate, which makes that diagonal wildly nonuniform.  For the limit
+problem (constant kernel, Lebesgue measure) s = 1 and P is the system itself,
+so CG stops after one step.  All reductions go through numpy dot products in
+a fixed order, so identical inputs give identical iterates.
 """
 
 from __future__ import annotations
@@ -20,6 +25,18 @@ from .discrete import MeasureWeights, SparseSymmetricForm
 from .errors import ConfigurationError, ConvergenceFailure, DomainError, NumericalError
 
 
+def check_lambda(lam: float) -> None:
+    """The resolvent parameter must lie in (0, inf); NaN fails too."""
+    if not 0 < lam < math.inf:
+        raise ConfigurationError(f"lambda must be positive and finite, got {lam}")
+
+
+def check_tol(tol: float) -> None:
+    """The relative residual at which CG stops must lie in (0, 1e-2]."""
+    if not 0.0 < tol <= 1e-2:
+        raise ConfigurationError(f"tol must lie in (0, 1e-2], got {tol}")
+
+
 @dataclass(frozen=True)
 class ResolventProblem:
     form: SparseSymmetricForm
@@ -28,8 +45,7 @@ class ResolventProblem:
     rhs: np.ndarray
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ConfigurationError(f"lambda must be positive and finite, got {self.lam}")
+        check_lambda(self.lam)
         if self.measure.grid != self.form.grid:
             raise ConfigurationError("measure and form were assembled on different grids")
         rhs = np.asarray(self.rhs, dtype=float)
@@ -58,16 +74,18 @@ def _apply_system(problem: ResolventProblem, u: np.ndarray) -> np.ndarray:
 def solve_resolvent(
     problem: ResolventProblem, tol: float = 1e-9, max_iter: int = 10000
 ) -> ResolventSolution:
-    """Conjugate gradients with Jacobi preconditioning.
+    """Conjugate gradients preconditioned by the averaged operator.
 
+    The preconditioner is z = s P^{-1}(s r), where P^(xi) = lambda m_bar +
+    mean_symbol(xi) is applied by one rfftn/irfftn pair and
+    s = sqrt((lambda m_bar + mean(d)) / (lambda m + d)), d the row sums.
     The residual is measured relative to ||f||_M in the M^{-1} norm, which
     makes the reported number the relative defect of the weak formulation
     lambda <u, g>_m + E(u, g) = <f, g>_m over all test vectors g.  The loop
     stops on the recursively updated residual; the reported one is
     recomputed from b - S u with one more matvec.
     """
-    if not (0.0 < tol <= 1e-2):
-        raise ConfigurationError(f"tol must lie in (0, 1e-2], got {tol}")
+    check_tol(tol)
     start = time.perf_counter()
     m = problem.measure.m
     f = problem.rhs
@@ -78,16 +96,24 @@ def solve_resolvent(
             u=np.zeros_like(f), iterations=0, residual=0.0,
             wall_time=time.perf_counter() - start, converged=True,
         )
-    diag = problem.lam * m + problem.form.row_weight_sums()
-    inv_diag = 1.0 / diag
+    form = problem.form
+    shape, axes = form.grid.shape, tuple(range(form.grid.dim))
+    lam_mbar = problem.lam * float(m.mean())
+    d = form.row_weight_sums()
+    phat = lam_mbar + form.mean_symbol()
+    scale = np.sqrt((lam_mbar + float(d.mean())) / (problem.lam * m + d))
     inv_m = 1.0 / m
+
+    def precondition(r: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.rfftn((scale * r).reshape(shape), axes=axes) / phat
+        return scale * np.fft.irfftn(spectrum, s=shape, axes=axes).reshape(-1)
 
     def res_norm(r: np.ndarray) -> float:
         return math.sqrt(float(np.dot(inv_m, r * r))) / norm_f
 
     u = np.zeros_like(f)
     r = b.copy()
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = float(np.dot(r, z))
     residual = res_norm(r)
@@ -107,7 +133,7 @@ def solve_resolvent(
         alpha = rz / pap
         u = u + alpha * p
         r = r - alpha * ap
-        z = inv_diag * r
+        z = precondition(r)
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new

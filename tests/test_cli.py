@@ -35,7 +35,9 @@ def write_config(tmp_path, cfg, name="config.json"):
 # the config layer became a declarative schema: one minimal and one fully
 # specified config per experiment and diagnostic kind, and rejections of
 # unknown, missing, mistyped and inapplicable keys, wrong-kind parameters,
-# bad axis and corner lengths, range rules and unresolved grids.
+# bad axis and corner lengths, range rules and unresolved grids.  The
+# `library-*` rejections came later: bounds of solver, sweep and cone that
+# `run` used to meet only at run time, with the library check's own message.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 
 

@@ -104,6 +104,67 @@ def test_cg_matches_dense_oracle_2d():
         assert gap <= 1e-8, f"seed {seed}: relative gap {gap:.3e}"
 
 
+# ---------------------------------------------------------------------------
+# the averaged-operator preconditioner
+
+
+def product_problem(grid, marginal, eps, alpha=1.0):
+    """Product form with iid factors of `marginal`, Lebesgue measure, bump data."""
+    form = kernel.ProductForm(
+        nu1=env.sample_field(grid.dim, marginal, seed=0),
+        nu2=env.sample_field(grid.dim, marginal, seed=1),
+    )
+    op = discrete.assemble_form(
+        grid, form, kernel.full_space_cone(grid.dim), kernel.KernelParams(alpha, grid.dim), eps
+    )
+    return solver.ResolventProblem(
+        form=op, measure=discrete.measure_weights(grid, None), lam=1.0,
+        rhs=discrete.evaluate(grid, discrete.bump(grid)),
+    )
+
+
+@pytest.mark.parametrize("dim,n", [(1, 512), (2, 32)])
+def test_limit_solve_converges_in_one_step(dim, n):
+    # constant kernel on Lebesgue measure: the preconditioner is the system
+    grid = discrete.Grid(dim=dim, length=4.0, n=n)
+    cone = kernel.full_space_cone(1) if dim == 1 else kernel.ConeSpec((1.0, 0.0), 0.3)
+    form = discrete.assemble_form(
+        grid, kernel.ConstantForm(1.3), cone, kernel.KernelParams(1.2, dim), eps=1.0
+    )
+    problem = solver.ResolventProblem(
+        form=form, measure=discrete.measure_weights(grid, None), lam=1.0,
+        rhs=discrete.evaluate(grid, discrete.bump(grid)),
+    )
+    sol = solver.solve_resolvent(problem)
+    exact = solver.dense_oracle_solve(problem)
+    assert sol.iterations <= 2
+    assert m_norm(problem.measure, sol.u - exact) / m_norm(problem.measure, exact) <= 1e-10
+
+
+def test_iterations_do_not_grow_with_n_on_bounded_coefficients():
+    counts = [
+        solver.solve_resolvent(
+            product_problem(discrete.Grid(1, 8.0, n), env.uniform(0.5, 1.5), eps=0.25)
+        ).iterations
+        for n in (512, 8192)
+    ]
+    assert counts[1] <= 1.5 * counts[0], counts
+
+
+@pytest.mark.parametrize(
+    "marginal", [env.uniform(0.0, 2.0), env.exp_abs_gauss(2.0)], ids=["uniform-0-2", "exp_abs_gauss-2"]
+)
+@pytest.mark.parametrize("dim,n", [(1, 1024), (2, 32)])
+def test_degenerate_coefficients_match_dense_oracle(marginal, dim, n):
+    # coefficients come arbitrarily close to 0, where the plain circulant
+    # preconditioner loses spectral equivalence
+    problem = product_problem(discrete.Grid(dim, 8.0, n), marginal, eps=1.0 if dim == 2 else 0.25)
+    sol = solver.solve_resolvent(problem, tol=1e-11)
+    exact = solver.dense_oracle_solve(problem)
+    gap = m_norm(problem.measure, sol.u - exact) / m_norm(problem.measure, exact)
+    assert gap <= 1e-8, f"relative gap {gap:.3e}"
+
+
 def test_weak_form_residual_definition():
     # the reported residual bounds the defect of the weak formulation
     problem = make_problem(7)
@@ -254,6 +315,8 @@ class Indefinite:
         return 10.0 * u
     def row_weight_sums(self):
         return np.ones(grid.size)
+    def mean_symbol(self):
+        return np.zeros(grid.n // 2 + 1)
 
 problem = solver.ResolventProblem(
     form=Indefinite(), measure=discrete.measure_weights(grid, None), lam=1.0,
