@@ -162,8 +162,9 @@ def main() -> int:
     for name, case in CASES.items():
         run["cases"][name] = run_case(*case)
         print(name, json.dumps(run["cases"][name]), flush=True)
-    run["cases"]["1d-n512-acceptance-sweep"] = run_acceptance_sweep()
-    print("1d-n512-acceptance-sweep", json.dumps(run["cases"]["1d-n512-acceptance-sweep"]))
+    name = "1d-n512-acceptance-sweep"
+    run["cases"][name] = run_acceptance_sweep()
+    print(name, json.dumps(run["cases"][name]), flush=True)
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
