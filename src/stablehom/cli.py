@@ -3,7 +3,9 @@
 Configs are JSON documents validated strictly against one declarative schema
 (unknown, inapplicable, missing and mistyped keys and non-finite numbers are
 rejected with their full path) and echoed back with every default expanded,
-so the echo can be re-run to reproduce the report.  Reports are
+so the echo can be re-run to reproduce the report.  Parsing also builds the
+experiment's library objects, once each, so `validate` refuses whatever `run`
+would; the runners only execute what parsing built.  Reports are
 JSON with a versioned schema; per-cell sweep data also lands in a flat CSV,
 and `plotdata` turns a report into per-metric whitespace-delimited files.
 """
@@ -28,6 +30,7 @@ from .discrete import (
     _oscillation_check,
     assemble_form,
     bump,
+    check_translation_steps,
     cone_comparability_check,
     evaluate,
     measure_weights,
@@ -35,9 +38,10 @@ from .discrete import (
     test_function_suite,
     translation_estimate_check,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count, check_ladder, check_positive
 from .kernel import (
     AngularWeight,
+    CoefficientForm,
     ConeSpec,
     ConstantForm,
     KernelParams,
@@ -58,7 +62,8 @@ _EXAMPLE17_LADDER = [1.0, 0.5, 0.25, 0.125, 0.0625]
 # ---------------------------------------------------------------------------
 # config schema.  A key is (kind, default); a kind maps (raw value, path,
 # config resolved so far) to the resolved value or raises ConfigurationError
-# naming the path.
+# naming the path.  Sections that stand for a library object build it once,
+# as they resolve (see _builds).
 
 
 def _typed(noun: str, *types):
@@ -165,160 +170,22 @@ def _object(keys: dict, variants: dict | None = None, label: str | None = None):
     return resolve
 
 
-def _grid_problem(grid: dict, out) -> None:
-    Grid(**grid)  # discrete.Grid rejects dim < 1, length <= 0 and odd or small n
+class _Walk(dict):
+    """The echo resolved so far; `built` holds the library objects built from it."""
+
+    def __init__(self, **echo):
+        super().__init__(echo)
+        self.built = {}
 
 
-def _cone_problem(cone: dict, out) -> None:
-    _build_cone(cone)  # ConeSpec rejects an aperture outside [0, 1) and a zero axis
-
-
-def _resolved_at(eps_values, out, cell=None) -> None:
-    """discrete's h <= eps*cell/4 check at each eps; the cell is the form's unless given."""
-    if cell is None and "form" in out:
-        cell = form_cell_size(_build_form(out["form"]))
-    if cell is not None:
-        grid = Grid(**out["grid"])
-        for eps in eps_values:
-            _oscillation_check(grid, eps, cell)
-
-
-def _region(v, path, out) -> list:
-    if not isinstance(v, list) or len(v) != 2:
-        raise ConfigurationError(f"{path} must be a [lo, hi] pair of corner arrays")
-    corners = [_numbers(corner, f"{path}[{i}]", out) for i, corner in enumerate(v)]
-    dim = out["field"]["dim"]
-    if any(len(corner) != dim for corner in corners):
-        raise ConfigurationError(f"{path} corners must have {dim} entries")
-    return corners
-
-
-def _inside_torus(note: str = ""):
-    """Bump radii, at most L/8 so that the support stays inside the torus."""
-    def problem(r, out):
-        eighth = out["grid"]["length"] / 8.0
-        return f"{r:g} exceeds L/8 = {eighth:g}{note}" if r > eighth + 1e-12 else None
-    return _rule(_number, problem)
-
-
-_AXIS = (
-    _rule(_numbers, lambda axis, out: None if len(axis) == out["grid"]["dim"]
-          else f"has {len(axis)} entries, grid dim is {out['grid']['dim']}"),
-    lambda out: [1.0] + [0.0] * (out["grid"]["dim"] - 1),
-)
-_QUARTER_RADIUS = (_number, lambda out: out["grid"]["length"] / 4.0)
-_schema_version = _rule(_integer, lambda v, out: None if v == SCHEMA_VERSION
-                        else f"{v} not recognized (expected {SCHEMA_VERSION})")
-_alpha = _rule(_number, lambda a, out: None if 0.0 < a < 2.0 else f"must lie in (0, 2), got {a}")
-_eps_list = _rule(_numbers, lambda eps, out: "must be strictly decreasing"
-                  if any(b >= a for a, b in zip(eps, eps[1:]))
-                  else _resolved_at(eps, out))
-# bounds the library checks only when a run reaches them
-_lambda = _rule(_number, lambda lam, out: check_lambda(lam))
-_tol = _rule(_number, lambda tol, out: check_tol(tol))
-_seeds = _rule(_integer, lambda seeds, out: H.check_seeds(seeds))
-_report_radius = _rule(_number, lambda r, out: H.check_report_radius(r))
-# the one eps of an estimate or a diagnostic
-_eps = _rule(_number, lambda eps, out: _resolved_at([eps], out))
-# a field under a grid lives in the grid's dimension
-_field_dim = _rule(_integer, lambda d, out: None if "grid" not in out or d == out["grid"]["dim"]
-                   else f"is {d}, grid dim is {out['grid']['dim']}")
-
-# the schema proper
-_MARGINAL_PARAMS = {
-    "constant": ("c",),
-    "uniform": ("a", "b"),
-    "lognormal": ("m", "s"),
-    "exp_abs_gauss": ("s",),
-    "shifted_pareto": ("x_min", "tail_index"),
-}
-_MARGINAL = _object({"declared_p": (_number, 2.0)}, {
-    kind: {p: (_number, _REQUIRED) for p in params} for kind, params in _MARGINAL_PARAMS.items()
-}, label="marginal kind")
-_MIXING = _object({}, {"iid_cells": {}, "moving_average": {"q": (_number, 1.0)}}, label="kind")
-_FIELD = _object({
-    "marginal": (_MARGINAL, _REQUIRED),
-    "mixing": (_MIXING, {"kind": "iid_cells"}),
-    "cell_size": (_number, 1.0),
-    "seed": (_integer, 0),
-    "scale": (_number, 1.0),
-    "dim": (_field_dim, lambda out: out["grid"]["dim"] if "grid" in out else 1),
-})
-_CONE = _rule(_object({"axis": _AXIS, "aperture": (_number, 0.0),
-                       "full_space": (_boolean, False)}), _cone_problem)
-_GRID = _rule(_object({"dim": (_integer, _REQUIRED), "length": (_number, _REQUIRED),
-                       "n": (_integer, _REQUIRED)}), _grid_problem)
-_ANGULAR = _object({"axis": _AXIS}, {"one": {}, "cos2": {}})
-_FORM = _object({}, {
-    "constant": {"k0": (_number, _REQUIRED)},
-    "summation": {"field": (_FIELD, _REQUIRED), "angular": (_ANGULAR, {"kind": "one"})},
-    "product": {"nu1": (_FIELD, _REQUIRED), "nu2": (_FIELD, _REQUIRED)},
-})
-_ESTIMATE = _object({
-    "eps": (_eps, _REQUIRED),
-    "seeds": (_seeds, 20),
-    "test_radii": (_array(_inside_torus(), "numbers"),
-                   lambda out: [out["grid"]["length"] / 8.0, out["grid"]["length"] / 16.0]),
-})
-_EXAMPLE17 = _object({
-    "lambda2": (_rule(_number, lambda v, out: None if v > 0 else "must be positive"), 1.0),
-    "inv_lambda1": (_MARGINAL, _REQUIRED),
-    "eps": (_number, 0.0625),
-    "seeds": (_seeds, 20),
-    # the sweep's measure has cell size 1
-    "sweep": (_rule(_boolean, lambda sweep, out: _resolved_at(
-        out["eps_list"] or _EXAMPLE17_LADDER, out, 1.0) if sweep else None), False),
-})
-_DIAGNOSTIC_KEYS = {
-    "nash": {},
-    "cone": {},
-    "translation": {"h_multiples": (_array(_integer, "integers"), [1, 2, 4, 8]),
-                    "radius": _QUARTER_RADIUS, "eps": (_eps, 1.0)},
-    "tails": {"eta_list": (_numbers, _REQUIRED), "eps": (_eps, 1.0)},
-    "moments": {"eps_list": (_numbers, _REQUIRED), "seeds": (_seeds, 5),
-                "radius": _QUARTER_RADIUS},
-    "birkhoff": {"eps": (_number, _REQUIRED),
-                 "region": (_region, lambda out: [[x] * out["field"]["dim"] for x in (0.0, 1.0)]),
-                 "n_seeds": (_integer, 20)},
-    "maximal": {"eps_grid": (_numbers, [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]),
-                "r0": (_number, 1.0), "n_seeds": (_integer, 200)},
-    "covariance": {"z1": (_numbers, _REQUIRED), "z2": (_numbers, _REQUIRED),
-                   "x": (_numbers, _REQUIRED), "trials": (_integer, 1000),
-                   "truncation": (_number, 1e3)},
-}
-
-_GRIDDED = "sweep estimate_constant mosco example17 nash cone translation tails moments"
-_JUMPS = "sweep estimate_constant mosco example17 nash cone translation tails"
-_FORMS = "sweep estimate_constant mosco translation tails moments"
-_SOLVES = "sweep example17 translation"
-
-# top-level key -> (kind, default, the experiments and diagnostic kinds it
-# applies to; a trailing '!' makes it required there), in echo order
-_CONFIG = {
-    "master_seed": (_integer, 0, " ".join(_EXPERIMENTS + tuple(_DIAGNOSTIC_KEYS))),
-    "field": (_FIELD, _REQUIRED, "birkhoff maximal covariance"),
-    "grid": (_GRID, _REQUIRED, _GRIDDED),
-    "alpha": (_alpha, _REQUIRED, _JUMPS),
-    "cone": (_CONE, {"full_space": True}, _JUMPS),
-    "form": (_FORM, _REQUIRED, _FORMS),
-    "lambda": (_lambda, 1.0, _SOLVES),
-    "tol": (_tol, 1e-9, _SOLVES),
-    "seeds": (_seeds, 10, "sweep mosco example17"),
-    "eps_list": (_eps_list, None, "sweep! mosco! example17"),
-    "mu": (_rule(_FIELD, lambda mu, out: _resolved_at(out["eps_list"], out, mu["cell_size"])),
-           None, "sweep"),
-    "report_radius": (_report_radius, None, "sweep"),
-    "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None,
-                   "sweep translation tails"),
-    "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),
-    "mosco": (_object({"threshold": (_number, None)}), {}, "mosco"),
-    "example17": (_EXAMPLE17, _REQUIRED, "example17"),
-    "diagnostics": (_object({}, _DIAGNOSTIC_KEYS), _REQUIRED, " ".join(_DIAGNOSTIC_KEYS)),
-}
-
-
-# ---------------------------------------------------------------------------
-# builders: resolved echo dicts -> library objects
+def _builds(name: str, kind, build):
+    """`kind`, whose resolved value is also built once into out.built[name]; the
+    library's own checks (discrete.Grid's, ConeSpec's, ...) raise with their messages."""
+    def resolve(v, path, out):
+        value = kind(v, path, out)
+        out.built[name] = build(value)
+        return value
+    return resolve
 
 
 def _build_marginal(d: dict) -> env.DistributionSpec:
@@ -344,18 +211,203 @@ def _build_form(d: dict):
     return ProductForm(_build_field(d["nu1"]), _build_field(d["nu2"]))
 
 
+def _resolved_at(eps_values, out, cell=None) -> None:
+    """Positive eps values that pass discrete's h <= eps*cell/4 check; the cell
+    is the form's unless given."""
+    if cell is None and "form" in out.built:
+        cell = form_cell_size(out.built["form"])
+    for eps in eps_values:
+        if cell is not None:
+            _oscillation_check(out.built["grid"], eps, cell)
+        check_positive("eps", eps)
+
+
+def _field_dim_complaint(points, out, noun: str = "") -> str | None:
+    dim = out["field"]["dim"]
+    return f"{noun}must have {dim} entries" if any(len(p) != dim for p in points) else None
+
+
+def _corner_pair(v, path, out) -> list:
+    if not isinstance(v, list) or len(v) != 2:
+        raise ConfigurationError(f"{path} must be a [lo, hi] pair of corner arrays")
+    return [_numbers(corner, f"{path}[{i}]", out) for i, corner in enumerate(v)]
+
+
+# an averaging box and a point of the field's space
+_REGION = _rule(_corner_pair, lambda corners, out: _field_dim_complaint(corners, out, "corners ")
+                or env.check_region(*corners))
+_POINT = _rule(_numbers, lambda point, out: _field_dim_complaint([point], out))
+
+
+def _inside_torus(note: str = ""):
+    """Bump radii: positive, and at most L/8 so that the support stays inside the torus."""
+    def problem(r, out):
+        eighth = out["grid"]["length"] / 8.0
+        return (f"{r:g} exceeds L/8 = {eighth:g}{note}" if r > eighth + 1e-12
+                else check_positive("bump radius", r))
+    return _rule(_number, problem)
+
+
+def _positive(name: str):
+    return _rule(_number, lambda v, out: check_positive(name, v))
+
+
+def _count(name: str, least: int = 1):
+    return _rule(_integer, lambda n, out: check_count(name, n, least))
+
+
+_AXIS = (
+    _rule(_numbers, lambda axis, out: None if len(axis) == out["grid"]["dim"]
+          else f"has {len(axis)} entries, grid dim is {out['grid']['dim']}"),
+    lambda out: [1.0] + [0.0] * (out["grid"]["dim"] - 1),
+)
+_QUARTER_RADIUS = (_number, lambda out: out["grid"]["length"] / 4.0)
+_schema_version = _rule(_integer, lambda v, out: None if v == SCHEMA_VERSION
+                        else f"{v} not recognized (expected {SCHEMA_VERSION})")
+_alpha = _rule(_number, lambda a, out: None if 0.0 < a < 2.0 else f"must lie in (0, 2), got {a}")
+_eps_list = _rule(_numbers, lambda eps, out: "must be strictly decreasing"
+                  if any(b >= a for a, b in zip(eps, eps[1:]))
+                  else _resolved_at(eps, out))
+# bounds that the library checks again when a run reaches them
+_lambda = _rule(_number, lambda lam, out: check_lambda(lam))
+_tol = _rule(_number, lambda tol, out: check_tol(tol))
+_seeds = _count("seeds")
+_h_multiples = _rule(_array(_integer, "integers"), lambda ks, out: check_translation_steps(
+    out.built["grid"], [k * out.built["grid"].h for k in ks]))
+_eta_list = _rule(_numbers, lambda eta, out: H.check_eta_list(eta, out["grid"]["length"]))
+_moment_eps = _rule(_numbers, lambda eps, out: check_ladder("eps_list", eps))
+_moment_radius = (_rule(_number, lambda r, out: H.check_moment_ball(out.built["grid"], r)),
+                  _QUARTER_RADIUS[1])
+_eps_grid = _rule(_numbers, lambda eps, out: env.check_eps_grid(eps))
+# the one eps of an estimate, of example 17 or of a diagnostic
+_eps = _rule(_number, lambda eps, out: _resolved_at([eps], out))
+# a field under a grid lives in the grid's dimension
+_field_dim = _rule(_integer, lambda d, out: None if "grid" not in out or d == out["grid"]["dim"]
+                   else f"is {d}, grid dim is {out['grid']['dim']}")
+
+# the schema proper
+_MARGINAL_PARAMS = {
+    "constant": ("c",),
+    "uniform": ("a", "b"),
+    "lognormal": ("m", "s"),
+    "exp_abs_gauss": ("s",),
+    "shifted_pareto": ("x_min", "tail_index"),
+}
+_MARGINAL = _object({"declared_p": (_number, 2.0)}, {
+    kind: {p: (_number, _REQUIRED) for p in params} for kind, params in _MARGINAL_PARAMS.items()
+}, label="marginal kind")
+_MIXING = _object({}, {"iid_cells": {}, "moving_average": {"q": (_number, 1.0)}}, label="kind")
+_FIELD = _object({
+    "marginal": (_MARGINAL, _REQUIRED),
+    "mixing": (_MIXING, {"kind": "iid_cells"}),
+    "cell_size": (_number, 1.0),
+    "seed": (_integer, 0),
+    "scale": (_number, 1.0),
+    "dim": (_field_dim, lambda out: out["grid"]["dim"] if "grid" in out else 1),
+})
+_CONE = _builds("cone", _object({"axis": _AXIS, "aperture": (_number, 0.0),
+                                 "full_space": (_boolean, False)}), _build_cone)
+_GRID = _builds("grid", _object({"dim": (_integer, _REQUIRED), "length": (_number, _REQUIRED),
+                                 "n": (_integer, _REQUIRED)}), lambda grid: Grid(**grid))
+_ANGULAR = _object({"axis": _AXIS}, {"one": {}, "cos2": {}})
+_FORM = _builds("form", _object({}, {
+    "constant": {"k0": (_number, _REQUIRED)},
+    "summation": {"field": (_FIELD, _REQUIRED), "angular": (_ANGULAR, {"kind": "one"})},
+    "product": {"nu1": (_FIELD, _REQUIRED), "nu2": (_FIELD, _REQUIRED)},
+}), _build_form)
+_ESTIMATE = _object({
+    "eps": (_eps, _REQUIRED),
+    "seeds": (_seeds, 20),
+    "test_radii": (_array(_inside_torus(), "numbers"),
+                   lambda out: [out["grid"]["length"] / 8.0, out["grid"]["length"] / 16.0]),
+})
+_EXAMPLE17 = _object({
+    "lambda2": (_rule(_number, lambda v, out: None if v > 0 else "must be positive"), 1.0),
+    "inv_lambda1": (_builds("inv_lambda1", _MARGINAL, _build_marginal), _REQUIRED),
+    "eps": (_eps, 0.0625),
+    "seeds": (_seeds, 20),
+    # the sweep's measure has cell size 1
+    "sweep": (_rule(_boolean, lambda sweep, out: _resolved_at(
+        out["eps_list"] or _EXAMPLE17_LADDER, out, 1.0) if sweep else None), False),
+})
+_DIAGNOSTIC_KEYS = {
+    "nash": {},
+    "cone": {},
+    "translation": {"h_multiples": (_h_multiples, [1, 2, 4, 8]),
+                    "radius": _QUARTER_RADIUS, "eps": (_eps, 1.0)},
+    "tails": {"eta_list": (_eta_list, _REQUIRED), "eps": (_eps, 1.0)},
+    "moments": {"eps_list": (_moment_eps, _REQUIRED), "seeds": (_seeds, 5),
+                "radius": _moment_radius},
+    "birkhoff": {"eps": (_eps, _REQUIRED),
+                 "region": (_REGION, lambda out: [[x] * out["field"]["dim"] for x in (0.0, 1.0)]),
+                 "n_seeds": (_count("n_seeds"), 20)},
+    "maximal": {"eps_grid": (_eps_grid, [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]),
+                "r0": (_positive("r0"), 1.0), "n_seeds": (_count("n_seeds"), 200)},
+    "covariance": {"z1": (_POINT, _REQUIRED), "z2": (_POINT, _REQUIRED),
+                   "x": (_POINT, _REQUIRED), "trials": (_count("trials", 100), 1000),
+                   "truncation": (_number, 1e3)},
+}
+
+_GRIDDED = "sweep estimate_constant mosco example17 nash cone translation tails moments"
+_JUMPS = "sweep estimate_constant mosco example17 nash cone translation tails"
+_FORMS = "sweep estimate_constant mosco translation tails moments"
+_SOLVES = "sweep example17 translation"
+
+# top-level key -> (kind, default, the experiments and diagnostic kinds it
+# applies to; a trailing '!' makes it required there), in echo order
+_CONFIG = {
+    "master_seed": (_integer, 0, " ".join(_EXPERIMENTS + tuple(_DIAGNOSTIC_KEYS))),
+    "field": (_builds("field", _FIELD, _build_field), _REQUIRED, "birkhoff maximal covariance"),
+    "grid": (_GRID, _REQUIRED, _GRIDDED),
+    "alpha": (_alpha, _REQUIRED, _JUMPS),
+    "cone": (_CONE, {"full_space": True}, _JUMPS),
+    "form": (_FORM, _REQUIRED, _FORMS),
+    "lambda": (_lambda, 1.0, _SOLVES),
+    "tol": (_tol, 1e-9, _SOLVES),
+    "seeds": (_seeds, 10, "sweep mosco example17"),
+    "eps_list": (_eps_list, None, "sweep! mosco! example17"),
+    "mu": (_builds("mu", _rule(_FIELD, lambda mu, out: _resolved_at(
+        out["eps_list"], out, mu["cell_size"])), _build_field), None, "sweep"),
+    "report_radius": (_positive("report radius"), None, "sweep"),
+    "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None,
+                   "sweep translation tails"),
+    "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),
+    "mosco": (_object({"threshold": (_number, None)}), {}, "mosco"),
+    "example17": (_EXAMPLE17, _REQUIRED, "example17"),
+    "diagnostics": (_object({}, _DIAGNOSTIC_KEYS), _REQUIRED, " ".join(_DIAGNOSTIC_KEYS)),
+}
+
+
 # ---------------------------------------------------------------------------
 # top-level config
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The resolved echo and the library objects built from it while parsing;
+    each object is built once, and the runners only execute them."""
     kind: str
     resolved: dict
+    grid: Grid | None = None
+    params: KernelParams | None = None
+    cone: ConeSpec | None = None
+    form: CoefficientForm | None = None  # example17: the time-changed constant form
+    field: env.RandomField | None = None
+    sweep: H.SweepConfig | None = None
+    z_mu: float | None = None  # example17: E[lambda2 / lambda1]
+
+
+def _sweep_plan(out: dict, plan: dict, eps_list, mu_field, **extra) -> H.SweepConfig:
+    return H.SweepConfig(
+        grid=plan["grid"], form=plan["form"], cone=plan["cone"], params=plan["params"],
+        eps_list=tuple(eps_list), seeds=out["seeds"], lam=out["lambda"], mu_field=mu_field,
+        master_seed=out["master_seed"], tol=out["tol"], **extra,
+    )
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON config and resolve every default into the echo.
+    """Validate a JSON config, resolve every default into the echo and build
+    the experiment from it.
 
     Re-parsing the echo yields the same resolved dictionary, so reports can be
     reproduced from the config they embed.
@@ -388,35 +440,34 @@ def parse_config(text: str) -> ExperimentConfig:
         if (default is _REQUIRED or f"{kind}!" in where.split()) and raw.get(key) is None:
             raise ConfigurationError(f"{label} requires top-level key '{key}'")
 
-    out = {"schema_version": version, "experiment": experiment}
+    out = _Walk(schema_version=version, experiment=experiment)
     for key, (resolve, default, _) in applicable.items():
         out[key] = _resolve_key(raw, key, resolve, default, "config", out)
-    return ExperimentConfig(kind=experiment, resolved=out)
+
+    built = out.built
+    plan = {key: built.get(key) for key in ("grid", "cone", "form", "field")}
+    grid = plan["grid"]
+    if "alpha" in out:
+        plan["params"] = KernelParams(alpha=out["alpha"], dim=grid.dim)
+    if experiment == "sweep":
+        rhs = None if out["rhs_radius"] is None else evaluate(grid, bump(grid, out["rhs_radius"]))
+        plan["sweep"] = _sweep_plan(out, plan, out["eps_list"], built.get("mu"),
+                                    report_radius=out["report_radius"], rhs=rhs)
+    elif experiment == "example17":
+        # the time change divides lambda2 by z_mu = lambda2 E[1/lambda1]; the
+        # sweep's measure is 1/lambda1 scaled to mean 1
+        c2, inv_marginal = out["example17"]["lambda2"], built["inv_lambda1"]
+        plan["z_mu"] = z_mu = c2 * env.mean_value(inv_marginal)
+        plan["form"] = ConstantForm(c2 * c2 / z_mu)
+        if out["example17"]["sweep"]:
+            mu_field = env.RandomField(dim=grid.dim, marginal=inv_marginal, mixing=env.MixingSpec(),
+                                       cell_size=1.0, seed=0, scale=c2 / z_mu)
+            plan["sweep"] = _sweep_plan(out, plan, out["eps_list"] or _EXAMPLE17_LADDER, mu_field)
+    return ExperimentConfig(kind=experiment, resolved=dict(out), **plan)
 
 
 # ---------------------------------------------------------------------------
 # experiment execution
-
-
-def _sweep_config(resolved: dict) -> H.SweepConfig:
-    grid = Grid(**resolved["grid"])
-    rhs = None
-    if resolved.get("rhs_radius") is not None:
-        rhs = evaluate(grid, bump(grid, resolved["rhs_radius"]))
-    return H.SweepConfig(
-        grid=grid,
-        form=_build_form(resolved["form"]),
-        cone=_build_cone(resolved["cone"]),
-        params=KernelParams(alpha=resolved["alpha"], dim=grid.dim),
-        eps_list=tuple(resolved["eps_list"]),
-        seeds=resolved["seeds"],
-        lam=resolved["lambda"],
-        mu_field=_build_field(resolved["mu"]) if resolved["mu"] else None,
-        report_radius=resolved["report_radius"],
-        rhs=rhs,
-        master_seed=resolved["master_seed"],
-        tol=resolved["tol"],
-    )
 
 
 def _quartile_table(report: H.ConvergenceReport) -> dict:
@@ -441,224 +492,124 @@ def _finite(values) -> bool:
     return bool(np.isfinite(values).all())
 
 
+def _check(name: str, passed, detail: str) -> dict:
+    return {"name": name, "passed": passed, "detail": detail}
+
+
 def _sweep_results(report: H.ConvergenceReport) -> tuple[dict, list]:
     results = {
         "metrics": _quartile_table(report),
         "cells": [
-            {
-                "eps": c.eps,
-                "seed": c.seed_index,
-                **{m: getattr(c, m) for m in H.METRICS},
-                "telemetry": {
-                    "iterations": c.iterations,
-                    "residual": c.residual,
-                    "assembly_s": c.assembly_s,
-                    "solve_s": c.solve_s,
-                },
-            }
+            {"eps": c.eps, "seed": c.seed_index, **{m: getattr(c, m) for m in H.METRICS},
+             "telemetry": {"iterations": c.iterations, "residual": c.residual,
+                           "assembly_s": c.assembly_s, "solve_s": c.solve_s}}
             for c in report.cells
         ],
-        "failures": [
-            {"eps": e, "seed": s, "error": msg} for e, s, msg in report.failures
-        ],
+        "failures": [{"eps": e, "seed": s, "error": msg} for e, s, msg in report.failures],
     }
     med = report.medians["err_l2_mu"]
-    checks = [
-        {
-            "name": "no_cell_failures",
-            "passed": not report.failures,
-            "detail": f"{len(report.failures)} failed cells",
-        }
-    ]
+    checks = [_check("no_cell_failures", not report.failures,
+                     f"{len(report.failures)} failed cells")]
     if len(med) > 1:
         # an exactly-solved case (constant coefficients) sits at the solver
         # floor from the start; that counts as converged, not as a failure
         at_floor = max(med) <= 1e-10
-        checks.append(
-            {
-                "name": "err_l2_mu_end_to_end_decrease",
-                "passed": _finite(med) and (med[-1] < med[0] or at_floor),
-                "detail": f"median {med[0]:.6g} -> {med[-1]:.6g}",
-            }
-        )
+        checks.append(_check("err_l2_mu_end_to_end_decrease",
+                             _finite(med) and (med[-1] < med[0] or at_floor),
+                             f"median {med[0]:.6g} -> {med[-1]:.6g}"))
     return results, checks
 
 
-def _run_sweep_experiment(resolved: dict, threads: int) -> tuple[dict, list]:
-    report = H.run_sweep(_sweep_config(resolved), threads=threads)
+def _run_sweep_experiment(config: ExperimentConfig) -> tuple[dict, list]:
+    report = H.run_sweep(config.sweep)
     results, checks = _sweep_results(report)
-    if resolved["form"]["kind"] == "constant":
+    if isinstance(config.form, ConstantForm):
         # np.max propagates a NaN median, which then fails the bound
         worst = float(np.max([report.medians[m] for m in H.METRICS]))
-        checks.append(
-            {
-                "name": "constant_form_environment_independence",
-                "passed": worst <= 1e-6,
-                "detail": f"max metric median {worst:.3g}",
-            }
-        )
+        checks.append(_check("constant_form_environment_independence", worst <= 1e-6,
+                             f"max metric median {worst:.3g}"))
     return {"sweep": results}, checks
 
 
-def _run_estimate_experiment(resolved: dict) -> tuple[dict, list]:
-    grid = Grid(**resolved["grid"])
-    fns = [evaluate(grid, bump(grid, r)) for r in resolved["estimate"]["test_radii"]]
+def _run_estimate_experiment(config: ExperimentConfig) -> tuple[dict, list]:
+    grid, estimate = config.grid, config.resolved["estimate"]
     est = H.estimate_effective_constant(
-        grid,
-        _build_form(resolved["form"]),
-        _build_cone(resolved["cone"]),
-        KernelParams(alpha=resolved["alpha"], dim=grid.dim),
-        eps=resolved["estimate"]["eps"],
-        seeds=resolved["estimate"]["seeds"],
-        test_fns=fns,
-        master_seed=resolved["master_seed"],
+        grid, config.form, config.cone, config.params,
+        eps=estimate["eps"], seeds=estimate["seeds"],
+        test_fns=[evaluate(grid, bump(grid, r)) for r in estimate["test_radii"]],
+        master_seed=config.resolved["master_seed"],
     )
-    results = {
-        "estimate": {
-            "c_hat": est.c_hat,
-            "iqr": est.iqr,
-            "n_samples": len(est.samples),
-            "samples": list(est.samples),
-            "skipped_fns": list(est.skipped_fns),
-        }
-    }
-    checks = [
-        {
-            "name": "estimate_has_samples",
-            "passed": len(est.samples) > 0,
-            "detail": f"{len(est.samples)} energy ratios",
-        }
-    ]
-    return results, checks
+    results = {"estimate": {"c_hat": est.c_hat, "iqr": est.iqr, "n_samples": len(est.samples),
+                            "samples": list(est.samples), "skipped_fns": list(est.skipped_fns)}}
+    return results, [_check("estimate_has_samples", len(est.samples) > 0,
+                            f"{len(est.samples)} energy ratios")]
 
 
-def _run_mosco_experiment(resolved: dict) -> tuple[dict, list]:
-    grid = Grid(**resolved["grid"])
+def _run_mosco_experiment(config: ExperimentConfig) -> tuple[dict, list]:
+    resolved = config.resolved
     report = H.mosco_form_check(
-        grid,
-        _build_form(resolved["form"]),
-        _build_cone(resolved["cone"]),
-        KernelParams(alpha=resolved["alpha"], dim=grid.dim),
-        resolved["eps_list"],
-        resolved["seeds"],
-        test_function_suite(grid),
-        threshold=resolved["mosco"]["threshold"],
-        master_seed=resolved["master_seed"],
+        config.grid, config.form, config.cone, config.params,
+        resolved["eps_list"], resolved["seeds"], test_function_suite(config.grid),
+        threshold=resolved["mosco"]["threshold"], master_seed=resolved["master_seed"],
     )
-    results = {
-        "mosco": {
-            "eps": list(report.eps_list),
-            "median": list(report.medians),
-            "iqr": list(report.iqrs),
-            "threshold": report.threshold,
-        }
-    }
+    results = {"mosco": {"eps": list(report.eps_list), "median": list(report.medians),
+                         "iqr": list(report.iqrs), "threshold": report.threshold}}
     # exact coefficients keep every median at the assembly floor; that is
     # convergence already achieved, not a stalled sequence
     at_floor = max(report.medians) <= 1e-10
     checks = [
-        {"name": "mosco_medians_decreasing",
-         "passed": _finite(report.medians) and (report.decreasing or at_floor),
-         "detail": f"medians {[float(f'{v:.6g}') for v in report.medians]}"},
-        {"name": "mosco_final_below_threshold", "passed": report.final_below_threshold,
-         "detail": f"final {report.medians[-1]:.6g} vs threshold {report.threshold:.6g}"},
+        _check("mosco_medians_decreasing",
+               _finite(report.medians) and (report.decreasing or at_floor),
+               f"medians {[float(f'{v:.6g}') for v in report.medians]}"),
+        _check("mosco_final_below_threshold", report.final_below_threshold,
+               f"final {report.medians[-1]:.6g} vs threshold {report.threshold:.6g}"),
     ]
     return results, checks
 
 
-def _run_example17(resolved: dict, threads: int) -> tuple[dict, list]:
-    ex = resolved["example17"]
-    grid = Grid(**resolved["grid"])
-    c2 = ex["lambda2"]
-    inv_marginal = _build_marginal(ex["inv_lambda1"])
-    e_inv = env.mean_value(inv_marginal)
-    z_mu = c2 * e_inv
-    c0 = c2 * c2 / z_mu
-    form = ConstantForm(c2 * c2 / z_mu)
-    cone = _build_cone(resolved["cone"])
-    params = KernelParams(alpha=resolved["alpha"], dim=grid.dim)
-    fns = [
-        evaluate(grid, bump(grid)),
-        evaluate(grid, bump(grid, grid.length / 16.0)),
-    ]
+def _run_example17(config: ExperimentConfig) -> tuple[dict, list]:
+    ex, grid, c0 = config.resolved["example17"], config.grid, config.form.k0
     est = H.estimate_effective_constant(
-        grid, form, cone, params, eps=ex["eps"], seeds=ex["seeds"],
-        test_fns=fns, master_seed=resolved["master_seed"],
+        grid, config.form, config.cone, config.params, eps=ex["eps"], seeds=ex["seeds"],
+        test_fns=[evaluate(grid, bump(grid)), evaluate(grid, bump(grid, grid.length / 16.0))],
+        master_seed=config.resolved["master_seed"],
     )
-    results = {
-        "example17": {
-            "c0_target": c0,
-            "z_mu": z_mu,
-            "c_hat": est.c_hat,
-            "iqr": est.iqr,
-            "n_samples": len(est.samples),
-        }
-    }
-    checks = [
-        {
-            "name": "example17_constant_within_tolerance",
-            "passed": abs(est.c_hat - c0) <= 0.1,
-            "detail": f"c_hat {est.c_hat:.6g} vs target {c0:.6g}",
-        }
-    ]
-    if ex["sweep"]:
-        mu_field = env.RandomField(
-            dim=grid.dim,
-            marginal=inv_marginal,
-            mixing=env.MixingSpec(),
-            cell_size=1.0,
-            seed=0,
-            scale=c2 / z_mu,
-        )
-        eps_list = tuple(resolved["eps_list"] or _EXAMPLE17_LADDER)
-        config = H.SweepConfig(
-            grid=grid, form=form, cone=cone, params=params, eps_list=eps_list,
-            seeds=resolved["seeds"], lam=resolved["lambda"], mu_field=mu_field,
-            master_seed=resolved["master_seed"], tol=resolved["tol"],
-        )
-        report = H.run_sweep(config, threads=threads)
-        sweep_results, sweep_checks = _sweep_results(report)
-        results["sweep"] = sweep_results
-        pairing = report.medians["pairing_err"]
-        norm = report.medians["norm_err"]
-        if len(eps_list) > 1:
-            sweep_checks.append(
-                {
-                    "name": "measure_metrics_end_to_end_decrease",
-                    "passed": _finite(pairing + norm)
-                    and pairing[-1] < pairing[0] and norm[-1] < norm[0],
-                    "detail": f"pairing {pairing[0]:.4g}->{pairing[-1]:.4g}, "
-                    f"norm {norm[0]:.4g}->{norm[-1]:.4g}",
-                }
-            )
+    results = {"example17": {"c0_target": c0, "z_mu": config.z_mu, "c_hat": est.c_hat,
+                             "iqr": est.iqr, "n_samples": len(est.samples)}}
+    checks = [_check("example17_constant_within_tolerance", abs(est.c_hat - c0) <= 0.1,
+                     f"c_hat {est.c_hat:.6g} vs target {c0:.6g}")]
+    if config.sweep is not None:
+        report = H.run_sweep(config.sweep)
+        results["sweep"], sweep_checks = _sweep_results(report)
+        pairing, norm = report.medians["pairing_err"], report.medians["norm_err"]
+        if len(report.eps_list) > 1:
+            sweep_checks.append(_check(
+                "measure_metrics_end_to_end_decrease",
+                _finite(pairing + norm) and pairing[-1] < pairing[0] and norm[-1] < norm[0],
+                f"pairing {pairing[0]:.4g}->{pairing[-1]:.4g}, "
+                f"norm {norm[0]:.4g}->{norm[-1]:.4g}"))
         checks.extend(sweep_checks)
     return results, checks
 
 
-def _run_diagnostics(resolved: dict) -> tuple[dict, list]:
+def _run_diagnostics(config: ExperimentConfig) -> tuple[dict, list]:
+    resolved, grid, cone, params, field = (
+        config.resolved, config.grid, config.cone, config.params, config.field)
     diag = resolved["diagnostics"]
     kind = diag["kind"]
-    grid = Grid(**resolved["grid"]) if "grid" in resolved else None
-    params = (
-        KernelParams(alpha=resolved["alpha"], dim=grid.dim)
-        if "alpha" in resolved else None
-    )
-    cone = _build_cone(resolved["cone"]) if "cone" in resolved else None
     if kind == "nash":
         rep = nash_check(grid, cone, params, test_function_suite(grid))
         results = {"nash": {"ratios": list(rep.ratios), "max_ratio": rep.max_ratio,
                             "skipped": list(rep.skipped)}}
-        checks = [{"name": "nash_ratios_finite", "passed": rep.passed,
-                   "detail": f"max ratio {rep.max_ratio:.6g}"}]
+        checks = [_check("nash_ratios_finite", rep.passed, f"max ratio {rep.max_ratio:.6g}")]
     elif kind == "cone":
         rep = cone_comparability_check(grid, cone, params, test_function_suite(grid))
         results = {"cone": {"ratios": list(rep.ratios), "max_ratio": rep.max_ratio,
                             "skipped": list(rep.skipped),
                             "violations": list(rep.violations)}}
-        checks = [{"name": "cone_comparability", "passed": rep.passed,
-                   "detail": f"max ratio {rep.max_ratio:.6g}"}]
+        checks = [_check("cone_comparability", rep.passed, f"max ratio {rep.max_ratio:.6g}")]
     elif kind == "translation":
-        form = assemble_form(grid, _build_form(resolved["form"]), cone, params, diag["eps"])
+        form = assemble_form(grid, config.form, cone, params, diag["eps"])
         rhs = evaluate(grid, bump(grid, resolved.get("rhs_radius")))
         sol = solve_resolvent(
             ResolventProblem(form, measure_weights(grid, None), resolved["lambda"], rhs),
@@ -673,12 +624,12 @@ def _run_diagnostics(resolved: dict) -> tuple[dict, list]:
             "min_exponent": rep.min_exponent,
         }}
         target = params.alpha / 2.0 - 0.2
-        checks = [{"name": "translation_exponent",
-                   "passed": (not rep.violation) and rep.min_exponent >= target,
-                   "detail": f"min exponent {rep.min_exponent:.4g} vs {target:.4g}"}]
+        checks = [_check("translation_exponent",
+                         (not rep.violation) and rep.min_exponent >= target,
+                         f"min exponent {rep.min_exponent:.4g} vs {target:.4g}")]
     elif kind == "tails":
         rep = H.truncation_tail_report(
-            grid, _build_form(resolved["form"]), cone, params, diag["eps"],
+            grid, config.form, cone, params, diag["eps"],
             evaluate(grid, bump(grid, resolved.get("rhs_radius"))), diag["eta_list"],
         )
         results = {"tails": {
@@ -689,17 +640,16 @@ def _run_diagnostics(resolved: dict) -> tuple[dict, list]:
             "large_slope": rep.large_slope,
         }}
         checks = [
-            {"name": "tails_decreasing",
-             "passed": rep.small_decreasing and rep.large_decreasing,
-             "detail": "both truncation tails shrink as eta falls"},
-            {"name": "small_jump_exponent", "passed": rep.small_slope_ok,
-             "detail": f"slope {rep.small_slope:.4g} vs 2-alpha = {2 - params.alpha:.4g}"},
-            {"name": "large_jump_exponent", "passed": rep.large_slope_ok,
-             "detail": f"slope {rep.large_slope:.4g} vs alpha/2 = {params.alpha / 2:.4g}"},
+            _check("tails_decreasing", rep.small_decreasing and rep.large_decreasing,
+                   "both truncation tails shrink as eta falls"),
+            _check("small_jump_exponent", rep.small_slope_ok,
+                   f"slope {rep.small_slope:.4g} vs 2-alpha = {2 - params.alpha:.4g}"),
+            _check("large_jump_exponent", rep.large_slope_ok,
+                   f"slope {rep.large_slope:.4g} vs alpha/2 = {params.alpha / 2:.4g}"),
         ]
     elif kind == "moments":
         rep = H.moment_bound_report(
-            grid, _build_form(resolved["form"]), diag["eps_list"], diag["seeds"],
+            grid, config.form, diag["eps_list"], diag["seeds"],
             diag["radius"], master_seed=resolved["master_seed"],
         )
         results = {"moments": {
@@ -709,10 +659,9 @@ def _run_diagnostics(resolved: dict) -> tuple[dict, list]:
             "growth_slope": rep.growth_slope,
             "exponent_p": rep.exponent_p,
         }}
-        checks = [{"name": "moment_bound_no_growth", "passed": not rep.flagged,
-                   "detail": f"growth slope {rep.growth_slope:.4g}"}]
+        checks = [_check("moment_bound_no_growth", not rep.flagged,
+                         f"growth slope {rep.growth_slope:.4g}")]
     elif kind == "birkhoff":
-        field = _build_field(resolved["field"])
         study = env.birkhoff_study(
             field, diag["eps"],
             (np.array(diag["region"][0]), np.array(diag["region"][1])),
@@ -727,10 +676,9 @@ def _run_diagnostics(resolved: dict) -> tuple[dict, list]:
         vol = float(np.prod(np.array(diag["region"][1]) - np.array(diag["region"][0])))
         target = study.exact_mean * vol
         rel = abs(study.median_average - target) / abs(target)
-        checks = [{"name": "birkhoff_within_5_percent", "passed": rel <= 0.05,
-                   "detail": f"median {study.median_average:.6g} vs {target:.6g}"}]
+        checks = [_check("birkhoff_within_5_percent", rel <= 0.05,
+                         f"median {study.median_average:.6g} vs {target:.6g}")]
     elif kind == "maximal":
-        field = _build_field(resolved["field"])
         rep = env.maximal_tail_check(
             field, tuple(diag["eps_grid"]), r0=diag["r0"], n_seeds=diag["n_seeds"]
         )
@@ -740,11 +688,9 @@ def _run_diagnostics(resolved: dict) -> tuple[dict, list]:
             "frequencies": list(rep.frequencies),
             "fitted_c": rep.fitted_c,
         }}
-        checks = [{"name": "maximal_markov_scaling", "passed": rep.markov_bound_ok,
-                   "detail": f"exceedance frequencies "
-                             f"{[float(f'{v:.4g}') for v in rep.frequencies]}"}]
+        checks = [_check("maximal_markov_scaling", rep.markov_bound_ok,
+                         f"exceedance frequencies {[float(f'{v:.4g}') for v in rep.frequencies]}")]
     else:  # covariance
-        field = _build_field(resolved["field"])
         entry = env.empirical_covariance(
             field,
             np.array(diag["z1"]), np.array(diag["z2"]), np.array(diag["x"]),
@@ -763,24 +709,24 @@ def _run_diagnostics(resolved: dict) -> tuple[dict, list]:
         else:
             passed = True
             detail = "no zero-covariance gate at this lag or mixing; value reported"
-        checks = [{"name": "covariance_decay", "passed": passed, "detail": detail}]
+        checks = [_check("covariance_decay", passed, detail)]
     return results, checks
 
 
-def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
+_RUNNERS = {
+    "sweep": _run_sweep_experiment,
+    "estimate_constant": _run_estimate_experiment,
+    "mosco": _run_mosco_experiment,
+    "example17": _run_example17,
+    "diagnostics": _run_diagnostics,
+}
+
+
+def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the experiment and assemble the full report dictionary."""
     start = time.perf_counter()
     resolved = config.resolved
-    if config.kind == "sweep":
-        results, checks = _run_sweep_experiment(resolved, threads)
-    elif config.kind == "estimate_constant":
-        results, checks = _run_estimate_experiment(resolved)
-    elif config.kind == "mosco":
-        results, checks = _run_mosco_experiment(resolved)
-    elif config.kind == "example17":
-        results, checks = _run_example17(resolved, threads)
-    else:
-        results, checks = _run_diagnostics(resolved)
+    results, checks = _RUNNERS[config.kind](config)
     return {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,
@@ -868,10 +814,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="output directory (or STABLEHOM_OUT)")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads for sweep cells (or STABLEHOM_THREADS)")
     p_run.add_argument("--deterministic", action="store_true",
-                       help="single-threaded, wall times zeroed: byte-identical reports")
+                       help="wall times zeroed: byte-identical reports")
     p_val = sub.add_parser("validate", help="validate a config and print the resolved echo")
     p_val.add_argument("config")
     p_plot = sub.add_parser("plotdata", help="emit per-metric plot files from a report")
@@ -896,19 +840,7 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             config = parse_config(fh.read())
         out_dir = args.out or os.environ.get("STABLEHOM_OUT", ".")
-        if args.deterministic:
-            threads = 1
-        elif args.threads is not None:
-            threads = args.threads
-        else:
-            threads = os.environ.get("STABLEHOM_THREADS", "1")
-            try:
-                threads = int(threads)
-            except ValueError:
-                raise ConfigurationError(
-                    f"STABLEHOM_THREADS must be an integer, got {threads!r}"
-                ) from None
-        report = run_experiment(config, threads=threads)
+        report = run_experiment(config)
         write_report(report, out_dir, deterministic=args.deterministic)
         write_csv(report, out_dir)
         failed = [c for c in report["checks"] if not c["passed"]]

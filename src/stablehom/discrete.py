@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import env
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, check_positive
 from .kernel import (
     AngularConstantKernel,
     CoefficientForm,
@@ -421,8 +421,7 @@ def assemble_form(
 ) -> SparseSymmetricForm:
     """Assemble the environment energy with coefficient kappa(x/eps, y/eps)."""
     _check_dims(grid, cone, params)
-    if not eps > 0:  # NaN fails too
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    check_positive("eps", eps)
     cell = form_cell_size(form)
     if cell is not None:
         _oscillation_check(grid, eps, cell)
@@ -486,8 +485,7 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
             raise ConfigurationError(
                 f"measure field dim {mu_field.dim} does not match grid dim {grid.dim}"
             )
-        if not eps > 0:
-            raise ConfigurationError(f"eps must be positive, got {eps}")
+        check_positive("eps", eps)
         _oscillation_check(grid, eps, mu_field.cell_size)
         m = env.field_values(mu_field, grid.nodes() / eps) * hd
     if not (m > 0).all():
@@ -502,6 +500,7 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
 def bump(grid: Grid, radius: float | None = None, center=None):
     """Smooth compactly supported bump exp(1 - 1/(1 - (|x-c|/r)^2)), sup = 1."""
     r = grid.length / 8.0 if radius is None else radius
+    check_positive("bump radius", r)  # radius 0 gives the zero function
     if r > grid.length / 8.0 + 1e-12:
         raise ConfigurationError(
             f"test-function radius {r:g} exceeds L/8 = {grid.length / 8:g}; "
@@ -633,6 +632,16 @@ class TranslationReport:
     violation: bool
 
 
+def check_translation_steps(grid: Grid, h_steps) -> None:
+    """Translation steps are nonzero whole multiples of the grid spacing."""
+    for hval in h_steps:
+        mult = hval / grid.h
+        if abs(mult - round(mult)) > 1e-9 or round(mult) == 0:
+            raise ConfigurationError(
+                f"translation step {hval:g} is not a nonzero multiple of the spacing {grid.h:g}"
+            )
+
+
 def translation_estimate_check(
     form: SparseSymmetricForm, f: np.ndarray, h_steps, r: float
 ) -> TranslationReport:
@@ -642,14 +651,8 @@ def translation_estimate_check(
     f = np.asarray(f, dtype=float)
     if f.size != grid.size:
         raise DomainError(f"grid function has {f.size} entries, grid has {grid.size}")
-    steps = []
-    for hval in h_steps:
-        mult = hval / grid.h
-        if abs(mult - round(mult)) > 1e-9 or round(mult) == 0:
-            raise ConfigurationError(
-                f"translation step {hval:g} is not a nonzero multiple of the spacing {grid.h:g}"
-            )
-        steps.append(int(round(mult)))
+    check_translation_steps(grid, h_steps)
+    steps = [round(hval / grid.h) for hval in h_steps]
     mask = grid.ball_mask(r).reshape(grid.shape)
     hd = grid.h**grid.dim
     energy = form.energy(f, f)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count, check_positive
 
 _M64 = (1 << 64) - 1
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -438,6 +438,21 @@ def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, eps_cell: float, cap: int) ->
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def check_region(lo, hi) -> None:
+    """An averaging box needs max > min along every axis."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if not np.all(hi > lo):
+        raise ConfigurationError(f"empty averaging region: min={lo}, max={hi}")
+
+
+def check_eps_grid(eps_grid: list[float]) -> None:
+    """The scales of the maximal functional lie in (0, 1)."""
+    if not eps_grid:
+        raise ConfigurationError("eps_grid must be nonempty")
+    if any(not (0.0 < e < 1.0) for e in eps_grid):
+        raise ConfigurationError(f"eps_grid values must lie in (0, 1), got {eps_grid}")
+
+
 def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> float:
     """Quadrature of int_region weight(x) * field(x/eps) dx.
 
@@ -447,10 +462,8 @@ def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> flo
     """
     lo = np.asarray(region[0], dtype=float).reshape(field.dim)
     hi = np.asarray(region[1], dtype=float).reshape(field.dim)
-    if not np.all(hi > lo):
-        raise ConfigurationError(f"empty averaging region: min={lo}, max={hi}")
-    if not eps > 0:  # NaN fails too
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    check_region(lo, hi)
+    check_positive("eps", eps)
     cap = 4096 if field.dim == 1 else 128
     points = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
     vol = float(np.prod(hi - lo))
@@ -463,12 +476,8 @@ def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> flo
 def maximal_functional(field: RandomField, eps_grid, r0: float = 1.0) -> float:
     """Sup over eps of the mass int_{[0,r0]^d} field(x/eps) dx (quadrature)."""
     eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid:
-        raise ConfigurationError("eps_grid must be nonempty")
-    if any(not (0.0 < e < 1.0) for e in eps_grid):
-        raise ConfigurationError(f"eps_grid values must lie in (0, 1), got {eps_grid}")
-    if r0 <= 0:
-        raise ConfigurationError(f"r0 must be positive, got {r0}")
+    check_eps_grid(eps_grid)
+    check_positive("r0", r0)
     lo = np.zeros(field.dim)
     hi = np.full(field.dim, r0)
     cap = 1024 if field.dim == 1 else 64
@@ -497,6 +506,7 @@ def birkhoff_study(
     field: RandomField, eps: float, region, n_seeds: int = 20, weight=None
 ) -> BirkhoffStudy:
     """Run birkhoff_average over n_seeds derived realizations of the field."""
+    check_count("n_seeds", n_seeds)
     exact = field_mean(field)
     if not math.isfinite(exact):
         raise ConfigurationError("marginal mean is not finite; Birkhoff limit undefined")
@@ -541,6 +551,7 @@ def maximal_tail_check(
     r0^d * E[F] (Markov form C = lambda * freq), then requires the later
     levels to satisfy freq <= C / lambda.
     """
+    check_count("n_seeds", n_seeds)
     exact = field_mean(field)
     if not math.isfinite(exact):
         raise ConfigurationError("marginal mean is not finite")
@@ -604,8 +615,7 @@ def empirical_covariance(
     origin; nu_n caps it at `truncation` so heavy tails keep a finite second
     moment.  Each trial uses its own derived seed.
     """
-    if trials < 100:
-        raise ConfigurationError(f"trials must be >= 100, got {trials}")
+    check_count("trials", trials, 100)
     z1 = np.asarray(z1, dtype=float).reshape(field.dim)
     z2 = np.asarray(z2, dtype=float).reshape(field.dim)
     x = np.asarray(x, dtype=float).reshape(field.dim)

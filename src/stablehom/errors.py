@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bounds every layer shares."""
 
 
 class ConfigurationError(ValueError):
@@ -24,3 +24,22 @@ class ConvergenceFailure(NumericalError):
         super().__init__(message)
         self.residual = float(residual)
         self.iterations = int(iterations)
+
+
+def check_positive(name: str, value: float) -> None:
+    """Scale ratios, radii and step sizes must be positive; NaN fails too."""
+    if not value > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value}")
+
+
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """A sample count below `least` leaves the statistic it feeds undefined."""
+    if value < least:
+        raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+
+
+def check_ladder(name: str, values) -> None:
+    """Ladders of scales and truncation levels fall strictly and stay positive."""
+    if not len(values) or any(b >= a for a, b in zip(values, values[1:])):
+        raise ConfigurationError(f"{name} must be nonempty and strictly decreasing")
+    check_positive(f"the smallest entry of {name}", values[-1])

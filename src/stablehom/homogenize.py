@@ -11,10 +11,8 @@ kernel moment bound that the convergence theory assumes.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,7 +28,14 @@ from .discrete import (
     evaluate,
     measure_weights,
 )
-from .errors import ConfigurationError, ConvergenceFailure, NumericalError
+from .errors import (
+    ConfigurationError,
+    ConvergenceFailure,
+    NumericalError,
+    check_count,
+    check_ladder,
+    check_positive,
+)
 from .kernel import (
     CoefficientForm,
     ConeSpec,
@@ -73,18 +78,6 @@ def reseed_form(form: CoefficientForm, cell_seed: int) -> CoefficientForm:
     raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
 
 
-def check_seeds(seeds: int) -> None:
-    """Every study needs at least one environment realization per eps."""
-    if seeds < 1:
-        raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
-
-
-def check_report_radius(radius: float) -> None:
-    """The ball of the L1 error metric needs a positive radius; NaN fails too."""
-    if not radius > 0:
-        raise ConfigurationError(f"report radius must be positive, got {radius}")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     grid: Grid
@@ -107,10 +100,10 @@ class SweepConfig:
         if any(b >= a for a, b in zip(eps, eps[1:])) and len(eps) > 1:
             raise ConfigurationError("eps_list must be strictly decreasing")
         object.__setattr__(self, "eps_list", eps)
-        check_seeds(self.seeds)
+        check_count("seeds", self.seeds)
         check_lambda(self.lam)
         r = self.grid.length / 8.0 if self.report_radius is None else self.report_radius
-        check_report_radius(r)
+        check_positive("report radius", r)
         object.__setattr__(self, "report_radius", float(r))
         if self.rhs is None:
             object.__setattr__(self, "rhs", evaluate(self.grid, bump(self.grid)))
@@ -134,12 +127,11 @@ class SweepCell:
     norm_err: float
     # solver telemetry: CG iterations and final residual of the cell's solve,
     # seconds spent assembling the form and measure (field evaluation
-    # included) and seconds in the solve; times vary between runs, so cells
-    # compare equal without them
+    # included) and seconds in the solve
     iterations: int
     residual: float
-    assembly_s: float = dataclasses.field(compare=False)
-    solve_s: float = dataclasses.field(compare=False)
+    assembly_s: float
+    solve_s: float
 
 
 @dataclass(frozen=True)
@@ -221,32 +213,16 @@ def _sweep_cell(
     )
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> ConvergenceReport:
+def run_sweep(config: SweepConfig) -> ConvergenceReport:
     """Solve the limit problem once, then every (eps, seed) cell against it."""
     form_k, lebesgue, u_k = _solve_limit(config)
-    tasks = [
-        (ei, si) for ei in range(len(config.eps_list)) for si in range(config.seeds)
-    ]
-
-    def work(task):
-        ei, si = task
-        try:
-            return task, _sweep_cell(config, ei, si, form_k, lebesgue, u_k), None
-        except (NumericalError, ConvergenceFailure) as exc:
-            return task, None, f"{type(exc).__name__}: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(work, tasks))
-    else:
-        outcomes = [work(t) for t in tasks]
-    outcomes.sort(key=lambda o: o[0])
     cells, failures = [], []
-    for (ei, si), cell, err in outcomes:
-        if cell is not None:
-            cells.append(cell)
-        else:
-            failures.append((config.eps_list[ei], si, err))
+    for ei, eps in enumerate(config.eps_list):
+        for si in range(config.seeds):
+            try:
+                cells.append(_sweep_cell(config, ei, si, form_k, lebesgue, u_k))
+            except (NumericalError, ConvergenceFailure) as exc:
+                failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
     if not cells:
         raise NumericalError(f"every sweep cell failed; first: {failures[0][2]}")
     medians = {m: [] for m in METRICS}
@@ -297,7 +273,7 @@ def estimate_effective_constant(
     summation family, 2 E[nu1] E[nu2] for the product family, and the constant
     itself for constant coefficients.
     """
-    check_seeds(seeds)
+    check_count("seeds", seeds)
     reference = assemble_effective_form(grid, FlatKernel(1.0), cone, params)
     ref_energy, skipped = [], []
     fns = [np.asarray(f, dtype=float) for f in test_fns]
@@ -350,7 +326,7 @@ def mosco_form_check(
     eps_list = tuple(float(e) for e in eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("eps_list must be strictly decreasing")
-    check_seeds(seeds)
+    check_count("seeds", seeds)
     form_k = assemble_effective_form(grid, effective_kernel(form), cone, params)
     fns = [np.asarray(f, dtype=float) for f in test_fns]
     limits = [form_k.energy(f, f) for f in fns]
@@ -383,6 +359,15 @@ def mosco_form_check(
 # assumption diagnostics: truncation tails and kernel moments
 
 
+def check_eta_list(eta_list, length: float) -> None:
+    """Truncation levels fall strictly and start inside the jump cutoff L/4."""
+    check_ladder("eta_list", eta_list)
+    if eta_list[0] > length / 4.0:
+        raise ConfigurationError(
+            f"largest eta {eta_list[0]:g} exceeds the jump cutoff L/4 = {length / 4:g}"
+        )
+
+
 @dataclass(frozen=True)
 class TruncationTailReport:
     eta_list: tuple[float, ...]
@@ -411,12 +396,7 @@ def truncation_tail_report(
     side like eta^alpha as eta -> 0; both sequences must be nonincreasing.
     """
     eta_list = tuple(float(e) for e in eta_list)
-    if any(b >= a for a, b in zip(eta_list, eta_list[1:])) or not eta_list:
-        raise ConfigurationError("eta_list must be nonempty and strictly decreasing")
-    if eta_list[0] > grid.length / 4.0:
-        raise ConfigurationError(
-            f"largest eta {eta_list[0]:g} exceeds the jump cutoff L/4 = {grid.length / 4:g}"
-        )
+    check_eta_list(eta_list, grid.length)
     form_eps = assemble_form(grid, form, cone, params, eps)
     g = np.asarray(g, dtype=float)
     small = [form_eps.energy(g, g, r_hi=eta) for eta in eta_list]
@@ -488,6 +468,15 @@ def _declared_p(form: CoefficientForm) -> float:
     return 1.0
 
 
+def check_moment_ball(grid: Grid, radius: float) -> None:
+    """The moment quadrature needs a ball that holds at least two grid nodes."""
+    nodes = int(grid.ball_mask(radius).sum())
+    if nodes < 2:
+        raise ConfigurationError(
+            f"ball of radius {radius:g} contains {nodes} grid nodes; enlarge it"
+        )
+
+
 def moment_bound_report(
     grid: Grid,
     form: CoefficientForm,
@@ -503,15 +492,11 @@ def moment_bound_report(
     the signature of a divergent coefficient moment.
     """
     eps_list = tuple(float(e) for e in eps_list)
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])) or not eps_list:
-        raise ConfigurationError("eps_list must be nonempty and strictly decreasing")
-    check_seeds(seeds)
+    check_ladder("eps_list", eps_list)
+    check_count("seeds", seeds)
+    check_moment_ball(grid, radius)
     p = _declared_p(form)
     points = grid.nodes()[grid.ball_mask(radius)]
-    if len(points) < 2:
-        raise ConfigurationError(
-            f"ball of radius {radius:g} contains {len(points)} grid nodes; enlarge it"
-        )
     hd = grid.h**grid.dim
     medians = []
     for ei, eps in enumerate(eps_list):

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import integrate
 
 from .env import DistributionSpec, RandomField, field_mean, field_moment, mean_value, moment
-from .errors import ConfigurationError, DomainError, NumericalError
+from .errors import ConfigurationError, DomainError, NumericalError, check_positive
 
 
 @dataclass(frozen=True)
@@ -175,14 +175,6 @@ class ConstantForm:
 CoefficientForm = SummationForm | ProductForm | ConstantForm
 
 
-def form_dim(form: CoefficientForm) -> int | None:
-    if isinstance(form, SummationForm):
-        return form.lambda_field.dim
-    if isinstance(form, ProductForm):
-        return form.nu1.dim
-    return None
-
-
 def form_cell_size(form: CoefficientForm) -> float | None:
     """Smallest microstructure cell among the form's fields, None for constants."""
     if isinstance(form, SummationForm):
@@ -202,8 +194,7 @@ def kappa(form: CoefficientForm, x, y, eps: float) -> float:
         raise DomainError("x and y must have the same dimension")
     if np.array_equal(x, y):
         raise DomainError("kappa is undefined on the diagonal x = y")
-    if not eps > 0:
-        raise ConfigurationError(f"eps must be positive, got {eps}")
+    check_positive("eps", eps)
     if isinstance(form, ConstantForm):
         return form.k0
     if isinstance(form, SummationForm):

@@ -36,8 +36,13 @@ def write_config(tmp_path, cfg, name="config.json"):
 # specified config per experiment and diagnostic kind, and rejections of
 # unknown, missing, mistyped and inapplicable keys, wrong-kind parameters,
 # bad axis and corner lengths, range rules and unresolved grids.  The
-# `library-*` rejections came later: bounds of solver, sweep and cone that
-# `run` used to meet only at run time, with the library check's own message.
+# `library-*` rejections came later: bounds of the solver, the sweep, the
+# cone, the diagnostics and example 17's marginal that `run` used to meet
+# only at run time, with the library check's own message; so did
+# `axis-covariance-point`, a covariance point whose length is not the field's
+# dim.  Some `library-*` configs (zero levels or radii) used to crash `run` or
+# pass it with an all-zero test function.  `covariance-full` asks for 100 trials, the fewest
+# `env.empirical_covariance` accepts (it asked for 50, which `run` refused).
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 
 
@@ -199,9 +204,9 @@ def test_checks_fail_on_nan_medians(monkeypatch):
     )
     _, checks = cli._sweep_results(report)
     assert [c["passed"] for c in checks] == [True, False]
-    resolved = cli.parse_config(json.dumps(sweep_config())).resolved
-    monkeypatch.setattr(cli.H, "run_sweep", lambda config, threads: report)
-    _, checks = cli._run_sweep_experiment(resolved, threads=1)
+    config = cli.parse_config(json.dumps(sweep_config()))
+    monkeypatch.setattr(cli.H, "run_sweep", lambda sweep: report)
+    _, checks = cli._run_sweep_experiment(config)
     assert checks[-1]["name"] == "constant_form_environment_independence"
     assert not checks[-1]["passed"]
     mosco = cli.H.MoscoReport(
@@ -209,8 +214,8 @@ def test_checks_fail_on_nan_medians(monkeypatch):
         decreasing=False, final_below_threshold=False, passed=False,
     )
     monkeypatch.setattr(cli.H, "mosco_form_check", lambda *args, **kwargs: mosco)
-    resolved = cli.parse_config(json.dumps(sweep_config(experiment="mosco", seeds=1))).resolved
-    _, checks = cli._run_mosco_experiment(resolved)
+    config = cli.parse_config(json.dumps(sweep_config(experiment="mosco", seeds=1)))
+    _, checks = cli._run_mosco_experiment(config)
     assert checks[0]["name"] == "mosco_medians_decreasing"
     assert not checks[0]["passed"]
 
@@ -353,7 +358,7 @@ def test_failing_check_exits_one(tmp_path, capsys):
     assert "[FAIL] moment_bound_no_growth" in captured.out
 
 
-def test_config_error_exits_two(tmp_path, capsys, monkeypatch):
+def test_config_error_exits_two(tmp_path, capsys):
     cfg_path = write_config(tmp_path, sweep_config(alpa=1.0))
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
@@ -361,11 +366,6 @@ def test_config_error_exits_two(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, sweep_config(grid={"dim": 1, "length": 8.0, "n": 0}))
     assert cli.main(["validate", cfg_path]) == 2
     assert "config error: grid needs even n >= 4, got 0" in capsys.readouterr().err
-    # a thread count that is not an integer
-    monkeypatch.setenv("STABLEHOM_THREADS", "abc")
-    cfg_path = write_config(tmp_path, sweep_config())
-    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
-    assert "STABLEHOM_THREADS must be an integer" in capsys.readouterr().err
 
 
 def test_io_error_exits_two(tmp_path, capsys):

@@ -449,6 +449,9 @@ def test_bump_shape_and_radius_cap():
     assert np.all(f[np.abs(nodes) >= 1.0] == 0.0)  # support radius L/8 = 1
     with pytest.raises(ConfigurationError):
         discrete.bump(grid, radius=1.02)
+    # radius 0 used to give the zero function, with a RuntimeWarning
+    with pytest.raises(ConfigurationError, match="bump radius must be positive, got 0.0"):
+        discrete.bump(grid, radius=0.0)
     odd = discrete.evaluate(grid, discrete.odd_bump(grid))
     flipped = discrete.evaluate(grid, lambda pts: discrete.odd_bump(grid)(-pts))
     assert np.allclose(odd, -flipped, atol=1e-15)

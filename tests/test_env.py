@@ -341,6 +341,15 @@ def test_covariance_iid_beyond_one_cell():
     assert entry.estimate <= 3.0 * entry.standard_error
 
 
+def test_study_seed_counts_checked():
+    # zero realizations used to give a NaN median with a RuntimeWarning
+    field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
+    with pytest.raises(ConfigurationError, match="n_seeds must be >= 1, got 0"):
+        env.birkhoff_study(field, 0.25, ([0.0], [1.0]), n_seeds=0)
+    with pytest.raises(ConfigurationError, match="n_seeds must be >= 1, got 0"):
+        env.maximal_tail_check(field, n_seeds=0)
+
+
 def test_covariance_trials_floor():
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
     with pytest.raises(ConfigurationError):

@@ -108,18 +108,6 @@ def test_sweep_medians_decrease_for_random_environment():
     assert all(len(report.iqrs[m]) == 2 for m in H.METRICS)
 
 
-def test_sweep_threads_match_serial():
-    grid = discrete.Grid(dim=1, length=8.0, n=64)
-    cfg = H.SweepConfig(
-        grid=grid, form=lognormal_summation(), cone=CONE1, params=PARAMS1,
-        eps_list=(1.0, 0.5), seeds=3,
-    )
-    serial = H.run_sweep(cfg, threads=1)
-    threaded = H.run_sweep(cfg, threads=2)
-    assert serial.cells == threaded.cells
-    assert serial.medians == threaded.medians
-
-
 def test_sweep_with_measure_field():
     grid = discrete.Grid(dim=1, length=8.0, n=128)
     cfg = H.SweepConfig(
@@ -323,6 +311,11 @@ def test_truncation_tails_validation():
         H.truncation_tail_report(
             grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, 1.0, g, ()
         )
+    # a zero truncation level used to divide by zero
+    with pytest.raises(ConfigurationError, match="smallest entry of eta_list"):
+        H.truncation_tail_report(
+            grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, 1.0, g, (0.5, 0.0)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +359,8 @@ def test_moment_bound_validation():
         H.moment_bound_report(grid, form, (1.0,), seeds=0, radius=1.0)
     with pytest.raises(ConfigurationError):
         H.moment_bound_report(grid, form, (1.0,), seeds=2, radius=1e-6)
+    with pytest.raises(ConfigurationError, match="smallest entry of eps_list"):
+        H.moment_bound_report(grid, form, (1.0, 0.0), seeds=2, radius=1.0)
 
 
 def test_metric_names_are_stable():
