@@ -16,6 +16,14 @@ config (1D, n = 512, summation form with lognormal(-1/8, 1/2) lambda,
 5 eps values x 10 seeds) through `homogenize.run_sweep`, and reports the CG
 iterations summed over its cells.
 
+Cold start (`cold-cli-2d-sweep`), it spawns fresh `python -m stablehom.cli
+run` processes on a 2D sweep config (the benchmark's sweep-2d-measure study:
+n = 64, moving-average product form, lognormal(-1/2, 1) measure, eps 1/2 and
+1/4, one seed) and reports their median wall time, the children's peak RSS
+(`getrusage(RUSAGE_CHILDREN)`, the largest child), and the public top-level
+scipy modules (`scipy.special`, `scipy.integrate`, ...) in `sys.modules` at
+the exit of one more, untimed run.
+
 Each run is stored in the output JSON under a label, next to the runs already
 there, so two checkouts measured on the same machine sit side by side.  The
 output file has no default, so a run never lands in another change's record.
@@ -31,9 +39,11 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -47,6 +57,7 @@ CASES = {  # label -> (dim, n, length, eps, factor marginal)
     "2d-n128": (2, 128, 4.0, 0.5, BOUNDED),
     "1d-n2048-degenerate": (1, 2048, 8.0, 0.25, DEGENERATE),
 }
+COLD_RUNS = 9  # fresh processes of the cold-start case
 REPEATS = 5  # samples per layer, unless BUDGET_S runs out first
 BUDGET_S = 3.0  # seconds per layer after which repeats stop
 
@@ -124,6 +135,50 @@ def run_acceptance_sweep() -> dict:
     return out
 
 
+def _ma_factor(seed: int) -> dict:
+    return {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5},
+            "mixing": {"kind": "moving_average", "q": 1.5}, "seed": seed}
+
+
+COLD_CONFIG = {
+    "schema_version": 1, "experiment": "sweep", "grid": {"dim": 2, "length": 4.0, "n": 64},
+    "alpha": 1.0, "form": {"kind": "product", "nu1": _ma_factor(0), "nu2": _ma_factor(1)},
+    "mu": {"marginal": {"kind": "lognormal", "m": -0.5, "s": 1.0}},
+    "eps_list": [0.5, 0.25], "seeds": 1, "tol": 1e-9,
+}
+
+
+# `python -m stablehom.cli` that lists the scipy modules it loaded on exit
+_LIST_SCIPY = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.count('.') == 1\n"
+    "    and m.startswith('scipy.') and not m.startswith('scipy._'))))\n"
+    "runpy.run_module('stablehom.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+def run_cold_cli(src: str) -> dict:
+    """Fresh `stablehom run` processes: wall time, peak RSS, public scipy modules."""
+    child_env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(COLD_CONFIG, fh)
+        cmd = [sys.executable, "-m", "stablehom.cli", "run", config, "--out", tmp]
+        times = []
+        for _ in range(COLD_RUNS):
+            t0 = time.perf_counter()
+            subprocess.run(cmd, env=child_env, check=True, stdout=subprocess.DEVNULL)
+            times.append(time.perf_counter() - t0)
+        peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        listed = subprocess.run([sys.executable, "-c", _LIST_SCIPY, *cmd[3:]], env=child_env,
+                                check=True, capture_output=True, text=True).stdout
+    loaded = listed.splitlines()[-1].split()
+    return {"runs": COLD_RUNS, "wall_s": statistics.median(times),
+            "wall_s_min": min(times), "wall_s_max": max(times),
+            "peak_rss_mb": peak_mb, "scipy_modules": loaded}
+
+
 def source_commit(src: str) -> str:
     try:
         head = subprocess.run(
@@ -159,6 +214,9 @@ def main() -> int:
         },
         "cases": {},
     }
+    name = "cold-cli-2d-sweep"
+    run["cases"][name] = run_cold_cli(args.src)
+    print(name, json.dumps(run["cases"][name]), flush=True)
     for name, case in CASES.items():
         run["cases"][name] = run_case(*case)
         print(name, json.dumps(run["cases"][name]), flush=True)
@@ -174,7 +232,10 @@ def main() -> int:
         "with moving-average uniform(0.5, 1.5) factors (uniform(0, 2) for the "
         "degenerate case), alpha = 1, full-space cone; 1D L = 8, eps = 1/4; 2D L = 4, "
         "eps = 1/2.  1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
-        "end (5 eps x 10 seeds) and the CG iterations summed over its cells."
+        "end (5 eps x 10 seeds) and the CG iterations summed over its cells.  "
+        "cold-cli-2d-sweep: fresh `python -m stablehom.cli run` processes on a 2D "
+        "sweep (n = 64, 2 eps x 1 seed): median, min and max wall time (s), the "
+        "largest child's peak RSS (MB) and the public top-level scipy modules it imports."
     )
     doc["runs"][args.label] = run
     with open(args.out, "w") as fh:

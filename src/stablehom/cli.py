@@ -38,7 +38,7 @@ from .discrete import (
     test_function_suite,
     translation_estimate_check,
 )
-from .errors import ConfigurationError, check_count, check_ladder, check_positive
+from .errors import ConfigurationError, DomainError, check_count, check_ladder, check_positive
 from .kernel import (
     AngularWeight,
     CoefficientForm,
@@ -178,47 +178,41 @@ class _Walk(dict):
         self.built = {}
 
 
-def _builds(name: str, kind, build):
-    """`kind`, whose resolved value is also built once into out.built[name]; the
-    library's own checks (discrete.Grid's, ConeSpec's, ...) raise with their messages."""
+def _builds(kind, build):
+    """`kind`, whose resolved value is also built once into out.built[path] by
+    build(value, part), where part(key) is the object already built for the
+    subsection `key`.  A library check that refuses the object (discrete.Grid's,
+    ConeSpec's, ...) is reported with its message prefixed by the section's path."""
     def resolve(v, path, out):
         value = kind(v, path, out)
-        out.built[name] = build(value)
+        try:
+            out.built[path] = build(value, lambda key: out.built[f"{path}.{key}"])
+        except (ConfigurationError, DomainError) as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
         return value
     return resolve
 
 
-def _build_marginal(d: dict) -> env.DistributionSpec:
-    params = tuple(d[key] for key in _MARGINAL_PARAMS[d["kind"]])
-    return env.DistributionSpec(d["kind"], params, d["declared_p"])
+def _build_field(d: dict, part) -> env.RandomField:
+    return env.RandomField(**{**d, "marginal": part("marginal"), "mixing": part("mixing")})
 
 
-def _build_field(d: dict) -> env.RandomField:
-    return env.RandomField(**{**d, "marginal": _build_marginal(d["marginal"]),
-                              "mixing": env.MixingSpec(**d["mixing"])})
-
-
-def _build_cone(d: dict) -> ConeSpec:
-    return ConeSpec(axis=tuple(d["axis"]), aperture=d["aperture"], full_space=d["full_space"])
-
-
-def _build_form(d: dict):
+def _build_form(d: dict, part):
     if d["kind"] == "constant":
         return ConstantForm(d["k0"])
     if d["kind"] == "summation":
-        ang = AngularWeight(kind=d["angular"]["kind"], axis=tuple(d["angular"]["axis"]))
-        return SummationForm(_build_field(d["field"]), ang)
-    return ProductForm(_build_field(d["nu1"]), _build_field(d["nu2"]))
+        return SummationForm(part("field"), part("angular"))
+    return ProductForm(part("nu1"), part("nu2"))
 
 
 def _resolved_at(eps_values, out, cell=None) -> None:
     """Positive eps values that pass discrete's h <= eps*cell/4 check; the cell
     is the form's unless given."""
-    if cell is None and "form" in out.built:
-        cell = form_cell_size(out.built["form"])
+    if cell is None and "config.form" in out.built:
+        cell = form_cell_size(out.built["config.form"])
     for eps in eps_values:
         if cell is not None:
-            _oscillation_check(out.built["grid"], eps, cell)
+            _oscillation_check(out.built["config.grid"], eps, cell)
         check_positive("eps", eps)
 
 
@@ -273,10 +267,10 @@ _lambda = _rule(_number, lambda lam, out: check_lambda(lam))
 _tol = _rule(_number, lambda tol, out: check_tol(tol))
 _seeds = _count("seeds")
 _h_multiples = _rule(_array(_integer, "integers"), lambda ks, out: check_translation_steps(
-    out.built["grid"], [k * out.built["grid"].h for k in ks]))
+    out.built["config.grid"], [k * out.built["config.grid"].h for k in ks]))
 _eta_list = _rule(_numbers, lambda eta, out: H.check_eta_list(eta, out["grid"]["length"]))
 _moment_eps = _rule(_numbers, lambda eps, out: check_ladder("eps_list", eps))
-_moment_radius = (_rule(_number, lambda r, out: H.check_moment_ball(out.built["grid"], r)),
+_moment_radius = (_rule(_number, lambda r, out: H.check_moment_ball(out.built["config.grid"], r)),
                   _QUARTER_RADIUS[1])
 _eps_grid = _rule(_numbers, lambda eps, out: env.check_eps_grid(eps))
 # the one eps of an estimate, of example 17 or of a diagnostic
@@ -293,11 +287,13 @@ _MARGINAL_PARAMS = {
     "exp_abs_gauss": ("s",),
     "shifted_pareto": ("x_min", "tail_index"),
 }
-_MARGINAL = _object({"declared_p": (_number, 2.0)}, {
+_MARGINAL = _builds(_object({"declared_p": (_number, 2.0)}, {
     kind: {p: (_number, _REQUIRED) for p in params} for kind, params in _MARGINAL_PARAMS.items()
-}, label="marginal kind")
-_MIXING = _object({}, {"iid_cells": {}, "moving_average": {"q": (_number, 1.0)}}, label="kind")
-_FIELD = _object({
+}, label="marginal kind"), lambda d, part: env.DistributionSpec(
+    d["kind"], tuple(d[key] for key in _MARGINAL_PARAMS[d["kind"]]), d["declared_p"]))
+_MIXING = _builds(_object({}, {"iid_cells": {}, "moving_average": {"q": (_number, 1.0)}},
+                          label="kind"), lambda d, part: env.MixingSpec(**d))
+_FIELD_KEYS = _object({
     "marginal": (_MARGINAL, _REQUIRED),
     "mixing": (_MIXING, {"kind": "iid_cells"}),
     "cell_size": (_number, 1.0),
@@ -305,12 +301,15 @@ _FIELD = _object({
     "scale": (_number, 1.0),
     "dim": (_field_dim, lambda out: out["grid"]["dim"] if "grid" in out else 1),
 })
-_CONE = _builds("cone", _object({"axis": _AXIS, "aperture": (_number, 0.0),
-                                 "full_space": (_boolean, False)}), _build_cone)
-_GRID = _builds("grid", _object({"dim": (_integer, _REQUIRED), "length": (_number, _REQUIRED),
-                                 "n": (_integer, _REQUIRED)}), lambda grid: Grid(**grid))
-_ANGULAR = _object({"axis": _AXIS}, {"one": {}, "cos2": {}})
-_FORM = _builds("form", _object({}, {
+_FIELD = _builds(_FIELD_KEYS, _build_field)
+_CONE = _builds(_object({"axis": _AXIS, "aperture": (_number, 0.0),
+                         "full_space": (_boolean, False)}), lambda d, part: ConeSpec(
+    axis=tuple(d["axis"]), aperture=d["aperture"], full_space=d["full_space"]))
+_GRID = _builds(_object({"dim": (_integer, _REQUIRED), "length": (_number, _REQUIRED),
+                         "n": (_integer, _REQUIRED)}), lambda d, part: Grid(**d))
+_ANGULAR = _builds(_object({"axis": _AXIS}, {"one": {}, "cos2": {}}),
+                   lambda d, part: AngularWeight(kind=d["kind"], axis=tuple(d["axis"])))
+_FORM = _builds(_object({}, {
     "constant": {"k0": (_number, _REQUIRED)},
     "summation": {"field": (_FIELD, _REQUIRED), "angular": (_ANGULAR, {"kind": "one"})},
     "product": {"nu1": (_FIELD, _REQUIRED), "nu2": (_FIELD, _REQUIRED)},
@@ -323,7 +322,7 @@ _ESTIMATE = _object({
 })
 _EXAMPLE17 = _object({
     "lambda2": (_rule(_number, lambda v, out: None if v > 0 else "must be positive"), 1.0),
-    "inv_lambda1": (_builds("inv_lambda1", _MARGINAL, _build_marginal), _REQUIRED),
+    "inv_lambda1": (_MARGINAL, _REQUIRED),
     "eps": (_eps, 0.0625),
     "seeds": (_seeds, 20),
     # the sweep's measure has cell size 1
@@ -357,7 +356,7 @@ _SOLVES = "sweep example17 translation"
 # applies to; a trailing '!' makes it required there), in echo order
 _CONFIG = {
     "master_seed": (_integer, 0, " ".join(_EXPERIMENTS + tuple(_DIAGNOSTIC_KEYS))),
-    "field": (_builds("field", _FIELD, _build_field), _REQUIRED, "birkhoff maximal covariance"),
+    "field": (_FIELD, _REQUIRED, "birkhoff maximal covariance"),
     "grid": (_GRID, _REQUIRED, _GRIDDED),
     "alpha": (_alpha, _REQUIRED, _JUMPS),
     "cone": (_CONE, {"full_space": True}, _JUMPS),
@@ -366,7 +365,7 @@ _CONFIG = {
     "tol": (_tol, 1e-9, _SOLVES),
     "seeds": (_seeds, 10, "sweep mosco example17"),
     "eps_list": (_eps_list, None, "sweep! mosco! example17"),
-    "mu": (_builds("mu", _rule(_FIELD, lambda mu, out: _resolved_at(
+    "mu": (_builds(_rule(_FIELD_KEYS, lambda mu, out: _resolved_at(
         out["eps_list"], out, mu["cell_size"])), _build_field), None, "sweep"),
     "report_radius": (_positive("report radius"), None, "sweep"),
     "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None,
@@ -445,18 +444,18 @@ def parse_config(text: str) -> ExperimentConfig:
         out[key] = _resolve_key(raw, key, resolve, default, "config", out)
 
     built = out.built
-    plan = {key: built.get(key) for key in ("grid", "cone", "form", "field")}
+    plan = {key: built.get(f"config.{key}") for key in ("grid", "cone", "form", "field")}
     grid = plan["grid"]
     if "alpha" in out:
         plan["params"] = KernelParams(alpha=out["alpha"], dim=grid.dim)
     if experiment == "sweep":
         rhs = None if out["rhs_radius"] is None else evaluate(grid, bump(grid, out["rhs_radius"]))
-        plan["sweep"] = _sweep_plan(out, plan, out["eps_list"], built.get("mu"),
+        plan["sweep"] = _sweep_plan(out, plan, out["eps_list"], built.get("config.mu"),
                                     report_radius=out["report_radius"], rhs=rhs)
     elif experiment == "example17":
         # the time change divides lambda2 by z_mu = lambda2 E[1/lambda1]; the
         # sweep's measure is 1/lambda1 scaled to mean 1
-        c2, inv_marginal = out["example17"]["lambda2"], built["inv_lambda1"]
+        c2, inv_marginal = out["example17"]["lambda2"], built["config.example17.inv_lambda1"]
         plan["z_mu"] = z_mu = c2 * env.mean_value(inv_marginal)
         plan["form"] = ConstantForm(c2 * c2 / z_mu)
         if out["example17"]["sweep"]:

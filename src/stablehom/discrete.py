@@ -128,12 +128,13 @@ def _subcell_axis_mass(dim: int, alpha: float, cone: ConeSpec) -> tuple[float, .
     would otherwise be discarded; matching their second moment onto the
     nearest-neighbor differences restores first-order self-convergence.
     Computed radially: the cube boundary sits at R(theta) = 1/(2 max|theta_j|).
+    In d = 2 the angular integrand is analytic between its kinks at multiples
+    of pi/4 (and the cone's edges), so 32-point Gauss-Legendre on each piece
+    matches adaptive quadrature to rounding.
     """
     if dim == 1:
         return (2.0 * 0.5 ** (2.0 - alpha) / (2.0 - alpha),)
     if dim == 2:
-        from scipy.integrate import quad
-
         t0 = math.atan2(cone.axis[1], cone.axis[0])
         half = math.acos(cone.aperture)
         arcs = (
@@ -141,25 +142,23 @@ def _subcell_axis_mass(dim: int, alpha: float, cone: ConeSpec) -> tuple[float, .
             if cone.full_space
             else [(t0 - half, t0 + half), (t0 + math.pi - half, t0 + math.pi + half)]
         )
-        out = []
-        for k in range(2):
-            total = 0.0
-            for lo, hi in arcs:
-                kinks = [
-                    j * math.pi / 4
-                    for j in range(math.floor(lo / (math.pi / 4)) - 1, math.ceil(hi / (math.pi / 4)) + 2)
-                    if lo < j * math.pi / 4 < hi
-                ]
-
-                def g(t, k=k):
-                    theta = math.cos(t) if k == 0 else math.sin(t)
-                    r_cube = 0.5 / max(abs(math.cos(t)), abs(math.sin(t)))
-                    return theta**2 * r_cube ** (2.0 - alpha) / (2.0 - alpha)
-
-                val, _ = quad(g, lo, hi, points=kinks, limit=200)
-                total += val
-            out.append(total)
-        return tuple(out)
+        x, w = _gl_nodes(32)
+        nodes, weights = [], []
+        for lo, hi in arcs:
+            kinks = [
+                j * math.pi / 4
+                for j in range(math.floor(lo / (math.pi / 4)) - 1, math.ceil(hi / (math.pi / 4)) + 2)
+                if lo < j * math.pi / 4 < hi
+            ]
+            edges = np.array([lo, *kinks, hi])
+            width = np.diff(edges)[:, None]
+            nodes.append((0.5 * (edges[:-1] + edges[1:])[:, None] + width * x).ravel())
+            weights.append((width * w).ravel())
+        t, wt = np.concatenate(nodes), np.concatenate(weights)
+        cos, sin = np.cos(t), np.sin(t)
+        r_cube = 0.5 / np.maximum(np.abs(cos), np.abs(sin))
+        return tuple(float((wt * (theta**2 * r_cube ** (2.0 - alpha) / (2.0 - alpha))).sum())
+                     for theta in (cos, sin))
     if dim == 3:
         # Product midpoint rule; the integrand is bounded, only the cone
         # indicator is discontinuous, and this term is a small correction.
@@ -633,13 +632,16 @@ class TranslationReport:
 
 
 def check_translation_steps(grid: Grid, h_steps) -> None:
-    """Translation steps are nonzero whole multiples of the grid spacing."""
+    """Translation steps are positive whole multiples of the grid spacing (the
+    log-log fit of the moduli takes their logarithm)."""
     for hval in h_steps:
         mult = hval / grid.h
         if abs(mult - round(mult)) > 1e-9 or round(mult) == 0:
             raise ConfigurationError(
                 f"translation step {hval:g} is not a nonzero multiple of the spacing {grid.h:g}"
             )
+        if mult < 0:
+            raise ConfigurationError(f"translation step {hval:g} must be positive")
 
 
 def translation_estimate_check(

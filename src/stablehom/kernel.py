@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .env import DistributionSpec, RandomField, field_mean, field_moment, mean_value, moment
 from .errors import ConfigurationError, DomainError, NumericalError, check_positive
@@ -295,6 +294,7 @@ def _radial_constant(alpha: float) -> float:
     Finite head by adaptive quadrature, then the tail splits into an exact
     power integral minus an oscillatory cosine integral (QUADPACK qawf).
     """
+    from scipy import integrate  # local import: only Levy-exponent checks need QUADPACK
     a = 2.0 * math.pi
     head, head_err = integrate.quad(
         lambda u: (1.0 - math.cos(u)) * u ** (-1.0 - alpha), 0.0, a, limit=200
@@ -313,6 +313,7 @@ def _radial_constant(alpha: float) -> float:
 
 def _angular_integral(kernel, cone: ConeSpec, params: KernelParams, xi_hat: np.ndarray) -> float:
     """int over cone directions of K(theta) |<xi_hat, theta>|^alpha (surface measure)."""
+    from scipy import integrate  # local import, as in _radial_constant
     alpha = params.alpha
     d = params.dim
 

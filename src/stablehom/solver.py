@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .discrete import MeasureWeights, SparseSymmetricForm
 from .errors import ConfigurationError, ConvergenceFailure, DomainError, NumericalError
@@ -148,7 +147,9 @@ def solve_resolvent(
 
 
 def dense_oracle_solve(problem: ResolventProblem) -> np.ndarray:
-    """Direct Cholesky solve of the materialized system; tests only."""
+    """Direct Cholesky solve of the materialized system, for the tests and the
+    benchmark's oracle check."""
+    from scipy.linalg import cho_factor, cho_solve  # local import keeps solver load cheap
     n = problem.form.grid.size
     if n > 4096:
         raise ConfigurationError(f"dense oracle refused for N = {n} > 4096")

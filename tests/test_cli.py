@@ -2,6 +2,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,8 +42,11 @@ def write_config(tmp_path, cfg, name="config.json"):
 # cone, the diagnostics and example 17's marginal that `run` used to meet
 # only at run time, with the library check's own message; so did
 # `axis-covariance-point`, a covariance point whose length is not the field's
-# dim.  Some `library-*` configs (zero levels or radii) used to crash `run` or
-# pass it with an all-zero test function.  `covariance-full` asks for 100 trials, the fewest
+# dim.  Some `library-*` configs (zero levels or radii, a negative translation
+# step) used to crash `run` or pass it with an all-zero test function.  A
+# library object's own refusal (grid, cone, form, field, marginal, mixing,
+# angular weight) is prefixed with its section's path, as in
+# `library-form-field-marginal`.  `covariance-full` asks for 100 trials, the fewest
 # `env.empirical_covariance` accepts (it asked for 50, which `run` refused).
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 
@@ -365,7 +370,7 @@ def test_config_error_exits_two(tmp_path, capsys):
     # a grid that discrete.Grid refuses
     cfg_path = write_config(tmp_path, sweep_config(grid={"dim": 1, "length": 8.0, "n": 0}))
     assert cli.main(["validate", cfg_path]) == 2
-    assert "config error: grid needs even n >= 4, got 0" in capsys.readouterr().err
+    assert "config error: config.grid: grid needs even n >= 4, got 0" in capsys.readouterr().err
 
 
 def test_io_error_exits_two(tmp_path, capsys):
@@ -411,3 +416,40 @@ def test_birkhoff_diagnostic_runs(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["experiment"] == "diagnostics"
     assert report["checks"][0]["name"] == "birkhoff_within_5_percent"
+
+
+# A sweep or mosco run needs scipy.special only; integrate (Levy-exponent
+# quadrature) and linalg (the dense oracle) and what they pull in stay unloaded.
+_IMPORT_PATH_SCRIPT = """
+import json, sys
+from stablehom import cli
+field = {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5},
+         "mixing": {"kind": "moving_average", "q": 1.5}}
+common = {"schema_version": 1, "grid": {"dim": 2, "length": 4.0, "n": 32}, "alpha": 1.0,
+          "form": {"kind": "product", "nu1": {**field, "seed": 0}, "nu2": {**field, "seed": 1}},
+          "eps_list": [1.0, 0.5], "seeds": 1}
+for name, extra in (("sweep", {"mu": {"marginal": {"kind": "lognormal", "m": -0.5, "s": 1.0}}}),
+                    ("mosco", {})):
+    path = f"{sys.argv[1]}/{name}.json"
+    with open(path, "w") as fh:
+        json.dump({**common, "experiment": name, **extra}, fh)
+    assert cli.main(["validate", path]) == 0
+    assert cli.main(["run", path, "--out", f"{sys.argv[1]}/{name}"]) in (0, 1)
+print(json.dumps(sorted(name for name, mod in sys.modules.items()
+                        if name.startswith("scipy.") and name.count(".") == 1
+                        and hasattr(mod, "__path__") and not name.startswith("scipy._"))))
+"""
+
+
+def test_runs_load_only_scipy_special(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_SCRIPT, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+    loaded = json.loads(out[-1])
+    assert not {"scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.sparse"} & set(loaded)
+    assert loaded == ["scipy.special"]
+    assert (tmp_path / "sweep" / "report.json").exists()
+    assert (tmp_path / "mosco" / "report.json").exists()

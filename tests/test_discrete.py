@@ -167,6 +167,32 @@ def test_unit_cell_quadrature_2d_against_dblquad():
     assert np.allclose(w((1, 0)), cell10 + 0.5 * 4.0 * central, rtol=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize(
+    "cone", [kernel.full_space_cone(2), kernel.ConeSpec(axis=(1.0, 0.3), aperture=0.5)],
+    ids=["full", "apertured"],
+)
+def test_subcell_axis_mass_2d_against_quad(alpha, cone):
+    # polar form of int over the central cell of u_k^2 |u|^(-2-alpha): the cell
+    # boundary sits at R(t) = 1/(2 max(|cos t|, |sin t|)), with kinks at k*pi/4
+    t0, half = math.atan2(cone.axis[1], cone.axis[0]), math.acos(cone.aperture)
+    arcs = ([(0.0, 2 * math.pi)] if cone.full_space
+            else [(t0 - half, t0 + half), (t0 + math.pi - half, t0 + math.pi + half)])
+    expected = []
+    for k in range(2):
+        def g(t):
+            radius = 0.5 / max(abs(math.cos(t)), abs(math.sin(t)))
+            return (math.cos(t), math.sin(t))[k] ** 2 * radius ** (2 - alpha) / (2 - alpha)
+        total = 0.0
+        for lo, hi in arcs:
+            kinks = [j * math.pi / 4 for j in range(-8, 16) if lo < j * math.pi / 4 < hi]
+            total += integrate.quad(g, lo, hi, points=kinks, limit=200, epsabs=0.0,
+                                    epsrel=2e-14)[0]
+        expected.append(total)
+    got = discrete._subcell_axis_mass(2, alpha, cone)
+    assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants of the assembled operator
 
@@ -527,6 +553,10 @@ def test_translation_check_constant_and_bad_step():
     assert report.max_ratio == 0.0
     with pytest.raises(ConfigurationError):
         discrete.translation_estimate_check(form, np.zeros(32), h_steps=[grid.h * 1.5], r=2.0)
+    with pytest.raises(ConfigurationError, match="^translation step -0.25 must be positive$"):
+        discrete.translation_estimate_check(form, np.zeros(32), h_steps=[-grid.h, grid.h], r=2.0)
+    with pytest.raises(ConfigurationError, match="^translation step 0 is not a nonzero multiple"):
+        discrete.check_translation_steps(grid, [0.0])
 
 
 # ---------------------------------------------------------------------------
