@@ -4,7 +4,10 @@ For 1D grids with n in {512, 2048, 8192} and 2D grids with n in {32, 64, 128},
 and for a degenerate 1D case (n = 2048, factors uniform(0, 2), which come
 arbitrarily close to 0), it reports the median wall time of
 
-- field evaluation at the grid nodes, for iid and moving-average mixing;
+- field evaluation at the grid nodes, for iid and moving-average mixing,
+  timed through `discrete.measure_weights(grid, field, eps)`, the call the
+  library itself makes for grid fields (the same API at older commits, so a
+  `--src` run on one of them times that commit's own grid path);
 - assembly of a product form with moving-average factors;
 - one generator matvec;
 - one resolvent solve (lambda = 1, bump right-hand side, Lebesgue measure,
@@ -88,10 +91,9 @@ def run_case(dim: int, n: int, length: float, eps: float, factor: tuple) -> dict
         nu2=env.sample_field(dim, env.uniform(*factor), ma, seed=1),
     )
     iid = env.sample_field(dim, env.uniform(0.5, 1.5), seed=2)
-    points = grid.nodes() / eps
     out = {"nodes": grid.size}
-    out["field_iid_s"] = median_time(lambda: env.field_values(iid, points))
-    out["field_ma_s"] = median_time(lambda: env.field_values(form.nu1, points))
+    out["field_iid_s"] = median_time(lambda: discrete.measure_weights(grid, iid, eps))
+    out["field_ma_s"] = median_time(lambda: discrete.measure_weights(grid, form.nu1, eps))
     out["assembly_s"] = median_time(
         lambda: discrete.assemble_form(grid, form, cone, params, eps)
     )
@@ -231,7 +233,9 @@ def main() -> int:
         "Median wall time per layer (seconds) of benchmarks/bench.py: product form "
         "with moving-average uniform(0.5, 1.5) factors (uniform(0, 2) for the "
         "degenerate case), alpha = 1, full-space cone; 1D L = 8, eps = 1/4; 2D L = 4, "
-        "eps = 1/2.  1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
+        "eps = 1/2; field_iid_s and field_ma_s time discrete.measure_weights on the "
+        "grid with an iid uniform(0.5, 1.5) field and the first factor.  "
+        "1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
         "end (5 eps x 10 seeds) and the CG iterations summed over its cells.  "
         "cold-cli-2d-sweep: fresh `python -m stablehom.cli run` processes on a 2D "
         "sweep (n = 64, 2 eps x 1 seed): median, min and max wall time (s), the "

@@ -501,7 +501,8 @@ def _sweep_results(report: H.ConvergenceReport) -> tuple[dict, list]:
         "cells": [
             {"eps": c.eps, "seed": c.seed_index, **{m: getattr(c, m) for m in H.METRICS},
              "telemetry": {"iterations": c.iterations, "residual": c.residual,
-                           "assembly_s": c.assembly_s, "solve_s": c.solve_s}}
+                           "field_s": c.field_s, "assembly_s": c.assembly_s,
+                           "solve_s": c.solve_s}}
             for c in report.cells
         ],
         "failures": [{"eps": e, "seed": s, "error": msg} for e, s, msg in report.failures],
@@ -751,7 +752,7 @@ def write_report(report: dict, out_dir: str, deterministic: bool = False) -> str
         report = copy.deepcopy(report)
         report["provenance"]["wall_time"] = 0.0
         for cell in report["results"].get("sweep", {}).get("cells", []):
-            cell["telemetry"].update(assembly_s=0.0, solve_s=0.0)
+            cell["telemetry"].update(field_s=0.0, assembly_s=0.0, solve_s=0.0)
     path = os.path.join(out_dir, "report.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1)

@@ -411,6 +411,48 @@ def _build(grid, params, cone, pairs, c=1.0, angular=None) -> SparseSymmetricFor
     return SparseSymmetricForm(grid, params, cone, stencil, stencil_kernel, pairs)
 
 
+def node_field_pairs(
+    grid: Grid, form: CoefficientForm, eps: float
+) -> list[tuple[np.ndarray, np.ndarray]] | None:
+    """Node-field pairs (a_t, b_t) of kappa(x/eps, y/eps) on the grid (see
+    SparseSymmetricForm); None for constant coefficients.
+
+    Every random field is evaluated on the grid lattice, axis_coords() / eps
+    on each axis.
+    """
+    check_positive("eps", eps)
+    cell = form_cell_size(form)
+    if cell is not None:
+        _oscillation_check(grid, eps, cell)
+    if isinstance(form, ConstantForm):
+        return None
+    axes = [grid.axis_coords() / eps] * grid.dim
+    if isinstance(form, SummationForm):
+        lam = env.field_on_lattice(form.lambda_field, axes)
+        one = np.ones(grid.shape)
+        return [(lam, one), (one, lam)]
+    if isinstance(form, ProductForm):
+        nu1, nu2 = (env.field_on_lattice(f, axes) for f in (form.nu1, form.nu2))
+        return [(nu1, nu2), (nu2, nu1)]
+    raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
+
+
+def form_from_pairs(
+    grid: Grid,
+    form: CoefficientForm,
+    cone: ConeSpec,
+    params: KernelParams,
+    pairs: list[tuple[np.ndarray, np.ndarray]] | None,
+) -> SparseSymmetricForm:
+    """The energy of `form`'s kernel family with the node-field pairs of
+    `node_field_pairs`."""
+    _check_dims(grid, cone, params)
+    if isinstance(form, ConstantForm):
+        return _build(grid, params, cone, pairs, c=form.k0)
+    angular = form.angular if isinstance(form, SummationForm) else None
+    return _build(grid, params, cone, pairs, angular=angular)
+
+
 def assemble_form(
     grid: Grid,
     form: CoefficientForm,
@@ -419,26 +461,7 @@ def assemble_form(
     eps: float,
 ) -> SparseSymmetricForm:
     """Assemble the environment energy with coefficient kappa(x/eps, y/eps)."""
-    _check_dims(grid, cone, params)
-    check_positive("eps", eps)
-    cell = form_cell_size(form)
-    if cell is not None:
-        _oscillation_check(grid, eps, cell)
-    nodes = grid.nodes()
-
-    def node_field(field: env.RandomField) -> np.ndarray:
-        return env.field_values(field, nodes / eps).reshape(grid.shape)
-
-    if isinstance(form, ConstantForm):
-        return _build(grid, params, cone, None, c=form.k0)
-    if isinstance(form, SummationForm):
-        lam = node_field(form.lambda_field)
-        one = np.ones(grid.shape)
-        return _build(grid, params, cone, [(lam, one), (one, lam)], angular=form.angular)
-    if isinstance(form, ProductForm):
-        nu1, nu2 = node_field(form.nu1), node_field(form.nu2)
-        return _build(grid, params, cone, [(nu1, nu2), (nu2, nu1)])
-    raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
+    return form_from_pairs(grid, form, cone, params, node_field_pairs(grid, form, eps))
 
 
 def assemble_effective_form(
@@ -486,7 +509,7 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
             )
         check_positive("eps", eps)
         _oscillation_check(grid, eps, mu_field.cell_size)
-        m = env.field_values(mu_field, grid.nodes() / eps) * hd
+        m = env.field_on_lattice(mu_field, [grid.axis_coords() / eps] * grid.dim).ravel() * hd
     if not (m > 0).all():
         raise DomainError(f"measure weights must be strictly positive, min {m.min():g}")
     return MeasureWeights(grid=grid, m=m)

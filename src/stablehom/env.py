@@ -5,11 +5,16 @@ batching, and repeated queries cannot change a result, and any region can be
 reproduced from the seed alone.  Marginals come from a small catalog with
 closed-form moments.  Spatial mixing is either independent cells or a
 finite-window moving average with polynomially decaying weights, transformed
-so the declared marginal holds exactly.  A batch of moving-average points
-hashes each lattice Gaussian of its padded bounding box once and forms the
-window sums as shifted slice adds over that box; widely scattered points and
-per-row seeds fall back to hashing every window cell of every point.
-Non-finite parameters and points are rejected where they enter.
+so the declared marginal holds exactly.
+
+Two entries evaluate a field.  `field_on_lattice` serves tensor lattices
+such as grid nodes: it forms cells per axis, hashes every cell of their
+bounding box (padded by the window radius for a moving average) once, forms
+window sums as shifted slice adds over the box, and gathers the lattice.
+`field_values` serves scattered points; a moving-average batch uses the same
+box when it is small enough.  Widely scattered points and per-row seeds fall
+back to hashing every window cell of every point.  Non-finite parameters and
+points are rejected where they enter.
 """
 
 from __future__ import annotations
@@ -56,22 +61,21 @@ def _mix_arr(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _cell_hash(seed, salt: int, cells: np.ndarray) -> np.ndarray:
-    """Hash integer cell vectors to uint64, one mix per coordinate.
+def _cell_hash(seed, salt: int, coords) -> np.ndarray:
+    """Hash integer cell vectors, given as one coordinate array per axis, to
+    uint64, one mix per coordinate.
 
-    `seed` may be a scalar or a per-row uint64 array (independent streams in
-    one vectorized call).
+    The coordinate arrays broadcast together: equal shapes hash a list of
+    cells, shapes along distinct axes hash a whole lattice.  `seed` may be a
+    scalar or a per-cell uint64 array (independent streams in one call).
     """
-    cells = np.asarray(cells, dtype=np.int64)
-    if cells.ndim == 1:
-        cells = cells[:, None]
     salt_mixed = _mix_int(salt)
     if isinstance(seed, np.ndarray):
         h = _mix_arr(seed.astype(np.uint64) ^ np.uint64(salt_mixed))
     else:
-        h = np.full(cells.shape[0], _mix_int(int(seed) ^ salt_mixed), dtype=np.uint64)
-    for axis in range(cells.shape[1]):
-        c = cells[:, axis].astype(np.uint64)
+        h = np.uint64(_mix_int(int(seed) ^ salt_mixed))
+    for axis, c in enumerate(coords):
+        c = np.asarray(c, dtype=np.int64).astype(np.uint64)
         with np.errstate(over="ignore"):
             h = _mix_arr(h ^ (c * _GOLD + np.uint64(axis + 1)))
     return h
@@ -316,8 +320,7 @@ def field_moment(field: RandomField, p: float) -> float:
 @lru_cache(maxsize=512)
 def _global_shift(seed: int, dim: int, cell_size: float) -> tuple[float, ...]:
     # One independent uniform offset per axis keeps the lattice stationary.
-    axes = np.arange(dim, dtype=np.int64)[:, None]
-    u = _uniform01(_cell_hash(seed, _SALT_SHIFT, axes))
+    u = _uniform01(_cell_hash(seed, _SALT_SHIFT, [np.arange(dim)]))
     return tuple(float(v) * cell_size for v in u)
 
 
@@ -351,19 +354,46 @@ def ma_weight_correlation(dim: int, q: float, lag_cells) -> float:
 
 def _values_at_cells(field: RandomField, seed, cells: np.ndarray) -> np.ndarray:
     if field.mixing.kind == "iid_cells":
-        u = _uniform01(_cell_hash(seed, _SALT_IID, cells))
+        u = _uniform01(_cell_hash(seed, _SALT_IID, cells.T))
     else:
         offsets, weights = _ma_window(field.dim, field.mixing.q)
         acc = np.zeros(len(cells))
         for off, w in zip(offsets, weights):
-            g = ndtri(_uniform01(_cell_hash(seed, _SALT_GAUSS, cells + off)))
+            g = ndtri(_uniform01(_cell_hash(seed, _SALT_GAUSS, (cells + off).T)))
             acc += w * g
         u = ndtr(acc)
     return field.scale * _icdf(field.marginal, u)
 
 
+def _cells_of(field: RandomField, coords: np.ndarray, shift) -> np.ndarray:
+    """Integer cell indices floor((x + shift) / cell_size) of coordinates x."""
+    scaled = np.floor((coords + shift) / field.cell_size)
+    # NaN fails the comparison too, where a cast would make it a real cell;
+    # the margin keeps every window cell of a valid cell inside int64.
+    if not np.all(np.abs(scaled) < 2.0**62):
+        raise ConfigurationError("points must be finite, with cell indices below 2^62")
+    return scaled.astype(np.int64)
+
+
+def _box(field: RandomField, lows, highs, queries: int):
+    """Origin and shape of the box of cells from `lows` to `highs` on each
+    axis, padded by the window radius for a moving average; None when it
+    holds more cells than the windows of `queries` separate query cells."""
+    r = _MA_RADIUS if field.mixing.kind == "moving_average" else 0
+    # Python ints, so the box size cannot wrap around int64 into a small one.
+    lo = [int(c) - r for c in lows]
+    pad = [int(c) + r + 1 - a for c, a in zip(highs, lo)]
+    window = len(_ma_window(field.dim, field.mixing.q)[1]) if r else 1
+    return (lo, pad) if math.prod(pad) <= window * queries else None
+
+
 def field_values(field: RandomField, points) -> np.ndarray:
-    """Evaluate the field at an (m, dim) array of points (vectorized)."""
+    """Evaluate the field at an (m, dim) array of scattered points.
+
+    A moving-average batch is evaluated over the padded bounding box of its
+    cells when that box is small enough.  Grid nodes are a tensor lattice;
+    `field_on_lattice` serves them from cells formed per axis.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None] if field.dim == 1 else pts[None, :]
@@ -372,40 +402,80 @@ def field_values(field: RandomField, points) -> np.ndarray:
             f"points have dimension {pts.shape[1]}, field has dimension {field.dim}"
         )
     shift = np.array(_global_shift(field.seed, field.dim, field.cell_size))
-    scaled = np.floor((pts + shift) / field.cell_size)
-    # NaN fails the comparison too, where a cast would make it a real cell;
-    # the margin keeps every window cell of a valid cell inside int64.
-    if not np.all(np.abs(scaled) < 2.0**62):
-        raise ConfigurationError("points must be finite, with cell indices below 2^62")
-    cells = scaled.astype(np.int64)
+    cells = _cells_of(field, pts, shift)
     if field.mixing.kind == "moving_average" and len(cells):
-        # Python ints, so the box size cannot wrap around int64 into a small one.
-        lo = [int(c) - _MA_RADIUS for c in cells.min(axis=0)]
-        pad = [int(c) + _MA_RADIUS + 1 - a for c, a in zip(cells.max(axis=0), lo)]
-        window = len(_ma_window(field.dim, field.mixing.q)[1])
-        if math.prod(pad) <= window * len(cells):
-            return _ma_values_on_box(field, cells, lo, pad)
+        low = cells.min(axis=0)
+        box = _box(field, low, cells.max(axis=0), len(cells))
+        if box is not None:
+            return _values_on_box(field, *box)[tuple((cells - low).T)]
     return _values_at_cells(field, field.seed, cells)
 
 
-def _ma_values_on_box(field: RandomField, cells: np.ndarray, lo, pad) -> np.ndarray:
-    """Moving-average values at `cells` through the padded box at `lo` of
-    shape `pad`, which holds every window cell of every query cell.
+def field_on_lattice(field: RandomField, axes) -> np.ndarray:
+    """Evaluate the field on the tensor lattice axes[0] x ... x axes[dim-1].
 
-    Each lattice Gaussian of the box is hashed once, and the window sum adds
-    one shifted slice per offset in `_ma_window` order: the same operations
-    in the same order as `_values_at_cells`, so the values are bitwise equal.
+    `axes` holds one 1D coordinate array per dimension; the result has shape
+    (len(axes[0]), ..., len(axes[dim-1])) and equals `field_values` at the
+    meshgrid points ('ij' order) bitwise.  Cells are formed per axis, every
+    cell of their (padded) bounding box is hashed once, so an iid field
+    hashes its distinct cells rather than every node, and the lattice is
+    gathered from the box.
     """
-    offsets, weights = _ma_window(field.dim, field.mixing.q)
+    if len(axes) != field.dim:
+        raise ConfigurationError(f"lattice has {len(axes)} axes, field has dimension {field.dim}")
+    shift = _global_shift(field.seed, field.dim, field.cell_size)
+    cells = [_cells_of(field, np.asarray(x, dtype=float), s) for x, s in zip(axes, shift)]
+    lows = [c.min() for c in cells]
+    shape = tuple(len(c) for c in cells)
+    box = _box(field, lows, [c.max() for c in cells], math.prod(shape))
+    if box is None:  # axis coordinates too scattered for one box
+        mesh = np.stack([m.ravel() for m in np.meshgrid(*cells, indexing="ij")], axis=1)
+        return _values_at_cells(field, field.seed, mesh).reshape(shape)
+    return _values_on_box(field, *box)[np.ix_(*(c - a for c, a in zip(cells, lows)))]
+
+
+def _values_on_box(field: RandomField, lo, pad) -> np.ndarray:
+    """Field values on the box at `lo` of shape `pad`, less the window
+    radius on each side for a moving average.
+
+    Each cell of the box is hashed once.  For a moving average the window
+    sum of the box's lattice Gaussians takes the same operations in the same
+    order as `_values_at_cells`, so the values are bitwise equal.
+    """
+    dim = len(pad)
+    coords = [
+        np.arange(a, a + p).reshape([p if j == k else 1 for j in range(dim)])
+        for k, (a, p) in enumerate(zip(lo, pad))
+    ]
+    if field.mixing.kind == "iid_cells":
+        u = _uniform01(_cell_hash(field.seed, _SALT_IID, coords))
+    else:
+        g = ndtri(_uniform01(_cell_hash(field.seed, _SALT_GAUSS, coords)))
+        u = ndtr(_window_sum(g, field.mixing.q))
+    return field.scale * _icdf(field.marginal, u)
+
+
+@lru_cache(maxsize=64)
+def _window_slices(dim: int, q: float, inner: tuple[int, ...]) -> tuple[tuple[slice, ...], ...]:
+    """Per window offset (`_ma_window` order), the slice of a box padded by
+    the window radius that lines each inner cell up with its neighbour at
+    that offset."""
+    offsets, _ = _ma_window(dim, q)
     r = _MA_RADIUS
-    box = np.indices(pad).reshape(field.dim, -1).T + np.array(lo, dtype=np.int64)
-    g = ndtri(_uniform01(_cell_hash(field.seed, _SALT_GAUSS, box))).reshape(pad)
-    inner = [p - 2 * r for p in pad]
+    return tuple(tuple(slice(r + o, r + o + n) for o, n in zip(off, inner)) for off in offsets)
+
+
+def _window_sum(g: np.ndarray, q: float) -> np.ndarray:
+    """sum_k w_k g[x + offset_k] at every cell x of the box `g` at least the
+    window radius from its faces, accumulated in `_ma_window` order."""
+    _, weights = _ma_window(g.ndim, q)
+    inner = tuple(p - 2 * _MA_RADIUS for p in g.shape)
     acc = np.zeros(inner)
-    for off, w in zip(offsets, weights):
-        acc += w * g[tuple(slice(r + o, r + o + n) for o, n in zip(off, inner))]
-    values = field.scale * _icdf(field.marginal, ndtr(acc))
-    return values[tuple((cells - (np.array(lo) + r)).T)]
+    tmp = np.empty(inner)
+    for sl, w in zip(_window_slices(g.ndim, q, inner), weights):
+        np.multiply(g[sl], w, out=tmp)
+        acc += tmp
+    return acc
 
 
 def field_at(field: RandomField, x) -> float:
@@ -419,8 +489,8 @@ def _field_values_seeds(field: RandomField, seeds: np.ndarray, points: np.ndarra
     seeds = seeds.astype(np.uint64)
     shifts = np.empty((len(points), field.dim))
     for axis in range(field.dim):
-        cells = np.full((len(points), 1), axis, dtype=np.int64)
-        shifts[:, axis] = _uniform01(_cell_hash(seeds, _SALT_SHIFT, cells)) * field.cell_size
+        axis_ids = [np.full(len(points), axis)]
+        shifts[:, axis] = _uniform01(_cell_hash(seeds, _SALT_SHIFT, axis_ids)) * field.cell_size
     cells = np.floor((points + shifts) / field.cell_size).astype(np.int64)
     return _values_at_cells(field, seeds, cells)
 

@@ -258,12 +258,16 @@ def test_sweep_cells_carry_solver_telemetry(tmp_path):
     )
     assert len(timed_cells) == 4
     for t, z in zip(timed_cells, zeroed_cells):
-        assert set(t["telemetry"]) == {"iterations", "residual", "assembly_s", "solve_s"}
+        assert set(t["telemetry"]) == {
+            "iterations", "residual", "field_s", "assembly_s", "solve_s"
+        }
         assert t["telemetry"]["iterations"] > 0
         assert 0.0 <= t["telemetry"]["residual"] <= 1e-9
         assert t["telemetry"]["assembly_s"] > 0.0 and t["telemetry"]["solve_s"] > 0.0
         # --deterministic zeroes the times and keeps the counts
-        assert z["telemetry"] == dict(t["telemetry"], assembly_s=0.0, solve_s=0.0)
+        assert z["telemetry"] == dict(
+            t["telemetry"], field_s=0.0, assembly_s=0.0, solve_s=0.0
+        )
     # the metric rows of cells.csv stay as they were
     assert (timed / "cells.csv").read_bytes() == (zeroed / "cells.csv").read_bytes()
 

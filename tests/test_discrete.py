@@ -398,6 +398,37 @@ def test_non_finite_form_inputs_rejected(make):
         make()
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.125])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_fields_match_field_values_at_nodes_bitwise(dim, eps):
+    # fields are evaluated on the grid lattice; field_values at the nodes is the oracle
+    grid = discrete.Grid(dim=dim, length=2.0, n=64)
+    ma = env.moving_average(1.5)
+    nu1 = env.sample_field(dim, env.uniform(0.5, 1.5), ma, seed=1)
+    nu2 = env.sample_field(dim, env.lognormal(0.0, 0.5), seed=2)
+    lam = env.sample_field(dim, env.exp_abs_gauss(1.0), ma, cell_size=1.5, seed=3)
+    mu = env.sample_field(dim, env.lognormal(-0.5, 1.0), seed=4)
+    cone = kernel.full_space_cone(dim)
+    params = kernel.KernelParams(alpha=1.0, dim=dim)
+    nodes = grid.nodes() / eps
+
+    def at_nodes(field):
+        return env.field_values(field, nodes).reshape(grid.shape)
+
+    product = discrete.assemble_form(
+        grid, kernel.ProductForm(nu1=nu1, nu2=nu2), cone, params, eps
+    )
+    assert np.array_equal(product._a, np.stack([at_nodes(nu1), at_nodes(nu2)]))
+    assert np.array_equal(product._b, np.stack([at_nodes(nu2), at_nodes(nu1)]))
+    summation = discrete.assemble_form(
+        grid, kernel.SummationForm(lambda_field=lam), cone, params, eps
+    )
+    assert np.array_equal(summation._a[0], at_nodes(lam))
+    assert np.array_equal(summation._b[1], at_nodes(lam))
+    mw = discrete.measure_weights(grid, mu, eps)
+    assert np.array_equal(mw.m, env.field_values(mu, nodes) * grid.h**dim)
+
+
 def test_dimension_mismatch_rejected():
     grid = discrete.Grid(dim=2, length=4.0, n=8)
     with pytest.raises(ConfigurationError):

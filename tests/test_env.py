@@ -98,6 +98,18 @@ def test_non_finite_points_rejected(mixing, bad):
         env.field_values(field, [[bad, 0.0], [1.0, 1.0]])
 
 
+@pytest.mark.parametrize("mixing", [env.iid_cells(), env.moving_average(1.5)])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+def test_non_finite_lattice_coordinates_rejected(mixing, bad):
+    # the lattice entry refuses what field_values refuses, with the same message
+    field = env.sample_field(2, env.uniform(0.5, 1.5), mixing, seed=3)
+    with pytest.raises(ConfigurationError) as scattered:
+        env.field_values(field, [[bad, 0.0], [1.0, 1.0]])
+    with pytest.raises(ConfigurationError) as lattice:
+        env.field_on_lattice(field, [np.array([bad, 1.0]), np.array([0.0, 1.0])])
+    assert str(lattice.value) == str(scattered.value)
+
+
 # ---------------------------------------------------------------------------
 # field construction and evaluation
 
@@ -164,15 +176,57 @@ def test_moving_average_box_matches_window_loop_bitwise(
         dim, env.lognormal(0.1, 0.8), env.moving_average(1.5), cell_size=cell_size, seed=seed
     )
     box_calls = []
-    box_path = env._ma_values_on_box
+    box_path = env._values_on_box
     monkeypatch.setattr(
-        env, "_ma_values_on_box", lambda *a: box_calls.append(1) or box_path(*a)
+        env, "_values_on_box", lambda *a: box_calls.append(1) or box_path(*a)
     )
     vals = env.field_values(field, points)
     shift = np.array(env._global_shift(seed, dim, cell_size))
     cells = np.floor((points + shift) / cell_size).astype(np.int64)
     assert bool(box_calls) == box
     assert np.array_equal(vals, env._values_at_cells(field, seed, cells))
+
+
+_LATTICE_CASES = [  # (dim, cell_size, seed, n, eps, origin) of the grid cases above
+    (1, 1.0, 0, 512, 0.5, -2.0),
+    (1, 1.0, 9, 512, 0.125, -2.0),
+    (1, 0.7, 0, 64, 0.25, -90.0),
+    (2, 1.0, 9, 32, 0.5, -2.0),
+    (2, 1.0, 0, 32, 0.125, -2.0),
+    (2, 0.7, 9, 16, 0.25, -60.0),
+    (3, 1.0, 0, 6, 0.25, -2.0),
+]
+
+
+@pytest.mark.parametrize("mixing", [env.moving_average(1.5), env.iid_cells()], ids=["ma", "iid"])
+@pytest.mark.parametrize("dim, cell_size, seed, n, eps, origin", _LATTICE_CASES)
+def test_lattice_matches_per_cell_values_bitwise(dim, cell_size, seed, n, eps, origin, mixing):
+    # the per-cell evaluation at every meshgrid cell is the oracle
+    field = env.sample_field(
+        dim, env.lognormal(0.1, 0.8), mixing, cell_size=cell_size, seed=seed
+    )
+    axis = (origin + 4.0 * (np.arange(n) + 0.5) / n) / eps
+    vals = env.field_on_lattice(field, [axis] * dim)
+    shift = env._global_shift(seed, dim, cell_size)
+    cells = [np.floor((axis + s) / cell_size).astype(np.int64) for s in shift]
+    mesh = np.stack([m.ravel() for m in np.meshgrid(*cells, indexing="ij")], axis=1)
+    assert vals.shape == (n,) * dim
+    assert np.array_equal(vals.ravel(), env._values_at_cells(field, seed, mesh))
+
+
+def test_lattice_takes_axes_of_any_length():
+    # a non-square lattice, and one too scattered for a box, agree with
+    # field_values at the meshgrid points
+    field = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.0), seed=2)
+    for axes in ([np.arange(5) * 0.3, np.arange(3) * 0.7 - 4.0],
+                 [np.array([-5e3, 7e3]), np.array([0.0, 1e4, -1e4])]):
+        mesh = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        vals = env.field_on_lattice(field, axes)
+        assert vals.shape == tuple(len(a) for a in axes)
+        assert np.array_equal(vals.ravel(), env.field_values(field, pts))
+    with pytest.raises(ConfigurationError, match="lattice has 1 axes"):
+        env.field_on_lattice(field, [np.arange(3.0)])
 
 
 def test_iid_empirical_mean_within_three_se():

@@ -263,6 +263,23 @@ def test_mosco_validation():
         )
 
 
+def test_mosco_refuses_empty_eps_list():
+    grid = discrete.Grid(dim=1, length=8.0, n=64)
+    with pytest.raises(ConfigurationError, match="eps_list must be nonempty"):
+        H.mosco_form_check(
+            grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, [], seeds=2,
+            test_fns=discrete.test_function_suite(grid),
+        )
+
+
+def test_mosco_refuses_empty_test_functions():
+    grid = discrete.Grid(dim=1, length=8.0, n=64)
+    with pytest.raises(ConfigurationError, match="test_fns must be nonempty"):
+        H.mosco_form_check(
+            grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, (1.0, 0.5), seeds=2, test_fns=[],
+        )
+
+
 # ---------------------------------------------------------------------------
 # truncation tails
 
