@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 import time
@@ -469,21 +468,19 @@ def parse_config(text: str) -> ExperimentConfig:
 # experiment execution
 
 
+def _fields(report, *names, **keys) -> dict:
+    """The named fields of a library report in order, tuples as lists; `keys`
+    renames a field in the copy (eps_list="eps")."""
+    copied = {}
+    for name in names:
+        value = getattr(report, name)
+        copied[keys.get(name, name)] = list(value) if isinstance(value, tuple) else value
+    return copied
+
+
 def _quartile_table(report: H.ConvergenceReport) -> dict:
-    table = {}
-    for metric in H.METRICS:
-        q25, q75 = [], []
-        for eps in report.eps_list:
-            vals = [getattr(c, metric) for c in report.cells if c.eps == eps]
-            q25.append(float(np.percentile(vals, 25)) if vals else math.nan)
-            q75.append(float(np.percentile(vals, 75)) if vals else math.nan)
-        table[metric] = {
-            "eps": list(report.eps_list),
-            "median": list(report.medians[metric]),
-            "q25": q25,
-            "q75": q75,
-        }
-    return table
+    return {m: {"eps": list(report.eps_list), "median": list(report.medians[m]),
+                "q25": list(report.q25[m]), "q75": list(report.q75[m])} for m in H.METRICS}
 
 
 def _finite(values) -> bool:
@@ -499,10 +496,9 @@ def _sweep_results(report: H.ConvergenceReport) -> tuple[dict, list]:
     results = {
         "metrics": _quartile_table(report),
         "cells": [
-            {"eps": c.eps, "seed": c.seed_index, **{m: getattr(c, m) for m in H.METRICS},
-             "telemetry": {"iterations": c.iterations, "residual": c.residual,
-                           "field_s": c.field_s, "assembly_s": c.assembly_s,
-                           "solve_s": c.solve_s}}
+            {**_fields(c, "eps", "seed_index", *H.METRICS, seed_index="seed"),
+             "telemetry": _fields(c, "iterations", "residual", "field_s", "assembly_s",
+                                  "solve_s")}
             for c in report.cells
         ],
         "failures": [{"eps": e, "seed": s, "error": msg} for e, s, msg in report.failures],
@@ -539,8 +535,8 @@ def _run_estimate_experiment(config: ExperimentConfig) -> tuple[dict, list]:
         test_fns=[evaluate(grid, bump(grid, r)) for r in estimate["test_radii"]],
         master_seed=config.resolved["master_seed"],
     )
-    results = {"estimate": {"c_hat": est.c_hat, "iqr": est.iqr, "n_samples": len(est.samples),
-                            "samples": list(est.samples), "skipped_fns": list(est.skipped_fns)}}
+    results = {"estimate": {**_fields(est, "c_hat", "iqr"), "n_samples": len(est.samples),
+                            **_fields(est, "samples", "skipped_fns")}}
     return results, [_check("estimate_has_samples", len(est.samples) > 0,
                             f"{len(est.samples)} energy ratios")]
 
@@ -552,8 +548,11 @@ def _run_mosco_experiment(config: ExperimentConfig) -> tuple[dict, list]:
         resolved["eps_list"], resolved["seeds"], test_function_suite(config.grid),
         threshold=resolved["mosco"]["threshold"], master_seed=resolved["master_seed"],
     )
-    results = {"mosco": {"eps": list(report.eps_list), "median": list(report.medians),
-                         "iqr": list(report.iqrs), "threshold": report.threshold}}
+    results = {"mosco": {
+        **_fields(report, "eps_list", "medians", eps_list="eps", medians="median"),
+        "iqr": [q75 - q25 for q25, q75 in zip(report.q25, report.q75)],
+        **_fields(report, "q25", "q75", "threshold"),
+    }}
     # exact coefficients keep every median at the assembly floor; that is
     # convergence already achieved, not a stalled sequence
     at_floor = max(report.medians) <= 1e-10
@@ -592,125 +591,116 @@ def _run_example17(config: ExperimentConfig) -> tuple[dict, list]:
     return results, checks
 
 
+# Diagnostic runners: (config, its diagnostics section) -> (the block reported
+# under the kind's name, checks).
+
+
+def _run_nash(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
+    rep = nash_check(config.grid, config.cone, config.params, test_function_suite(config.grid))
+    return _fields(rep, "ratios", "max_ratio", "skipped"), [
+        _check("nash_ratios_finite", rep.passed, f"max ratio {rep.max_ratio:.6g}")]
+
+
+def _run_cone(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
+    rep = cone_comparability_check(config.grid, config.cone, config.params,
+                                   test_function_suite(config.grid))
+    return _fields(rep, "ratios", "max_ratio", "skipped", "violations"), [
+        _check("cone_comparability", rep.passed, f"max ratio {rep.max_ratio:.6g}")]
+
+
+def _run_translation(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
+    resolved, grid = config.resolved, config.grid
+    form = assemble_form(grid, config.form, config.cone, config.params, diag["eps"])
+    rhs = evaluate(grid, bump(grid, resolved.get("rhs_radius")))
+    sol = solve_resolvent(
+        ResolventProblem(form, measure_weights(grid, None), resolved["lambda"], rhs),
+        tol=resolved["tol"],
+    )
+    steps = [m * grid.h for m in diag["h_multiples"]]
+    rep = translation_estimate_check(form, sol.u, steps, diag["radius"])
+    target = config.params.alpha / 2.0 - 0.2
+    return _fields(rep, "h_steps", "max_ratio", "fitted_exponents", "min_exponent"), [
+        _check("translation_exponent", (not rep.violation) and rep.min_exponent >= target,
+               f"min exponent {rep.min_exponent:.4g} vs {target:.4g}")]
+
+
+def _run_tails(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
+    grid, alpha = config.grid, config.params.alpha
+    rep = H.truncation_tail_report(
+        grid, config.form, config.cone, config.params, diag["eps"],
+        evaluate(grid, bump(grid, config.resolved.get("rhs_radius"))), diag["eta_list"],
+    )
+    block = _fields(rep, "eta_list", "small_energies", "large_energies", "small_slope",
+                    "large_slope", eta_list="eta", small_energies="small",
+                    large_energies="large")
+    return block, [
+        _check("tails_decreasing", rep.small_decreasing and rep.large_decreasing,
+               "both truncation tails shrink as eta falls"),
+        _check("small_jump_exponent", rep.small_slope_ok,
+               f"slope {rep.small_slope:.4g} vs 2-alpha = {2 - alpha:.4g}"),
+        _check("large_jump_exponent", rep.large_slope_ok,
+               f"slope {rep.large_slope:.4g} vs alpha/2 = {alpha / 2:.4g}"),
+    ]
+
+
+def _run_moments(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
+    rep = H.moment_bound_report(config.grid, config.form, diag["eps_list"], diag["seeds"],
+                                diag["radius"], master_seed=config.resolved["master_seed"])
+    block = _fields(rep, "eps_list", "medians", "max_value", "growth_slope", "exponent_p",
+                    eps_list="eps", medians="median")
+    return block, [_check("moment_bound_no_growth", not rep.flagged,
+                          f"growth slope {rep.growth_slope:.4g}")]
+
+
+def _run_birkhoff(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
+    study = env.birkhoff_study(config.field, diag["eps"], diag["region"],
+                               n_seeds=diag["n_seeds"])
+    lo, hi = diag["region"]
+    target = study.exact_mean * float(np.prod(np.subtract(hi, lo)))
+    rel = abs(study.median_average - target) / abs(target)
+    return _fields(study, "eps", "exact_mean", "median_average", "median_abs_rel_error"), [
+        _check("birkhoff_within_5_percent", rel <= 0.05,
+               f"median {study.median_average:.6g} vs {target:.6g}")]
+
+
+def _run_maximal(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
+    rep = env.maximal_tail_check(config.field, tuple(diag["eps_grid"]), r0=diag["r0"],
+                                 n_seeds=diag["n_seeds"])
+    return _fields(rep, "eps_grid", "levels", "frequencies", "fitted_c"), [
+        _check("maximal_markov_scaling", rep.markov_bound_ok,
+               f"exceedance frequencies {[float(f'{v:.4g}') for v in rep.frequencies]}")]
+
+
+def _run_covariance(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
+    field = config.field
+    entry = env.empirical_covariance(field, diag["z1"], diag["z2"], diag["x"],
+                                     trials=diag["trials"], truncation=diag["truncation"])
+    if field.mixing.kind == "iid_cells" and entry.lag > field.cell_size:
+        passed = entry.estimate <= 3.0 * entry.standard_error
+        detail = f"|cov| {entry.estimate:.4g} vs 3 se {3 * entry.standard_error:.4g}"
+    else:
+        passed = True
+        detail = "no zero-covariance gate at this lag or mixing; value reported"
+    return _fields(entry, "lag", "estimate", "signed", "standard_error", "trials"), [
+        _check("covariance_decay", passed, detail)]
+
+
+_DIAGNOSTICS = {
+    "nash": _run_nash,
+    "cone": _run_cone,
+    "translation": _run_translation,
+    "tails": _run_tails,
+    "moments": _run_moments,
+    "birkhoff": _run_birkhoff,
+    "maximal": _run_maximal,
+    "covariance": _run_covariance,
+}
+
+
 def _run_diagnostics(config: ExperimentConfig) -> tuple[dict, list]:
-    resolved, grid, cone, params, field = (
-        config.resolved, config.grid, config.cone, config.params, config.field)
-    diag = resolved["diagnostics"]
-    kind = diag["kind"]
-    if kind == "nash":
-        rep = nash_check(grid, cone, params, test_function_suite(grid))
-        results = {"nash": {"ratios": list(rep.ratios), "max_ratio": rep.max_ratio,
-                            "skipped": list(rep.skipped)}}
-        checks = [_check("nash_ratios_finite", rep.passed, f"max ratio {rep.max_ratio:.6g}")]
-    elif kind == "cone":
-        rep = cone_comparability_check(grid, cone, params, test_function_suite(grid))
-        results = {"cone": {"ratios": list(rep.ratios), "max_ratio": rep.max_ratio,
-                            "skipped": list(rep.skipped),
-                            "violations": list(rep.violations)}}
-        checks = [_check("cone_comparability", rep.passed, f"max ratio {rep.max_ratio:.6g}")]
-    elif kind == "translation":
-        form = assemble_form(grid, config.form, cone, params, diag["eps"])
-        rhs = evaluate(grid, bump(grid, resolved.get("rhs_radius")))
-        sol = solve_resolvent(
-            ResolventProblem(form, measure_weights(grid, None), resolved["lambda"], rhs),
-            tol=resolved["tol"],
-        )
-        steps = [m * grid.h for m in diag["h_multiples"]]
-        rep = translation_estimate_check(form, sol.u, steps, diag["radius"])
-        results = {"translation": {
-            "h_steps": list(rep.h_steps),
-            "max_ratio": rep.max_ratio,
-            "fitted_exponents": list(rep.fitted_exponents),
-            "min_exponent": rep.min_exponent,
-        }}
-        target = params.alpha / 2.0 - 0.2
-        checks = [_check("translation_exponent",
-                         (not rep.violation) and rep.min_exponent >= target,
-                         f"min exponent {rep.min_exponent:.4g} vs {target:.4g}")]
-    elif kind == "tails":
-        rep = H.truncation_tail_report(
-            grid, config.form, cone, params, diag["eps"],
-            evaluate(grid, bump(grid, resolved.get("rhs_radius"))), diag["eta_list"],
-        )
-        results = {"tails": {
-            "eta": list(rep.eta_list),
-            "small": list(rep.small_energies),
-            "large": list(rep.large_energies),
-            "small_slope": rep.small_slope,
-            "large_slope": rep.large_slope,
-        }}
-        checks = [
-            _check("tails_decreasing", rep.small_decreasing and rep.large_decreasing,
-                   "both truncation tails shrink as eta falls"),
-            _check("small_jump_exponent", rep.small_slope_ok,
-                   f"slope {rep.small_slope:.4g} vs 2-alpha = {2 - params.alpha:.4g}"),
-            _check("large_jump_exponent", rep.large_slope_ok,
-                   f"slope {rep.large_slope:.4g} vs alpha/2 = {params.alpha / 2:.4g}"),
-        ]
-    elif kind == "moments":
-        rep = H.moment_bound_report(
-            grid, config.form, diag["eps_list"], diag["seeds"],
-            diag["radius"], master_seed=resolved["master_seed"],
-        )
-        results = {"moments": {
-            "eps": list(rep.eps_list),
-            "median": list(rep.medians),
-            "max_value": rep.max_value,
-            "growth_slope": rep.growth_slope,
-            "exponent_p": rep.exponent_p,
-        }}
-        checks = [_check("moment_bound_no_growth", not rep.flagged,
-                         f"growth slope {rep.growth_slope:.4g}")]
-    elif kind == "birkhoff":
-        study = env.birkhoff_study(
-            field, diag["eps"],
-            (np.array(diag["region"][0]), np.array(diag["region"][1])),
-            n_seeds=diag["n_seeds"],
-        )
-        results = {"birkhoff": {
-            "eps": study.eps,
-            "exact_mean": study.exact_mean,
-            "median_average": study.median_average,
-            "median_abs_rel_error": study.median_abs_rel_error,
-        }}
-        vol = float(np.prod(np.array(diag["region"][1]) - np.array(diag["region"][0])))
-        target = study.exact_mean * vol
-        rel = abs(study.median_average - target) / abs(target)
-        checks = [_check("birkhoff_within_5_percent", rel <= 0.05,
-                         f"median {study.median_average:.6g} vs {target:.6g}")]
-    elif kind == "maximal":
-        rep = env.maximal_tail_check(
-            field, tuple(diag["eps_grid"]), r0=diag["r0"], n_seeds=diag["n_seeds"]
-        )
-        results = {"maximal": {
-            "eps_grid": list(rep.eps_grid),
-            "levels": list(rep.levels),
-            "frequencies": list(rep.frequencies),
-            "fitted_c": rep.fitted_c,
-        }}
-        checks = [_check("maximal_markov_scaling", rep.markov_bound_ok,
-                         f"exceedance frequencies {[float(f'{v:.4g}') for v in rep.frequencies]}")]
-    else:  # covariance
-        entry = env.empirical_covariance(
-            field,
-            np.array(diag["z1"]), np.array(diag["z2"]), np.array(diag["x"]),
-            trials=diag["trials"], truncation=diag["truncation"],
-        )
-        results = {"covariance": {
-            "lag": entry.lag,
-            "estimate": entry.estimate,
-            "signed": entry.signed,
-            "standard_error": entry.standard_error,
-            "trials": entry.trials,
-        }}
-        if field.mixing.kind == "iid_cells" and entry.lag > field.cell_size:
-            passed = entry.estimate <= 3.0 * entry.standard_error
-            detail = f"|cov| {entry.estimate:.4g} vs 3 se {3 * entry.standard_error:.4g}"
-        else:
-            passed = True
-            detail = "no zero-covariance gate at this lag or mixing; value reported"
-        checks = [_check("covariance_decay", passed, detail)]
-    return results, checks
+    diag = config.resolved["diagnostics"]
+    block, checks = _DIAGNOSTICS[diag["kind"]](config, diag)
+    return {diag["kind"]: block}, checks
 
 
 _RUNNERS = {
@@ -778,13 +768,7 @@ def emit_plotdata(report: dict, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     metrics = dict(report["results"].get("sweep", {}).get("metrics", {}))
     if "mosco" in report["results"]:
-        m = report["results"]["mosco"]
-        metrics["form_abs_err"] = {
-            "eps": m["eps"],
-            "median": m["median"],
-            "q25": [med - iqr / 2 for med, iqr in zip(m["median"], m["iqr"])],
-            "q75": [med + iqr / 2 for med, iqr in zip(m["median"], m["iqr"])],
-        }
+        metrics["form_abs_err"] = report["results"]["mosco"]
     paths = []
     for name in sorted(metrics):
         path = os.path.join(out_dir, f"{name}.dat")

@@ -40,6 +40,7 @@ def check_count(name: str, value: int, least: int = 1) -> None:
 
 def check_ladder(name: str, values) -> None:
     """Ladders of scales and truncation levels fall strictly and stay positive."""
-    if not len(values) or any(b >= a for a, b in zip(values, values[1:])):
+    # `not b < a` also refuses a NaN anywhere in the ladder
+    if not len(values) or not all(b < a for a, b in zip(values, values[1:])):
         raise ConfigurationError(f"{name} must be nonempty and strictly decreasing")
     check_positive(f"the smallest entry of {name}", values[-1])

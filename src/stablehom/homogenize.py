@@ -97,10 +97,7 @@ class SweepConfig:
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.eps_list)
-        if len(eps) < 1 or not all(e > 0 for e in eps):
-            raise ConfigurationError("eps_list must contain positive values")
-        if any(b >= a for a, b in zip(eps, eps[1:])) and len(eps) > 1:
-            raise ConfigurationError("eps_list must be strictly decreasing")
+        check_ladder("eps_list", eps)
         object.__setattr__(self, "eps_list", eps)
         check_count("seeds", self.seeds)
         check_lambda(self.lam)
@@ -142,18 +139,21 @@ class ConvergenceReport:
     eps_list: tuple[float, ...]
     cells: tuple[SweepCell, ...]
     failures: tuple[tuple[float, int, str], ...]
+    # per metric, per eps: the quartiles of the metric over the eps's cells
     medians: dict[str, tuple[float, ...]]
-    iqrs: dict[str, tuple[float, ...]]
+    q25: dict[str, tuple[float, ...]]
+    q75: dict[str, tuple[float, ...]]
 
     def median(self, metric: str) -> tuple[float, ...]:
         return self.medians[metric]
 
 
-def _quartiles(values: list[float]) -> tuple[float, float]:
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(q25, median, q75) of a sample; NaN for an empty one."""
+    if not values:
+        return math.nan, math.nan, math.nan
     arr = np.asarray(values)
-    return float(np.median(arr)), float(
-        np.percentile(arr, 75) - np.percentile(arr, 25)
-    )
+    return float(np.percentile(arr, 25)), float(np.median(arr)), float(np.percentile(arr, 75))
 
 
 def _solve_limit(config: SweepConfig) -> tuple[SparseSymmetricForm, MeasureWeights, np.ndarray]:
@@ -231,23 +231,16 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
                 failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
     if not cells:
         raise NumericalError(f"every sweep cell failed; first: {failures[0][2]}")
-    medians = {m: [] for m in METRICS}
-    iqrs = {m: [] for m in METRICS}
-    for eps in config.eps_list:
-        eps_cells = [c for c in cells if c.eps == eps]
-        for m in METRICS:
-            if eps_cells:
-                med, iqr = _quartiles([getattr(c, m) for c in eps_cells])
-            else:
-                med, iqr = math.nan, math.nan
-            medians[m].append(med)
-            iqrs[m].append(iqr)
+    # quartiles[m][eps index] = (q25, median, q75)
+    quartiles = {m: [_quartiles([getattr(c, m) for c in cells if c.eps == eps])
+                     for eps in config.eps_list] for m in METRICS}
     return ConvergenceReport(
         eps_list=config.eps_list,
         cells=tuple(cells),
         failures=tuple(failures),
-        medians={m: tuple(v) for m, v in medians.items()},
-        iqrs={m: tuple(v) for m, v in iqrs.items()},
+        medians={m: tuple(q[1] for q in quartiles[m]) for m in METRICS},
+        q25={m: tuple(q[0] for q in quartiles[m]) for m in METRICS},
+        q75={m: tuple(q[2] for q in quartiles[m]) for m in METRICS},
     )
 
 
@@ -298,9 +291,9 @@ def estimate_effective_constant(
             if i in skipped:
                 continue
             samples.append(form_eps.energy(f, f) / ref_energy[i])
-    c_hat, iqr = _quartiles(samples)
+    q25, c_hat, q75 = _quartiles(samples)
     return EffectiveConstantEstimate(
-        c_hat=c_hat, iqr=iqr, samples=tuple(samples), skipped_fns=tuple(skipped)
+        c_hat=c_hat, iqr=q75 - q25, samples=tuple(samples), skipped_fns=tuple(skipped)
     )
 
 
@@ -308,7 +301,8 @@ def estimate_effective_constant(
 class MoscoReport:
     eps_list: tuple[float, ...]
     medians: tuple[float, ...]
-    iqrs: tuple[float, ...]
+    q25: tuple[float, ...]
+    q75: tuple[float, ...]
     threshold: float
     decreasing: bool
     final_below_threshold: bool
@@ -337,7 +331,7 @@ def mosco_form_check(
         raise ConfigurationError("test_fns must be nonempty")
     form_k = assemble_effective_form(grid, effective_kernel(form), cone, params)
     limits = [form_k.energy(f, f) for f in fns]
-    medians, iqrs = [], []
+    quartiles = []
     for ei, eps in enumerate(eps_list):
         errs = []
         for si in range(seeds):
@@ -345,16 +339,16 @@ def mosco_form_check(
             form_eps = assemble_form(grid, reseed_form(form, cell_seed), cone, params, eps)
             for f, lim in zip(fns, limits):
                 errs.append(abs(form_eps.energy(f, f) - lim))
-        med, iqr = _quartiles(errs)
-        medians.append(med)
-        iqrs.append(iqr)
+        quartiles.append(_quartiles(errs))
+    q25, medians, q75 = zip(*quartiles)
     thr = 0.1 * medians[0] if threshold is None else threshold
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     final_ok = medians[-1] <= thr
     return MoscoReport(
         eps_list=eps_list,
-        medians=tuple(medians),
-        iqrs=tuple(iqrs),
+        medians=medians,
+        q25=q25,
+        q75=q75,
         threshold=thr,
         decreasing=decreasing,
         final_below_threshold=final_ok,

@@ -16,7 +16,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .env import DistributionSpec, RandomField, field_mean, field_moment, mean_value, moment
+from .env import (
+    DistributionSpec, RandomField, field_at, field_mean, field_moment, mean_value, moment,
+)
 from .errors import ConfigurationError, DomainError, NumericalError, check_positive
 
 
@@ -185,8 +187,6 @@ def form_cell_size(form: CoefficientForm) -> float | None:
 
 def kappa(form: CoefficientForm, x, y, eps: float) -> float:
     """Coefficient kappa(x/eps, y/eps) of the scaled energy; symmetric in (x, y)."""
-    from .env import field_at  # local import keeps module load cheap
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:

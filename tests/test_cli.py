@@ -49,6 +49,7 @@ def write_config(tmp_path, cfg, name="config.json"):
 # `library-form-field-marginal`.  `covariance-full` asks for 100 trials, the fewest
 # `env.empirical_covariance` accepts (it asked for 50, which `run` refused).
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
+REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,8 @@ def test_checks_fail_on_nan_medians(monkeypatch):
     medians = (0.0, math.nan)
     report = cli.H.ConvergenceReport(
         eps_list=(1.0, 0.5), cells=(), failures=(),
-        medians={m: medians for m in cli.H.METRICS}, iqrs={m: (0.0, 0.0) for m in cli.H.METRICS},
+        medians={m: medians for m in cli.H.METRICS}, q25={m: (0.0, 0.0) for m in cli.H.METRICS},
+        q75={m: (0.0, 0.0) for m in cli.H.METRICS},
     )
     _, checks = cli._sweep_results(report)
     assert [c["passed"] for c in checks] == [True, False]
@@ -215,7 +217,7 @@ def test_checks_fail_on_nan_medians(monkeypatch):
     assert checks[-1]["name"] == "constant_form_environment_independence"
     assert not checks[-1]["passed"]
     mosco = cli.H.MoscoReport(
-        eps_list=(1.0, 0.5), medians=medians, iqrs=(0.0, 0.0), threshold=0.1,
+        eps_list=(1.0, 0.5), medians=medians, q25=(0.0, 0.0), q75=(0.0, 0.0), threshold=0.1,
         decreasing=False, final_below_threshold=False, passed=False,
     )
     monkeypatch.setattr(cli.H, "mosco_form_check", lambda *args, **kwargs: mosco)
@@ -420,6 +422,66 @@ def test_birkhoff_diagnostic_runs(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["experiment"] == "diagnostics"
     assert report["checks"][0]["name"] == "birkhoff_within_5_percent"
+
+
+def _assert_same(got, want, where="report"):
+    """Keys, key order, strings, ints, booleans and nulls exactly; floats to
+    rel 1e-9, abs 1e-12 (NaN matches NaN)."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), where
+        assert (math.isnan(got) and math.isnan(want)) or math.isclose(
+            got, want, rel_tol=1e-9, abs_tol=1e-12), f"{where}: {got!r} vs {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, f"{where}: {got!r} vs {want!r}"
+
+
+def _csv_rows(lines) -> list:
+    """cells.csv rows (eps, seed, metric, value) with typed fields."""
+    return [[float(eps), int(seed), metric, float(value)]
+            for eps, seed, metric, value in (line.split(",") for line in lines[1:])]
+
+
+# What `run --deterministic` gives for each accepted corpus config: report.json,
+# the rows of cells.csv, the printed check lines and the exit code.
+@pytest.mark.parametrize("entry", REPORTS, ids=[e["name"] for e in REPORTS])
+def test_corpus_reports_unchanged(entry, tmp_path, capsys):
+    config = next(e["config"] for e in CORPUS if e["name"] == entry["name"])
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(config)
+    out = tmp_path / "out"
+    code = cli.main(["run", str(cfg_path), "--out", str(out), "--deterministic"])
+    assert code == entry["exit_code"]
+    assert capsys.readouterr().out.splitlines() == entry["checks"] + [str(out / "report.json")]
+    _assert_same(json.loads((out / "report.json").read_text()), entry["report"])
+    lines = (out / "cells.csv").read_text().splitlines()
+    assert lines[0] == entry["cells_csv"][0]
+    _assert_same(_csv_rows(lines), _csv_rows(entry["cells_csv"]), "cells.csv")
+
+
+def test_mosco_plotdata_writes_the_report_quartiles(tmp_path):
+    # skewed form errors: median -/+ iqr/2 are no quartiles here (q25 < 0)
+    config = next(e["config"] for e in CORPUS if e["name"] == "mosco-full")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(config)
+    out, plots = tmp_path / "out", tmp_path / "plots"
+    cli.main(["run", str(cfg_path), "--out", str(out), "--deterministic"])
+    assert cli.main(["plotdata", str(out / "report.json"), "--out", str(plots)]) == 0
+    mosco = json.loads((out / "report.json").read_text())["results"]["mosco"]
+    rows = [[float(v) for v in line.split()]
+            for line in (plots / "form_abs_err.dat").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == mosco["eps"]
+    for i, (eps, median, q25, q75) in enumerate(rows):
+        assert 0.0 <= q25 <= median <= q75
+        assert [median, q25, q75] == [mosco["median"][i], mosco["q25"][i], mosco["q75"][i]]
+        assert math.isclose(q75 - q25, mosco["iqr"][i], rel_tol=1e-12)
 
 
 # A sweep or mosco run needs scipy.special only; integrate (Levy-exponent

@@ -64,8 +64,9 @@ def test_sweep_config_validation_and_defaults():
         H.SweepConfig(eps_list=(0.5, 1.0), seeds=2, **base)
     with pytest.raises(ConfigurationError):
         H.SweepConfig(eps_list=(1.0, -0.5), seeds=2, **base)
-    with pytest.raises(ConfigurationError):
-        H.SweepConfig(eps_list=(1.0, math.nan), seeds=2, **base)
+    for eps_list in ((1.0, math.nan), (1.0, math.nan, 0.5)):
+        with pytest.raises(ConfigurationError):
+            H.SweepConfig(eps_list=eps_list, seeds=2, **base)
     with pytest.raises(ConfigurationError):
         H.SweepConfig(eps_list=(1.0,), seeds=0, **base)
     for lam in (0.0, math.nan, math.inf):
@@ -105,7 +106,7 @@ def test_sweep_medians_decrease_for_random_environment():
     med = report.medians["err_l2_mu"]
     assert med[1] < med[0]
     assert report.median("err_l2_mu") == med
-    assert all(len(report.iqrs[m]) == 2 for m in H.METRICS)
+    assert all(len(report.q25[m]) == len(report.q75[m]) == 2 for m in H.METRICS)
 
 
 def test_sweep_with_measure_field():
