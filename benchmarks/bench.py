@@ -22,10 +22,11 @@ iterations summed over its cells.
 Cold start (`cold-cli-2d-sweep`), it spawns fresh `python -m stablehom.cli
 run` processes on a 2D sweep config (the benchmark's sweep-2d-measure study:
 n = 64, moving-average product form, lognormal(-1/2, 1) measure, eps 1/2 and
-1/4, one seed) and reports their median wall time, the children's peak RSS
-(`getrusage(RUSAGE_CHILDREN)`, the largest child), and the public top-level
-scipy modules (`scipy.special`, `scipy.integrate`, ...) in `sys.modules` at
-the exit of one more, untimed run.
+1/4, one seed) and reports their median wall time and minor page faults, the
+children's peak RSS (`getrusage(RUSAGE_CHILDREN)`, the largest child), and
+the scipy modules in
+`sys.modules` at the exit of one more, untimed run: `scipy` itself and the
+public subpackages (`scipy.special`, `scipy.integrate`, ...).
 
 Each run is stored in the output JSON under a label, next to the runs already
 there, so two checkouts measured on the same machine sit side by side.  The
@@ -150,35 +151,39 @@ COLD_CONFIG = {
 }
 
 
-# `python -m stablehom.cli` that lists the scipy modules it loaded on exit
+# `python -m stablehom.cli` that lists `scipy` and the public scipy
+# subpackages it loaded on exit
 _LIST_SCIPY = (
     "import atexit, runpy, sys\n"
-    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m.count('.') == 1\n"
-    "    and m.startswith('scipy.') and not m.startswith('scipy._'))))\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m == 'scipy' or\n"
+    "    m.count('.') == 1 and m.startswith('scipy.') and not m.startswith('scipy._'))))\n"
     "runpy.run_module('stablehom.cli', run_name='__main__', alter_sys=True)\n"
 )
 
 
 def run_cold_cli(src: str) -> dict:
-    """Fresh `stablehom run` processes: wall time, peak RSS, public scipy modules."""
+    """Fresh `stablehom run` processes: wall time, peak RSS, scipy modules."""
     child_env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w") as fh:
             json.dump(COLD_CONFIG, fh)
         cmd = [sys.executable, "-m", "stablehom.cli", "run", config, "--out", tmp]
-        times = []
+        times, faults = [], []
         for _ in range(COLD_RUNS):
+            f0 = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
             t0 = time.perf_counter()
             subprocess.run(cmd, env=child_env, check=True, stdout=subprocess.DEVNULL)
             times.append(time.perf_counter() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - f0)
         peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
         listed = subprocess.run([sys.executable, "-c", _LIST_SCIPY, *cmd[3:]], env=child_env,
                                 check=True, capture_output=True, text=True).stdout
     loaded = listed.splitlines()[-1].split()
     return {"runs": COLD_RUNS, "wall_s": statistics.median(times),
             "wall_s_min": min(times), "wall_s_max": max(times),
-            "peak_rss_mb": peak_mb, "scipy_modules": loaded}
+            "minor_faults": statistics.median(faults), "peak_rss_mb": peak_mb,
+            "scipy_modules": loaded}
 
 
 def source_commit(src: str) -> str:
@@ -238,8 +243,9 @@ def main() -> int:
         "1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
         "end (5 eps x 10 seeds) and the CG iterations summed over its cells.  "
         "cold-cli-2d-sweep: fresh `python -m stablehom.cli run` processes on a 2D "
-        "sweep (n = 64, 2 eps x 1 seed): median, min and max wall time (s), the "
-        "largest child's peak RSS (MB) and the public top-level scipy modules it imports."
+        "sweep (n = 64, 2 eps x 1 seed): median, min and max wall time (s), median "
+        "minor page faults per process, the largest child's peak RSS (MB), and "
+        "`scipy` and the public scipy subpackages it imports."
     )
     doc["runs"][args.label] = run
     with open(args.out, "w") as fh:

@@ -10,7 +10,7 @@ so the declared marginal holds exactly.
 Two entries evaluate a field.  `field_on_lattice` serves tensor lattices
 such as grid nodes: it forms cells per axis, hashes every cell of their
 bounding box (padded by the window radius for a moving average) once, forms
-window sums as shifted slice adds over the box, and gathers the lattice.
+window sums as shifted adds over the flattened box, and gathers the lattice.
 `field_values` serves scattered points; a moving-average batch uses the same
 box when it is small enough.  Widely scattered points and per-row seeds fall
 back to hashing every window cell of every point.  Non-finite parameters and
@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .errors import ConfigurationError, check_count, check_positive
 
@@ -99,6 +98,154 @@ def derive_seed(master: int, *tokens) -> int:
             tok = int.from_bytes(digest, "little")
         h = _mix_int(h ^ _mix_int(int(tok)))
     return h
+
+
+# ---------------------------------------------------------------------------
+# standard normal CDF and quantile
+#
+# Ports of Cephes' ndtr and ndtri (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989), the algorithms behind scipy.special, with the
+# same coefficients, branches and order of operations: values agree with
+# scipy's to a few ulp, the difference coming from numpy's exp and log.  Each
+# rational function is a run of in-place Horner steps over a whole array; a
+# tail branch runs only on the entries that take it.
+
+_EXP_M2 = 0.13533528323661269189  # exp(-2), where ndtri's tails begin
+_SQRT_2PI = 2.50662827463100050242
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # exp(-z*z) counts as 0 for z*z above this
+
+# ndtri, |y - 1/2| <= 1/2 - exp(-2): y + y * y2 P0(y2) / Q0(y2), y2 = y*y
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2, 2.00260212380060660359e2,
+             -8.20372256168333339912e1, 1.59056225126211695515e1, -1.18331621121330003142e0)
+# ndtri tails, t = sqrt(-2 log y): z P(z) / Q(z), z = 1/t, P1/Q1 for t < 8, P2/Q2 beyond
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1, 2.50464946208309415979e0,
+             -1.42182922854787788574e-1, -3.80806407691578277194e-2,
+             -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1, 1.34204006088543189037e-2,
+             3.28014464682127739104e-4, 2.89247864745380683936e-6, 6.79019408009981274425e-9)
+# erf(x) = x T(x*x) / U(x*x) for |x| < 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+# erfc(z) = exp(-z*z) P(z) / Q(z) for 1 <= z < 8, exp(-z*z) R(z) / S(z) beyond
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner(x: np.ndarray, coef) -> np.ndarray:
+    """coef[0] x^k + ... + coef[k], as Cephes' polevl (p1evl when coef[0] is 1)."""
+    out = x * coef[0]
+    out += coef[1]
+    for c in coef[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _rational(x: np.ndarray, num, den, factor: np.ndarray) -> np.ndarray:
+    """factor * num(x) / den(x), in Cephes' order of operations."""
+    out = _horner(x, num)
+    out *= factor
+    out /= _horner(x, den)
+    return out
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each entry: -inf at 0, inf at 1, NaN outside."""
+    y0 = np.asarray(y0, dtype=float)
+    inside = (y0 > 0.0) & (y0 < 1.0)
+    if not inside.all():
+        x = np.where(y0 == 0.0, -np.inf, np.where(y0 == 1.0, np.inf, np.nan))
+        x[inside] = _ndtri(y0[inside])
+        return x
+    shape, y0 = y0.shape, y0.ravel()
+    y = y0 - 0.5
+    y2 = y * y
+    x = _rational(y2, _NDTRI_P0, _NDTRI_Q0, y2)
+    x *= y
+    x += y
+    x *= _SQRT_2PI
+    tail = np.flatnonzero((y0 <= _EXP_M2) | (y0 > 1.0 - _EXP_M2))
+    if len(tail):
+        t = y0[tail]
+        t = np.sqrt(-2.0 * np.log(np.minimum(t, 1.0 - t)))  # the smaller tail mass
+        z = 1.0 / t
+        x1 = _rational(z, _NDTRI_P1, _NDTRI_Q1, z)
+        if t.max() >= 8.0:
+            far = t >= 8.0
+            x1[far] = _rational(z[far], _NDTRI_P2, _NDTRI_Q2, z[far])
+        x0 = t - np.log(t) / t
+        x0 -= x1
+        x[tail] = np.copysign(x0, y[tail])
+    return x.reshape(shape)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of each entry: 0.5 + 0.5 erf(a/sqrt 2) for |a| < 1,
+    else 0.5 erfc(|a|/sqrt 2), reflected for a > 0."""
+    shape = np.shape(a)
+    # Beyond |a| = 38, exp(-a*a/2) is below exp(-MAXLOG), so the clamp keeps
+    # every value and keeps infinities out of the polynomials.
+    x = np.minimum(np.maximum(a, -38.0), 38.0).ravel()
+    x *= _SQRT1_2
+    e = _rational(x * x, _ERF_T, _ERF_U, x)  # erf(x) where |x| < 1
+    y = 0.5 * e
+    y += 0.5
+    tail = np.flatnonzero(np.abs(x) >= _SQRT1_2)
+    if len(tail):
+        z = np.abs(x[tail])
+        zz = z * z
+        ex = np.exp(-zz)
+        c = _rational(z, _ERFC_P, _ERFC_Q, ex)  # erfc(z) where 1 <= z < 8
+        if z.max() >= 8.0:
+            far = z >= 8.0
+            c[far] = _rational(z[far], _ERFC_R, _ERFC_S, ex[far])
+            c[zz > _MAXLOG] = 0.0
+        c = np.where(z < 1.0, 1.0 - np.abs(e[tail]), c)
+        c *= 0.5
+        y[tail] = np.where(x[tail] > 0.0, 1.0 - c, c)
+    return y.reshape(shape)
+
+
+def _log_ndtr(a: float) -> float:
+    """log of the standard normal CDF at a scalar, on scipy's branches:
+    log1p(-Phi(-a)) above 0, log Phi(a) down to -20, and the asymptotic series
+    log(phi(a) / -a) + log(1 - 1/a^2 + 3/a^4 - ...) below.  The stdlib's erfc
+    keeps this within a few ulp of scipy's log_ndtr on (-20, 0], where
+    Cephes' ndtr, as 0.5 (1 - erf) just below a = -1, would not."""
+    if a > 0.0:
+        return math.log1p(-0.5 * math.erfc(a * _SQRT1_2))
+    if a > -20.0:
+        return math.log(0.5 * math.erfc(-a * _SQRT1_2))
+    inv_a2 = 1.0 / (a * a)
+    series, term, k = 1.0, 1.0, 0
+    while abs(term) > 2.0**-52:
+        k += 1
+        term *= -(2 * k - 1) * inv_a2
+        series += term
+    return -0.5 * a * a - math.log(-a) - 0.5 * math.log(2 * math.pi) + math.log(series)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +345,7 @@ def moment(spec: DistributionSpec, p: float) -> float:
     if spec.kind == "exp_abs_gauss":
         # E[exp(t|G|)] = 2 exp(t^2/2) Phi(t) with t = -p*s; log form avoids overflow.
         s = spec.params[0]
-        return math.exp(0.5 * (p * s) ** 2 + math.log(2.0) + log_ndtr(-p * s))
+        return math.exp(0.5 * (p * s) ** 2 + math.log(2.0) + _log_ndtr(-p * s))
     if spec.kind == "shifted_pareto":
         x_min, a = spec.params
         if p >= a:
@@ -220,11 +367,11 @@ def _icdf(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
         return a + (b - a) * u
     if spec.kind == "lognormal":
         m, s = spec.params
-        return np.exp(m + s * ndtri(u))
+        return np.exp(m + s * _ndtri(u))
     if spec.kind == "exp_abs_gauss":
         # V = exp(-s|G|) has cdf F(v) = 2 Phi(log(v)/s) on (0, 1].
         s = spec.params[0]
-        return np.exp(s * ndtri(0.5 * u))
+        return np.exp(s * _ndtri(0.5 * u))
     if spec.kind == "shifted_pareto":
         x_min, a = spec.params
         return x_min * (1.0 - u) ** (-1.0 / a)
@@ -359,9 +506,9 @@ def _values_at_cells(field: RandomField, seed, cells: np.ndarray) -> np.ndarray:
         offsets, weights = _ma_window(field.dim, field.mixing.q)
         acc = np.zeros(len(cells))
         for off, w in zip(offsets, weights):
-            g = ndtri(_uniform01(_cell_hash(seed, _SALT_GAUSS, (cells + off).T)))
+            g = _ndtri(_uniform01(_cell_hash(seed, _SALT_GAUSS, (cells + off).T)))
             acc += w * g
-        u = ndtr(acc)
+        u = _ndtr(acc)
     return field.scale * _icdf(field.marginal, u)
 
 
@@ -450,32 +597,49 @@ def _values_on_box(field: RandomField, lo, pad) -> np.ndarray:
     if field.mixing.kind == "iid_cells":
         u = _uniform01(_cell_hash(field.seed, _SALT_IID, coords))
     else:
-        g = ndtri(_uniform01(_cell_hash(field.seed, _SALT_GAUSS, coords)))
-        u = ndtr(_window_sum(g, field.mixing.q))
+        g = _ndtri(_uniform01(_cell_hash(field.seed, _SALT_GAUSS, coords)))
+        u = _ndtr(_window_sum(g, field.mixing.q))
     return field.scale * _icdf(field.marginal, u)
 
 
 @lru_cache(maxsize=64)
-def _window_slices(dim: int, q: float, inner: tuple[int, ...]) -> tuple[tuple[slice, ...], ...]:
-    """Per window offset (`_ma_window` order), the slice of a box padded by
-    the window radius that lines each inner cell up with its neighbour at
-    that offset."""
-    offsets, _ = _ma_window(dim, q)
-    r = _MA_RADIUS
-    return tuple(tuple(slice(r + o, r + o + n) for o, n in zip(off, inner)) for off in offsets)
+def _window_terms(dim: int, q: float, shape: tuple[int, ...]):
+    """How `_window_sum` walks a box of `shape` padded by the window radius.
+
+    In the flattened box the inner cells, with the padding cells between
+    their rows, form one run of `span` cells, starting at the first inner
+    cell; the neighbours at a window offset form the same run moved by a
+    fixed shift.  Returns the distinct window weights, the (weight index,
+    shift) of every offset in `_ma_window` order, `span`, and the shape and
+    slice that cut the inner cells out of a run padded to whole rows.
+    """
+    offsets, weights = _ma_window(dim, q)
+    distinct, index = np.unique(weights, return_inverse=True)
+    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
+    inner = tuple(p - 2 * _MA_RADIUS for p in shape)
+    span = int((np.array(inner) - 1) @ strides) + 1
+    shifts = (offsets + _MA_RADIUS) @ strides
+    rows = (inner[0],) + shape[1:]
+    keep = (slice(None),) + tuple(slice(0, n) for n in inner[1:])
+    return distinct, tuple(zip(index.tolist(), shifts.tolist())), span, rows, keep
 
 
 def _window_sum(g: np.ndarray, q: float) -> np.ndarray:
     """sum_k w_k g[x + offset_k] at every cell x of the box `g` at least the
-    window radius from its faces, accumulated in `_ma_window` order."""
-    _, weights = _ma_window(g.ndim, q)
-    inner = tuple(p - 2 * _MA_RADIUS for p in g.shape)
-    acc = np.zeros(inner)
-    tmp = np.empty(inner)
-    for sl, w in zip(_window_slices(g.ndim, q, inner), weights):
-        np.multiply(g[sl], w, out=tmp)
-        acc += tmp
-    return acc
+    window radius from its faces, accumulated in `_ma_window` order.
+
+    The box is scaled once per distinct weight, and each offset adds one
+    contiguous run of its scaled box: every cell takes the same products
+    and sums in the same order as a multiply-add per offset.
+    """
+    distinct, terms, span, rows, keep = _window_terms(g.ndim, q, g.shape)
+    flat = g.ravel()
+    scaled = [flat * w for w in distinct]
+    acc = np.zeros(rows)
+    run = acc.reshape(-1)[:span]
+    for k, shift in terms:
+        run += scaled[k][shift:shift + span]
+    return acc[keep]
 
 
 def field_at(field: RandomField, x) -> float:
@@ -567,6 +731,7 @@ def maximal_functional(field: RandomField, eps_grid, r0: float = 1.0) -> float:
 class BirkhoffStudy:
     eps: float
     exact_mean: float
+    target: float  # exact_mean times the region volume
     averages: tuple[float, ...]
     median_average: float
     median_abs_rel_error: float
@@ -592,6 +757,7 @@ def birkhoff_study(
     return BirkhoffStudy(
         eps=eps,
         exact_mean=exact,
+        target=target,
         averages=tuple(vals),
         median_average=float(np.median(vals)),
         median_abs_rel_error=float(np.median(rel)),

@@ -4,10 +4,69 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from stablehom import env
 from stablehom.errors import ConfigurationError
+
+
+# ---------------------------------------------------------------------------
+# the normal CDF and quantile ports against scipy.special
+
+
+def _ulps(a, b) -> np.ndarray:
+    """|a - b| in units in the last place of b; 0 where they are equal."""
+    a, b = np.asarray(a), np.asarray(b)
+    out = np.zeros(a.shape)
+    ne = a != b
+    out[ne] = np.abs(a[ne] - b[ne]) / np.spacing(np.abs(b[ne]))
+    return out
+
+
+def test_ndtri_within_four_ulp_of_scipy():
+    u = env._uniform01(env._cell_hash(7, env._SALT_GAUSS, [np.arange(10**6)]))
+    tails = np.logspace(-300, np.log10(0.2), 20_000)
+    for y in (u, tails, 1.0 - tails, 1.0 - 10.0 ** -np.linspace(0.5, 16, 2_000)):
+        assert _ulps(env._ndtri(y), special.ndtri(y)).max() <= 4
+    # n-d input keeps its shape and takes the same values
+    assert np.array_equal(env._ndtri(u.reshape(1000, 1000)).ravel(), env._ndtri(u))
+
+
+def test_ndtr_within_four_ulp_of_scipy():
+    a = np.random.default_rng(3).normal(0.0, 2.0, 10**6)
+    grid = np.linspace(-38.0, 38.0, 200_001)
+    for x in (a, grid):
+        assert _ulps(env._ndtr(x), special.ndtr(x)).max() <= 4
+    assert np.array_equal(env._ndtr(a.reshape(1000, 1000)).ravel(), env._ndtr(a))
+
+
+def test_ndtr_and_ndtri_edge_values():
+    y = np.array([0.0, 1.0, np.nan, -0.5, 1.5, -np.inf, np.inf, 0.5])
+    out = env._ndtri(y)
+    assert out[0] == -np.inf and out[1] == np.inf
+    assert np.isnan(out[2:7]).all()
+    assert out[7] == 0.0
+    a = np.array([np.inf, -np.inf, np.nan, 40.0, -40.0, 0.0])
+    assert np.array_equal(env._ndtr(a), [1.0, 0.0, np.nan, 1.0, 0.0, 0.5], equal_nan=True)
+    assert env._ndtri(np.array([])).shape == env._ndtr(np.array([])).shape == (0,)
+
+
+def test_log_ndtr_matches_scipy():
+    near = -np.linspace(0.0, 20.0, 20_001)[:-1]  # (-20, 0]
+    ours = np.array([env._log_ndtr(float(a)) for a in near])
+    assert _ulps(ours, special.log_ndtr(near)).max() <= 4
+    deep = np.linspace(-40.0, -20.0, 2_001)
+    ours = np.array([env._log_ndtr(float(a)) for a in deep])
+    assert np.allclose(ours, special.log_ndtr(deep), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("ps", [0.5, 5.0, 19.0, 25.0, -2.0])
+def test_exp_abs_gauss_moment_matches_scipy_formula(ps):
+    # E[exp(-p s |G|)] = 2 exp((p s)^2 / 2) Phi(-p s); the exponent near
+    # (p s)^2 / 2 turns log_ndtr's last-place differences into ~1e-13.
+    s = 1.25
+    expected = math.exp(0.5 * ps**2 + math.log(2.0) + special.log_ndtr(-ps))
+    assert math.isclose(env.moment(env.exp_abs_gauss(s), ps / s), expected, rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +409,10 @@ def test_birkhoff_empty_region_rejected():
 def test_birkhoff_study_median_tracks_mean():
     field = env.sample_field(1, env.lognormal(-0.125, 0.5), seed=4)
     study = env.birkhoff_study(field, 1 / 64, ([0.0], [1.0]), n_seeds=20)
+    assert study.target == study.exact_mean
     assert abs(study.median_average - study.exact_mean) / study.exact_mean <= 0.05
+    half = env.birkhoff_study(field, 1 / 64, ([0.0], [0.5]), n_seeds=2)
+    assert half.target == 0.5 * half.exact_mean
     assert study.median_abs_rel_error <= 0.05
 
 
