@@ -346,6 +346,20 @@ _DIAGNOSTIC_KEYS = {
                    "truncation": (_number, 1e3)},
 }
 
+# the farthest points, in field units, at which a field diagnostic evaluates its field
+_REACH = {
+    "birkhoff": lambda diag: np.divide(diag["region"], diag["eps"]),
+    "maximal": lambda diag: diag["r0"] / min(diag["eps_grid"]),
+    "covariance": lambda diag: [diag["z1"], diag["x"], np.add(diag["x"], diag["z2"])],
+}
+
+
+def _far_points(diag, out) -> None:
+    """Refuse, with run's message, points whose field cells env cannot index."""
+    if diag["kind"] in _REACH:
+        with np.errstate(over="ignore"):  # a point that overflows to inf is refused
+            env.check_points(out.built["config.field"], _REACH[diag["kind"]](diag))
+
 _GRIDDED = "sweep estimate_constant mosco example17 nash cone translation tails moments"
 _JUMPS = "sweep estimate_constant mosco example17 nash cone translation tails"
 _FORMS = "sweep estimate_constant mosco translation tails moments"
@@ -372,7 +386,8 @@ _CONFIG = {
     "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),
     "mosco": (_object({"threshold": (_number, None)}), {}, "mosco"),
     "example17": (_EXAMPLE17, _REQUIRED, "example17"),
-    "diagnostics": (_object({}, _DIAGNOSTIC_KEYS), _REQUIRED, " ".join(_DIAGNOSTIC_KEYS)),
+    "diagnostics": (_rule(_object({}, _DIAGNOSTIC_KEYS), _far_points), _REQUIRED,
+                    " ".join(_DIAGNOSTIC_KEYS)),
 }
 
 

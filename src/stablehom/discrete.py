@@ -3,13 +3,15 @@
 The torus [-L/2, L/2)^d with n points per axis stands in for R^d.  Jumps are
 restricted to displacements z with h <= |z| <= L/4 inside the cone; every
 node shares one displacement stencil, and the singular kernel |z|^(-d-alpha)
-is integrated exactly (d = 1) or by tensor Gauss-Legendre quadrature (d >= 2)
+is integrated exactly (d = 1) or by tensor Gauss-Legendre quadrature (d = 2)
 over the near-field cells, midpoint beyond.  Jumps shorter than half a
 spacing land in the node's own cell; their second moment is folded onto the
 nearest-neighbor weights (see _subcell_axis_mass), which restores first-order
 self-convergence for alpha close to 2.  Cell integrals are computed on the
 unit-spacing lattice and rescaled by h^(d-alpha), which makes the scaling
-identity between dilated grids exact rather than approximate.
+identity between dilated grids exact rather than approximate.  Jump forms
+exist in d = 1, 2 only, the dims KernelParams admits; grids, measure weights
+and the test functions take any d.
 
 Every coefficient family is node fields times one stencil kernel K; the
 reach n/4 < n/2 makes K an exact circulant on the torus, so the generator and
@@ -122,64 +124,42 @@ def _unit_cell_integral(s: np.ndarray, dim: int, alpha: float) -> float:
 @lru_cache(maxsize=None)
 def _subcell_axis_mass(dim: int, alpha: float, cone: ConeSpec) -> tuple[float, ...]:
     """Second moments c_k = integral over the central unit cell (inside the
-    cone) of u_k^2 |u|^(-dim-alpha) du.
+    cone) of u_k^2 |u|^(-dim-alpha) du, in the dims 1, 2 KernelParams admits.
 
     Jumps shorter than half a spacing fall inside the node's own cell and
     would otherwise be discarded; matching their second moment onto the
     nearest-neighbor differences restores first-order self-convergence.
-    Computed radially: the cube boundary sits at R(theta) = 1/(2 max|theta_j|).
-    In d = 2 the angular integrand is analytic between its kinks at multiples
-    of pi/4 (and the cone's edges), so 32-point Gauss-Legendre on each piece
-    matches adaptive quadrature to rounding.
+    Exact in d = 1; in d = 2 computed radially, the square's boundary at
+    R(theta) = 1/(2 max|theta_j|).  The angular integrand is analytic between
+    its kinks at multiples of pi/4 (and the cone's edges), so 32-point
+    Gauss-Legendre on each piece matches adaptive quadrature to rounding.
     """
     if dim == 1:
         return (2.0 * 0.5 ** (2.0 - alpha) / (2.0 - alpha),)
-    if dim == 2:
-        t0 = math.atan2(cone.axis[1], cone.axis[0])
-        half = math.acos(cone.aperture)
-        arcs = (
-            [(0.0, 2.0 * math.pi)]
-            if cone.full_space
-            else [(t0 - half, t0 + half), (t0 + math.pi - half, t0 + math.pi + half)]
-        )
-        x, w = _gl_nodes(32)
-        nodes, weights = [], []
-        for lo, hi in arcs:
-            kinks = [
-                j * math.pi / 4
-                for j in range(math.floor(lo / (math.pi / 4)) - 1, math.ceil(hi / (math.pi / 4)) + 2)
-                if lo < j * math.pi / 4 < hi
-            ]
-            edges = np.array([lo, *kinks, hi])
-            width = np.diff(edges)[:, None]
-            nodes.append((0.5 * (edges[:-1] + edges[1:])[:, None] + width * x).ravel())
-            weights.append((width * w).ravel())
-        t, wt = np.concatenate(nodes), np.concatenate(weights)
-        cos, sin = np.cos(t), np.sin(t)
-        r_cube = 0.5 / np.maximum(np.abs(cos), np.abs(sin))
-        return tuple(float((wt * (theta**2 * r_cube ** (2.0 - alpha) / (2.0 - alpha))).sum())
-                     for theta in (cos, sin))
-    if dim == 3:
-        # Product midpoint rule; the integrand is bounded, only the cone
-        # indicator is discontinuous, and this term is a small correction.
-        nt, nf = 512, 1024
-        t = (np.arange(nt) + 0.5) * math.pi / nt
-        f = (np.arange(nf) + 0.5) * 2.0 * math.pi / nf
-        tt, ff = np.meshgrid(t, f, indexing="ij")
-        theta = np.stack(
-            [np.sin(tt) * np.cos(ff), np.sin(tt) * np.sin(ff), np.cos(tt)], axis=-1
-        )
-        axis = np.asarray(cone.axis)
-        inside = (
-            np.ones(tt.shape, dtype=bool)
-            if cone.full_space
-            else np.abs(theta @ axis) >= cone.aperture
-        )
-        r_cube = 0.5 / np.abs(theta).max(axis=-1)
-        base = inside * r_cube ** (2.0 - alpha) / (2.0 - alpha) * np.sin(tt)
-        da = (math.pi / nt) * (2.0 * math.pi / nf)
-        return tuple(float((theta[..., k] ** 2 * base).sum() * da) for k in range(3))
-    return (0.0,) * dim  # no sub-cell correction beyond three dimensions
+    t0 = math.atan2(cone.axis[1], cone.axis[0])
+    half = math.acos(cone.aperture)
+    arcs = (
+        [(0.0, 2.0 * math.pi)]
+        if cone.full_space
+        else [(t0 - half, t0 + half), (t0 + math.pi - half, t0 + math.pi + half)]
+    )
+    x, w = _gl_nodes(32)
+    nodes, weights = [], []
+    for lo, hi in arcs:
+        kinks = [
+            j * math.pi / 4
+            for j in range(math.floor(lo / (math.pi / 4)) - 1, math.ceil(hi / (math.pi / 4)) + 2)
+            if lo < j * math.pi / 4 < hi
+        ]
+        edges = np.array([lo, *kinks, hi])
+        width = np.diff(edges)[:, None]
+        nodes.append((0.5 * (edges[:-1] + edges[1:])[:, None] + width * x).ravel())
+        weights.append((width * w).ravel())
+    t, wt = np.concatenate(nodes), np.concatenate(weights)
+    cos, sin = np.cos(t), np.sin(t)
+    r_cube = 0.5 / np.maximum(np.abs(cos), np.abs(sin))
+    return tuple(float((wt * (theta**2 * r_cube ** (2.0 - alpha) / (2.0 - alpha))).sum())
+                 for theta in (cos, sin))
 
 
 @lru_cache(maxsize=None)
@@ -218,7 +198,7 @@ def _stencil_geometry(
         unit[k_axis] = 1
         pos = index.get(tuple(unit))
         neg = index.get(tuple(-unit))
-        if pos is not None and neg is not None and mass[k_axis] > 0.0:
+        if pos is not None and neg is not None:
             q[pos] += 0.5 * mass[k_axis]
             q[neg] += 0.5 * mass[k_axis]
     return disp, q
@@ -251,14 +231,12 @@ class SparseSymmetricForm:
         self,
         grid: Grid,
         params: KernelParams,
-        cone: ConeSpec,
         stencil: np.ndarray,
         stencil_kernel: np.ndarray,
         pairs: list[tuple[np.ndarray, np.ndarray]],
     ):
         self.grid = grid
         self.params = params
-        self.cone = cone
         self.stencil = stencil
         self.stencil_kernel = stencil_kernel
         self._a = np.stack([a for a, _ in pairs])
@@ -408,7 +386,7 @@ def _build(grid, params, cone, pairs, c=1.0, angular=None) -> SparseSymmetricFor
             raise DomainError(
                 f"negative coefficient field: min value {min(a.min(), b.min()):g}"
             )
-    return SparseSymmetricForm(grid, params, cone, stencil, stencil_kernel, pairs)
+    return SparseSymmetricForm(grid, params, stencil, stencil_kernel, pairs)
 
 
 def node_field_pairs(
@@ -492,9 +470,6 @@ class MeasureWeights:
 
     def norm_sq(self, f: np.ndarray) -> float:
         return float((self.m * np.asarray(f, dtype=float) ** 2).sum())
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        return float((self.m * np.asarray(f, float) * np.asarray(g, float)).sum())
 
 
 def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1.0) -> MeasureWeights:

@@ -464,11 +464,15 @@ def field_moment(field: RandomField, p: float) -> float:
     return math.inf if math.isinf(m) else field.scale**p * m
 
 
+def _shifts(seed, dim: int, cell_size: float) -> np.ndarray:
+    """Lattice offsets in [0, cell_size), one independent uniform per axis: shape
+    (dim,) for a scalar seed, (m, dim) for a uint64 column of m per-row seeds."""
+    return _uniform01(_cell_hash(seed, _SALT_SHIFT, [np.arange(dim)])) * cell_size
+
+
 @lru_cache(maxsize=512)
 def _global_shift(seed: int, dim: int, cell_size: float) -> tuple[float, ...]:
-    # One independent uniform offset per axis keeps the lattice stationary.
-    u = _uniform01(_cell_hash(seed, _SALT_SHIFT, [np.arange(dim)]))
-    return tuple(float(v) * cell_size for v in u)
+    return tuple(_shifts(seed, dim, cell_size).tolist())
 
 
 @lru_cache(maxsize=64)
@@ -520,6 +524,12 @@ def _cells_of(field: RandomField, coords: np.ndarray, shift) -> np.ndarray:
     if not np.all(np.abs(scaled) < 2.0**62):
         raise ConfigurationError("points must be finite, with cell indices below 2^62")
     return scaled.astype(np.int64)
+
+
+def check_points(field: RandomField, points) -> None:
+    """Refuse points whose cells the field's evaluation refuses under some seed."""
+    for shift in (0.0, field.cell_size):  # cells grow with the shift, in [0, cell_size)
+        _cells_of(field, np.asarray(points, dtype=float), shift)
 
 
 def _box(field: RandomField, lows, highs, queries: int):
@@ -649,13 +659,8 @@ def field_at(field: RandomField, x) -> float:
 
 
 def _field_values_seeds(field: RandomField, seeds: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate with a per-row seed array (independent realizations in one call)."""
-    seeds = seeds.astype(np.uint64)
-    shifts = np.empty((len(points), field.dim))
-    for axis in range(field.dim):
-        axis_ids = [np.full(len(points), axis)]
-        shifts[:, axis] = _uniform01(_cell_hash(seeds, _SALT_SHIFT, axis_ids)) * field.cell_size
-    cells = np.floor((points + shifts) / field.cell_size).astype(np.int64)
+    """Evaluate with a per-row uint64 seed array (independent realizations in one call)."""
+    cells = _cells_of(field, points, _shifts(seeds[:, None], field.dim, field.cell_size))
     return _values_at_cells(field, seeds, cells)
 
 
@@ -779,13 +784,12 @@ def maximal_tail_check(
     eps_grid=(0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625),
     r0: float = 1.0,
     n_seeds: int = 200,
-    level_multipliers=(2.0, 8.0),
 ) -> MaximalReport:
     """Weak-type tail check for the maximal functional.
 
-    Fits C from the exceedance frequency at the first level lambda = m0 *
-    r0^d * E[F] (Markov form C = lambda * freq), then requires the later
-    levels to satisfy freq <= C / lambda.
+    Fits C from the exceedance frequency at the level lambda = 2 r0^d E[F]
+    (Markov form C = lambda * freq), then requires freq <= C / lambda at
+    lambda = 8 r0^d E[F].
     """
     check_count("n_seeds", n_seeds)
     exact = field_mean(field)
@@ -797,7 +801,7 @@ def maximal_tail_check(
         sups.append(maximal_functional(f_i, eps_grid, r0))
     sups_arr = np.array(sups)
     vol = r0**field.dim
-    levels = tuple(m * vol * exact for m in level_multipliers)
+    levels = tuple(m * vol * exact for m in (2.0, 8.0))
     freqs = tuple(float((sups_arr > lvl).mean()) for lvl in levels)
     fitted_c = levels[0] * freqs[0]
     ok = all(freqs[k] <= fitted_c / levels[k] for k in range(1, len(levels)))

@@ -63,8 +63,9 @@ class KernelParams:
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
             raise ConfigurationError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.dim < 1:
-            raise ConfigurationError(f"dim must be >= 1, got {self.dim}")
+        # the sub-cell fold and the Levy exponent are verified in d = 1, 2 only
+        if self.dim not in (1, 2):
+            raise ConfigurationError(f"jump forms need dim 1 or 2, got {self.dim}")
 
 
 def in_cone(cone: ConeSpec, z) -> bool | np.ndarray:
@@ -315,95 +316,53 @@ def _angular_integral(kernel, cone: ConeSpec, params: KernelParams, xi_hat: np.n
     """int over cone directions of K(theta) |<xi_hat, theta>|^alpha (surface measure)."""
     from scipy import integrate  # local import, as in _radial_constant
     alpha = params.alpha
-    d = params.dim
-
-    def k_of(units: np.ndarray) -> np.ndarray:
-        return kernel_values(kernel, units)
-
-    if d == 1:
+    if params.dim == 1:
         total = 0.0
         for s in (1.0, -1.0):
             theta = np.array([[s]])
-            total += float(k_of(theta)[0]) * abs(xi_hat[0] * s) ** alpha
+            total += float(kernel_values(kernel, theta)[0]) * abs(xi_hat[0] * s) ** alpha
         return total
 
-    if d == 2:
-        t0 = math.atan2(cone.axis[1], cone.axis[0])
-        t_xi = math.atan2(xi_hat[1], xi_hat[0])
+    t0 = math.atan2(cone.axis[1], cone.axis[0])
+    t_xi = math.atan2(xi_hat[1], xi_hat[0])
 
-        def integrand(t: float) -> float:
-            theta = np.array([[math.cos(t), math.sin(t)]])
-            return float(k_of(theta)[0]) * abs(math.cos(t - t_xi)) ** alpha
+    def integrand(t: float) -> float:
+        theta = np.array([[math.cos(t), math.sin(t)]])
+        return float(kernel_values(kernel, theta)[0]) * abs(math.cos(t - t_xi)) ** alpha
 
-        if cone.full_space or cone.aperture == 0.0:
-            arcs = [(0.0, 2.0 * math.pi)]
-        else:
-            half = math.acos(cone.aperture)
-            arcs = [(t0 - half, t0 + half), (t0 + math.pi - half, t0 + math.pi + half)]
-        total = 0.0
-        err_total = 0.0
-        for lo, hi in arcs:
-            # |cos| kinks where the argument crosses pi/2 + k*pi.
-            kinks = []
-            k0 = math.ceil((lo - t_xi - math.pi / 2) / math.pi)
-            while t_xi + math.pi / 2 + k0 * math.pi < hi:
-                t = t_xi + math.pi / 2 + k0 * math.pi
-                if lo < t < hi:
-                    kinks.append(t)
-                k0 += 1
-            val, err = integrate.quad(
-                integrand, lo, hi, points=kinks or None, limit=200, epsabs=0.0, epsrel=1e-9
-            )
-            total += val
-            err_total += err
-        if total > 0 and err_total > 1e-6 * total:
-            raise NumericalError(f"angular quadrature error {err_total} exceeds tolerance")
-        return total
-
-    if d == 3:
-        # Polar caps |cos(u)| >= aperture around the axis; rotate so the axis
-        # is the pole and track xi_hat in that frame.
-        axis = np.asarray(cone.axis)
-        e = np.zeros(3)
-        e[int(np.argmin(np.abs(axis)))] = 1.0
-        b1 = np.cross(axis, e)
-        b1 /= np.linalg.norm(b1)
-        b2 = np.cross(axis, b1)
-        xi_local = np.array([xi_hat @ b1, xi_hat @ b2, xi_hat @ axis])
-
-        def integrand(v: float, u: float) -> float:
-            theta = np.array(
-                [math.sin(u) * math.cos(v), math.sin(u) * math.sin(v), math.cos(u)]
-            )
-            world = theta[0] * b1 + theta[1] * b2 + theta[2] * axis
-            return (
-                float(kernel_values(kernel, world[None, :])[0])
-                * abs(theta @ xi_local) ** alpha
-                * math.sin(u)
-            )
-
-        u_max = math.pi if cone.full_space or cone.aperture == 0.0 else math.acos(cone.aperture)
-        caps = [(0.0, u_max)] if u_max == math.pi else [(0.0, u_max), (math.pi - u_max, math.pi)]
-        total = 0.0
-        err_total = 0.0
-        for lo, hi in caps:
-            val, err = integrate.dblquad(
-                integrand, lo, hi, 0.0, 2.0 * math.pi, epsabs=1e-12, epsrel=1e-8
-            )
-            total += val
-            err_total += err
-        if total > 0 and err_total > 1e-6 * total:
-            raise NumericalError(f"angular quadrature error {err_total} exceeds tolerance")
-        return total
-
-    raise ConfigurationError(f"levy_exponent supports dim <= 3, got {d}")
+    if cone.full_space or cone.aperture == 0.0:
+        arcs = [(0.0, 2.0 * math.pi)]
+    else:
+        half = math.acos(cone.aperture)
+        arcs = [(t0 - half, t0 + half), (t0 + math.pi - half, t0 + math.pi + half)]
+    total = 0.0
+    err_total = 0.0
+    for lo, hi in arcs:
+        # |cos| kinks where the argument crosses pi/2 + k*pi.
+        kinks = []
+        k0 = math.ceil((lo - t_xi - math.pi / 2) / math.pi)
+        while t_xi + math.pi / 2 + k0 * math.pi < hi:
+            t = t_xi + math.pi / 2 + k0 * math.pi
+            if lo < t < hi:
+                kinks.append(t)
+            k0 += 1
+        val, err = integrate.quad(
+            integrand, lo, hi, points=kinks or None, limit=200, epsabs=0.0, epsrel=1e-9
+        )
+        total += val
+        err_total += err
+    if total > 0 and err_total > 1e-6 * total:
+        raise NumericalError(f"angular quadrature error {err_total} exceeds tolerance")
+    return total
 
 
 def levy_exponent(kernel: EffectiveKernel, cone: ConeSpec, params: KernelParams, xi) -> float:
     """phi(xi) = int_cone (1 - cos<xi,z>) K(z) / |z|^(d+alpha) dz.
 
     Factorized as |xi|^alpha * (radial constant) * (angular integral); exactly
-    alpha-homogeneous by construction.
+    alpha-homogeneous by construction.  The angular integral is a two-term
+    sum in d = 1 and a quadrature over the circle in d = 2, the dims
+    KernelParams admits.
     """
     xi = np.asarray(xi, dtype=float).reshape(params.dim)
     norm = float(np.sqrt((xi**2).sum()))

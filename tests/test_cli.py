@@ -48,6 +48,11 @@ def write_config(tmp_path, cfg, name="config.json"):
 # angular weight) is prefixed with its section's path, as in
 # `library-form-field-marginal`.  `covariance-full` asks for 100 trials, the fewest
 # `env.empirical_covariance` accepts (it asked for 50, which `run` refused).
+# The `gate-*` rejections pin KernelParams' refusal of jump forms beyond d = 2,
+# which used to run a 3D sweep on an unverified sub-cell correction and a 4D
+# one on none.  The `far-*` rejections are coordinates whose cells env cannot
+# index: `validate` used to accept them, and `run` refused the birkhoff and
+# maximal ones with this message but ran the covariance one with lag inf.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
@@ -422,6 +427,32 @@ def test_birkhoff_diagnostic_runs(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["experiment"] == "diagnostics"
     assert report["checks"][0]["name"] == "birkhoff_within_5_percent"
+
+
+def test_field_diagnostics_run_in_3d(tmp_path, capsys):
+    # KernelParams refuses jump forms beyond d = 2, at validate and at run alike;
+    # the diagnostics with no jump kernel still run in 3D
+    cfg_path = write_config(tmp_path, sweep_config(grid={"dim": 3, "length": 8.0, "n": 8}))
+    assert cli.main(["validate", cfg_path]) == 2
+    refused = capsys.readouterr().err
+    assert refused == "config error: jump forms need dim 1 or 2, got 3\n"
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "sweep")]) == 2
+    assert capsys.readouterr().err == refused
+    field = {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5}}
+    configs = {
+        "birkhoff": {"diagnostics": {"kind": "birkhoff", "eps": 0.25, "n_seeds": 5},
+                     "field": {**field, "dim": 3}},
+        "moments": {"diagnostics": {"kind": "moments", "eps_list": [1.0, 0.5], "seeds": 2},
+                    "grid": {"dim": 3, "length": 8.0, "n": 8},
+                    "form": {"kind": "summation", "field": field}},
+    }
+    for name, cfg in configs.items():
+        cfg_path = write_config(tmp_path, {"schema_version": 1, "experiment": "diagnostics", **cfg},
+                                f"{name}.json")
+        assert cli.main(["validate", cfg_path]) == 0
+        out = tmp_path / name
+        assert cli.main(["run", cfg_path, "--out", str(out), "--deterministic"]) in (0, 1)
+        assert (out / "report.json").exists()
 
 
 def _assert_same(got, want, where="report"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -470,6 +471,26 @@ def test_covariance_trials_floor():
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
     with pytest.raises(ConfigurationError):
         env.empirical_covariance(field, [0.25], [0.25], [3.0], trials=50)
+
+
+@pytest.mark.parametrize("lag", [math.nan, 1e300])
+def test_covariance_lag_points_checked(lag):
+    # the per-seed evaluation forms its cells through the same check as field_values
+    field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
+    with pytest.raises(ConfigurationError, match="finite, with cell indices below 2"):
+        env.empirical_covariance(field, [0.25], [0.25], [lag], trials=100)
+
+
+@pytest.mark.parametrize("mixing", [env.iid_cells(), env.moving_average(1.5)])
+def test_per_seed_values_match_field_values(mixing):
+    # one shift rule: row k of a per-seed call is field_values of the field reseeded
+    field = env.sample_field(2, env.uniform(0.5, 1.5), mixing, cell_size=0.5, seed=3)
+    seeds = np.array([env.derive_seed(3, "row", k) for k in range(6)], dtype=np.uint64)
+    points = np.random.default_rng(0).uniform(-20.0, 20.0, size=(6, 2))
+    got = env._field_values_seeds(field, seeds, points)
+    want = [env.field_values(replace(field, seed=int(s)), p[None, :])[0]
+            for s, p in zip(seeds, points)]
+    assert np.array_equal(got, want)
 
 
 def test_moving_average_exponent_matches_analytic():

@@ -347,6 +347,10 @@ def test_kernel_params_validation():
         kernel.KernelParams(alpha=2.0, dim=1)
     with pytest.raises(ConfigurationError):
         kernel.KernelParams(alpha=1.0, dim=0)
+    # jump forms stop at d = 2
+    for dim in (3, 4):
+        with pytest.raises(ConfigurationError, match=f"^jump forms need dim 1 or 2, got {dim}$"):
+            kernel.KernelParams(alpha=1.0, dim=dim)
 
 
 # ---------------------------------------------------------------------------
