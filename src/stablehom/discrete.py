@@ -30,16 +30,14 @@ import numpy as np
 from . import env
 from .errors import ConfigurationError, DomainError, check_positive
 from .kernel import (
-    AngularConstantKernel,
+    AngularWeight,
     CoefficientForm,
     ConeSpec,
     ConstantForm,
-    EffectiveKernel,
-    FlatKernel,
     KernelParams,
-    ProductForm,
-    SummationForm,
+    factor_values,
     form_cell_size,
+    form_terms,
     full_space_cone,
     in_cone,
 )
@@ -212,9 +210,8 @@ class SparseSymmetricForm:
         w(i, i+s) = K_s sum_t a_t(i) b_t(i+s),
 
     with K_s (`stencil_kernel`) the geometry factor of displacement s times
-    its kernel constant and angular weight, and node-field pairs (a_t, b_t):
-    (1, 1) for the constant and angular kernels, (lambda, 1) and (1, lambda)
-    for the summation form, (nu1, nu2) and (nu2, nu1) for the product form.
+    the constant c and angular weight rho of the form, and (a_t, b_t) its
+    node-field pairs: kernel.form_terms lists both per family.
     K is circulant, so with * the FFT convolution (K * v)_i = sum_s K_s v_{i+s}
 
         A u = sum_t a_t (K * (b_t u)) - d u,    d = sum_t a_t (K * b_t),
@@ -369,15 +366,12 @@ def _oscillation_check(grid: Grid, eps: float, cell_size: float):
         )
 
 
-def _build(grid, params, cone, pairs, c=1.0, angular=None) -> SparseSymmetricForm:
-    """Form with K_s = c rho(s) geom(s) and node-field pairs `pairs` (None: (1, 1))."""
+def _build(grid, params, cone, pairs, c=1.0, angular=AngularWeight()) -> SparseSymmetricForm:
+    """Form with K_s = c rho(s) geom(s) and node-field pairs `pairs`."""
     stencil, q = _stencil_geometry(grid.dim, grid.n, params.alpha, cone)
     geom = grid.h ** (grid.dim - params.alpha) * q
-    rho = 1.0 if angular is None else angular.rho(stencil.astype(float))
+    rho = 1.0 if angular.kind == "one" else angular.rho(stencil.astype(float))
     stencil_kernel = c * rho * geom
-    if pairs is None:
-        one = np.ones(grid.shape)
-        pairs = [(one, one)]
     # Nonnegative factors make every weight nonnegative (NaN fails too).
     if not (stencil_kernel >= 0.0).all():
         raise DomainError(f"negative jump kernel: min K_s = {stencil_kernel.min():g}")
@@ -391,28 +385,22 @@ def _build(grid, params, cone, pairs, c=1.0, angular=None) -> SparseSymmetricFor
 
 def node_field_pairs(
     grid: Grid, form: CoefficientForm, eps: float
-) -> list[tuple[np.ndarray, np.ndarray]] | None:
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """Node-field pairs (a_t, b_t) of kappa(x/eps, y/eps) on the grid (see
-    SparseSymmetricForm); None for constant coefficients.
+    SparseSymmetricForm); the constant factor is an array of ones.
 
-    Every random field is evaluated on the grid lattice, axis_coords() / eps
-    on each axis.
+    Every random field object is evaluated once on the grid lattice,
+    axis_coords() / eps on each axis.
     """
     check_positive("eps", eps)
     cell = form_cell_size(form)
     if cell is not None:
         _oscillation_check(grid, eps, cell)
-    if isinstance(form, ConstantForm):
-        return None
     axes = [grid.axis_coords() / eps] * grid.dim
-    if isinstance(form, SummationForm):
-        lam = env.field_on_lattice(form.lambda_field, axes)
-        one = np.ones(grid.shape)
-        return [(lam, one), (one, lam)]
-    if isinstance(form, ProductForm):
-        nu1, nu2 = (env.field_on_lattice(f, axes) for f in (form.nu1, form.nu2))
-        return [(nu1, nu2), (nu2, nu1)]
-    raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
+    return factor_values(
+        form_terms(form)[2],
+        lambda f: np.ones(grid.shape) if f is None else env.field_on_lattice(f, axes),
+    )
 
 
 def form_from_pairs(
@@ -420,15 +408,13 @@ def form_from_pairs(
     form: CoefficientForm,
     cone: ConeSpec,
     params: KernelParams,
-    pairs: list[tuple[np.ndarray, np.ndarray]] | None,
+    pairs: list[tuple[np.ndarray, np.ndarray]],
 ) -> SparseSymmetricForm:
     """The energy of `form`'s kernel family with the node-field pairs of
     `node_field_pairs`."""
     _check_dims(grid, cone, params)
-    if isinstance(form, ConstantForm):
-        return _build(grid, params, cone, pairs, c=form.k0)
-    angular = form.angular if isinstance(form, SummationForm) else None
-    return _build(grid, params, cone, pairs, angular=angular)
+    c, angular, _ = form_terms(form)
+    return _build(grid, params, cone, pairs, c, angular)
 
 
 def assemble_form(
@@ -444,17 +430,14 @@ def assemble_form(
 
 def assemble_effective_form(
     grid: Grid,
-    kernel: EffectiveKernel,
+    kernel: ConstantForm,
     cone: ConeSpec,
     params: KernelParams,
 ) -> SparseSymmetricForm:
-    """Assemble the deterministic limit energy with kernel K(x - y)."""
-    _check_dims(grid, cone, params)
-    if isinstance(kernel, FlatKernel):
-        return _build(grid, params, cone, None, c=kernel.k0)
-    if isinstance(kernel, AngularConstantKernel):
-        return _build(grid, params, cone, None, c=2.0 * kernel.c, angular=kernel.angular)
-    raise ConfigurationError(f"unknown effective kernel {type(kernel).__name__}")
+    """Assemble the deterministic limit energy with kernel K(x - y), the
+    ConstantForm of kernel.effective_kernel."""
+    one = np.ones(grid.shape)
+    return form_from_pairs(grid, kernel, cone, params, [(one, one)])
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +535,7 @@ def nash_check(grid: Grid, cone: ConeSpec, params: KernelParams, test_fns) -> Na
     with E0 the Constant{2} cone energy."""
     if not test_fns:
         raise ConfigurationError("test_fns must be nonempty")
-    e0 = assemble_effective_form(grid, FlatKernel(2.0), cone, params)
+    e0 = assemble_effective_form(grid, ConstantForm(2.0), cone, params)
     hd = grid.h**grid.dim
     d, alpha = grid.dim, params.alpha
     ratios, skipped = [], []
@@ -590,8 +573,8 @@ def cone_comparability_check(
     """Ratio of full-space to cone-restricted energy per test function."""
     if not test_fns:
         raise ConfigurationError("test_fns must be nonempty")
-    full = assemble_effective_form(grid, FlatKernel(1.0), full_space_cone(grid.dim), params)
-    coned = assemble_effective_form(grid, FlatKernel(1.0), cone, params)
+    full = assemble_effective_form(grid, ConstantForm(1.0), full_space_cone(grid.dim), params)
+    coned = assemble_effective_form(grid, ConstantForm(1.0), cone, params)
     ratios, skipped, violations = [], [], []
     for idx, f in enumerate(test_fns):
         f = np.asarray(f, dtype=float)

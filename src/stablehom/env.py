@@ -717,6 +717,7 @@ def maximal_functional(field: RandomField, eps_grid, r0: float = 1.0) -> float:
     eps_grid = [float(e) for e in eps_grid]
     check_eps_grid(eps_grid)
     check_positive("r0", r0)
+    check_points(field, r0 / min(eps_grid))  # the farthest point, before r0**dim
     lo = np.zeros(field.dim)
     hi = np.full(field.dim, r0)
     cap = 1024 if field.dim == 1 else 64

@@ -46,7 +46,8 @@ from .kernel import (
     ProductForm,
     SummationForm,
     effective_kernel,
-    FlatKernel,
+    factor_values,
+    form_terms,
 )
 from .solver import ResolventProblem, check_lambda, solve_resolvent
 
@@ -273,7 +274,7 @@ def estimate_effective_constant(
     itself for constant coefficients.
     """
     check_count("seeds", seeds)
-    reference = assemble_effective_form(grid, FlatKernel(1.0), cone, params)
+    reference = assemble_effective_form(grid, ConstantForm(1.0), cone, params)
     ref_energy, skipped = [], []
     fns = [np.asarray(f, dtype=float) for f in test_fns]
     for i, f in enumerate(fns):
@@ -439,34 +440,27 @@ class MomentBoundReport:
 
 def _kappa_matrix(form: CoefficientForm, points: np.ndarray, eps: float) -> np.ndarray:
     """Raw coefficient kappa(x_i/eps, x_j/eps) on all point pairs, zero diagonal."""
-    if isinstance(form, ConstantForm):
-        k = np.full((len(points), len(points)), form.k0)
-    elif isinstance(form, SummationForm):
-        lam = env.field_values(form.lambda_field, points / eps)
-        if form.angular.kind == "one":
-            rho = 1.0
-        else:
-            z = points[:, None, :] - points[None, :, :]
-            norms = np.sqrt((z**2).sum(axis=-1))
-            np.fill_diagonal(norms, 1.0)
-            rho = form.angular.rho_units(z / norms[..., None])
-        k = (lam[:, None] + lam[None, :]) * rho
-    elif isinstance(form, ProductForm):
-        v1 = env.field_values(form.nu1, points / eps)
-        v2 = env.field_values(form.nu2, points / eps)
-        k = v1[:, None] * v2[None, :] + v1[None, :] * v2[:, None]
+    c, angular, pairs = form_terms(form)
+    values = factor_values(
+        pairs, lambda f: np.ones(len(points)) if f is None else env.field_values(f, points / eps)
+    )
+    if angular.kind == "one":
+        rho = 1.0
     else:
-        raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
+        z = points[:, None, :] - points[None, :, :]
+        norms = np.sqrt((z**2).sum(axis=-1))
+        np.fill_diagonal(norms, 1.0)
+        rho = angular.rho_units(z / norms[..., None])
+    k = c * rho * sum(a[:, None] * b[None, :] for a, b in values)
     np.fill_diagonal(k, 0.0)
     return k
 
 
 def _declared_p(form: CoefficientForm) -> float:
-    if isinstance(form, SummationForm):
-        return form.lambda_field.marginal.declared_p
-    if isinstance(form, ProductForm):
-        return max(form.nu1.marginal.declared_p, form.nu2.marginal.declared_p)
-    return 1.0
+    """The largest moment exponent the form's fields declare, 1 for constants."""
+    pairs = form_terms(form)[2]
+    return max((f.marginal.declared_p for pair in pairs for f in pair if f is not None),
+               default=1.0)
 
 
 def check_moment_ball(grid: Grid, radius: float) -> None:

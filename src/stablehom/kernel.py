@@ -2,17 +2,19 @@
 
 The coefficient kappa(x, y) of the jump energy comes in three shapes: a
 summation family Lambda(x) rho(dir) + Lambda(y) rho(dir), a product family
-nu1(x) nu2(y) + nu1(y) nu2(x), and a plain constant.  Averaging out the
-environment turns each into a deterministic even kernel K(z) depending only
-on the jump direction; the Levy exponent of the limit process is an explicit
-integral of K over the cone.
+nu1(x) nu2(y) + nu1(y) nu2(x), and a constant k0 rho(dir).  `form_terms`
+writes each as c rho(dir(y-x)) sum_t a_t(x) b_t(y), node fields times one
+translation-invariant factor, and every evaluation of a form reads that
+table.  Averaging out the environment turns every form into a ConstantForm,
+the deterministic kernel K(z) = k0 rho(z/|z|) of the limit; the Levy
+exponent of the limit process is a closed-form radial constant times an
+integral of K over the cone directions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -165,9 +167,11 @@ class ProductForm:
 
 @dataclass(frozen=True)
 class ConstantForm:
-    """kappa = k0 everywhere (k0 = 0 gives the zero form)."""
+    """kappa(x, y) = k0 rho(dir(y-x)) (k0 = 0 gives the zero form); the limit
+    kernel K(z) = k0 rho(z/|z|) of every family is one of these."""
 
     k0: float
+    angular: AngularWeight = AngularWeight("one")
 
     def __post_init__(self):
         if not 0 <= self.k0 < math.inf:
@@ -175,15 +179,40 @@ class ConstantForm:
 
 
 CoefficientForm = SummationForm | ProductForm | ConstantForm
+# a factor of a coefficient term: a random field, or None for the constant 1
+Factor = RandomField | None
+
+
+def form_terms(form: CoefficientForm) -> tuple[float, AngularWeight, list[tuple[Factor, Factor]]]:
+    """The form as (c, rho, pairs), kappa(x, y) = c rho(dir(y-x)) sum_t a_t(x) b_t(y).
+
+    Every evaluation of a form reads this table; only the seed tokens of
+    reseed_form and the hypotheses of moment_check look at the family itself.
+    """
+    if isinstance(form, ConstantForm):
+        return form.k0, form.angular, [(None, None)]
+    if isinstance(form, SummationForm):
+        lam = form.lambda_field
+        return 1.0, form.angular, [(lam, None), (None, lam)]
+    return 1.0, AngularWeight(), [(form.nu1, form.nu2), (form.nu2, form.nu1)]
+
+
+def factor_values(pairs: list[tuple[Factor, Factor]], evaluate) -> list[tuple]:
+    """The pairs with every factor f replaced by evaluate(f), called once per
+    factor object (None, the constant 1, included).  Objects are told apart by
+    identity, which spares hashing the fields; reseed_form keeps equal nu1 and
+    nu2 one object."""
+    values = {}
+    for f in (f for pair in pairs for f in pair):
+        if id(f) not in values:
+            values[id(f)] = evaluate(f)
+    return [(values[id(a)], values[id(b)]) for a, b in pairs]
 
 
 def form_cell_size(form: CoefficientForm) -> float | None:
     """Smallest microstructure cell among the form's fields, None for constants."""
-    if isinstance(form, SummationForm):
-        return form.lambda_field.cell_size
-    if isinstance(form, ProductForm):
-        return min(form.nu1.cell_size, form.nu2.cell_size)
-    return None
+    pairs = form_terms(form)[2]
+    return min((f.cell_size for pair in pairs for f in pair if f is not None), default=None)
 
 
 def kappa(form: CoefficientForm, x, y, eps: float) -> float:
@@ -195,69 +224,28 @@ def kappa(form: CoefficientForm, x, y, eps: float) -> float:
     if np.array_equal(x, y):
         raise DomainError("kappa is undefined on the diagonal x = y")
     check_positive("eps", eps)
-    if isinstance(form, ConstantForm):
-        return form.k0
-    if isinstance(form, SummationForm):
-        rho = float(form.angular.rho(y - x)[0])  # even, so one direction suffices
-        lam_x = field_at(form.lambda_field, x / eps)
-        lam_y = field_at(form.lambda_field, y / eps)
-        return lam_x * rho + lam_y * rho
-    nu1x = field_at(form.nu1, x / eps)
-    nu1y = field_at(form.nu1, y / eps)
-    nu2x = field_at(form.nu2, x / eps)
-    nu2y = field_at(form.nu2, y / eps)
-    return nu1x * nu2y + nu1y * nu2x
+    c, angular, pairs = form_terms(form)
+    rho = float(angular.rho(y - x)[0])  # even, so one direction suffices
+    at = factor_values(
+        pairs, lambda f: (1.0, 1.0) if f is None else (field_at(f, x / eps), field_at(f, y / eps))
+    )
+    return sum(c * rho * (a[0] * b[1]) for a, b in at)
 
 
-# ---------------------------------------------------------------------------
-# effective kernels
-
-
-@dataclass(frozen=True)
-class AngularConstantKernel:
-    """K(z) = 2 c rho(z/|z|): direction-dependent but scale-free."""
-
-    c: float
-    angular: AngularWeight
-
-
-@dataclass(frozen=True)
-class FlatKernel:
-    k0: float
-
-
-EffectiveKernel = AngularConstantKernel | FlatKernel
-
-
-def kernel_values(kernel: EffectiveKernel, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = z[None, :]
-    if isinstance(kernel, FlatKernel):
-        return np.full(len(z), kernel.k0)
-    return 2.0 * kernel.c * kernel.angular.rho(z)
-
-
-def effective_kernel(form: CoefficientForm) -> EffectiveKernel:
+def effective_kernel(form: CoefficientForm) -> ConstantForm:
     """Environment average of the coefficient: the kernel of the limit form.
 
     The decorrelated mean of kappa(x, y) as |x - y| grows is what survives
-    homogenization, which carries both terms of each two-term coefficient:
-    the summation form averages to 2 E[Lambda] rho(dir), the product form to
-    2 E[nu1] E[nu2].
+    homogenization: c rho sum_t E[a_t] E[b_t] over the terms of form_terms,
+    2 E[Lambda] rho(dir) for the summation form and 2 E[nu1] E[nu2] for the
+    product form.
     """
-    if isinstance(form, ConstantForm):
-        return FlatKernel(form.k0)
-    if isinstance(form, SummationForm):
-        c = field_mean(form.lambda_field)
-        if not math.isfinite(c):
-            raise ConfigurationError("lambda marginal has no finite mean")
-        return AngularConstantKernel(c=c, angular=form.angular)
-    m1 = field_mean(form.nu1)
-    m2 = field_mean(form.nu2)
-    if not (math.isfinite(m1) and math.isfinite(m2)):
-        raise ConfigurationError("product marginals must have finite means")
-    return FlatKernel(2.0 * m1 * m2)
+    c, angular, pairs = form_terms(form)
+    means = factor_values(pairs, lambda f: 1.0 if f is None else field_mean(f))
+    k0 = c * sum(a * b for a, b in means)
+    if not math.isfinite(k0):
+        raise ConfigurationError("the coefficient fields must have finite means")
+    return ConstantForm(k0, angular)
 
 
 def c0_formula(
@@ -288,47 +276,32 @@ def c0_formula(
 # Levy exponent of the limit
 
 
-@lru_cache(maxsize=64)
 def _radial_constant(alpha: float) -> float:
-    """int_0^inf (1 - cos u) u^(-1-alpha) du by quadrature.
-
-    Finite head by adaptive quadrature, then the tail splits into an exact
-    power integral minus an oscillatory cosine integral (QUADPACK qawf).
-    """
-    from scipy import integrate  # local import: only Levy-exponent checks need QUADPACK
-    a = 2.0 * math.pi
-    head, head_err = integrate.quad(
-        lambda u: (1.0 - math.cos(u)) * u ** (-1.0 - alpha), 0.0, a, limit=200
-    )
-    tail_power = a ** (-alpha) / alpha
-    tail_cos, tail_err = integrate.quad(
-        lambda u: u ** (-1.0 - alpha), a, np.inf, weight="cos", wvar=1.0, limit=200
-    )
-    value = head + tail_power - tail_cos
-    if value <= 0 or (head_err + tail_err) > 1e-8 * value:
-        raise NumericalError(
-            f"radial integral did not converge: value={value}, err={head_err + tail_err}"
-        )
-    return value
+    """int_0^inf (1 - cos u) u^(-1-alpha) du = pi / (2 Gamma(1 + alpha) sin(pi alpha / 2))."""
+    return math.pi / (2.0 * math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
 
 
-def _angular_integral(kernel, cone: ConeSpec, params: KernelParams, xi_hat: np.ndarray) -> float:
+def _angular_integral(
+    kernel: ConstantForm, cone: ConeSpec, params: KernelParams, xi_hat: np.ndarray
+) -> float:
     """int over cone directions of K(theta) |<xi_hat, theta>|^alpha (surface measure)."""
-    from scipy import integrate  # local import, as in _radial_constant
+    from scipy import integrate  # local import: only Levy-exponent checks need QUADPACK
     alpha = params.alpha
+
+    def k(theta: np.ndarray) -> float:
+        return kernel.k0 * float(kernel.angular.rho(theta)[0])
+
     if params.dim == 1:
         total = 0.0
         for s in (1.0, -1.0):
-            theta = np.array([[s]])
-            total += float(kernel_values(kernel, theta)[0]) * abs(xi_hat[0] * s) ** alpha
+            total += k(np.array([[s]])) * abs(xi_hat[0] * s) ** alpha
         return total
 
     t0 = math.atan2(cone.axis[1], cone.axis[0])
     t_xi = math.atan2(xi_hat[1], xi_hat[0])
 
     def integrand(t: float) -> float:
-        theta = np.array([[math.cos(t), math.sin(t)]])
-        return float(kernel_values(kernel, theta)[0]) * abs(math.cos(t - t_xi)) ** alpha
+        return k(np.array([[math.cos(t), math.sin(t)]])) * abs(math.cos(t - t_xi)) ** alpha
 
     if cone.full_space or cone.aperture == 0.0:
         arcs = [(0.0, 2.0 * math.pi)]
@@ -356,11 +329,12 @@ def _angular_integral(kernel, cone: ConeSpec, params: KernelParams, xi_hat: np.n
     return total
 
 
-def levy_exponent(kernel: EffectiveKernel, cone: ConeSpec, params: KernelParams, xi) -> float:
+def levy_exponent(kernel: ConstantForm, cone: ConeSpec, params: KernelParams, xi) -> float:
     """phi(xi) = int_cone (1 - cos<xi,z>) K(z) / |z|^(d+alpha) dz.
 
-    Factorized as |xi|^alpha * (radial constant) * (angular integral); exactly
-    alpha-homogeneous by construction.  The angular integral is a two-term
+    K(z) = k0 rho(z/|z|) is the limit kernel of effective_kernel.  Factorized
+    as |xi|^alpha * (radial constant, in closed form) * (angular integral);
+    exactly alpha-homogeneous by construction.  The angular integral is a two-term
     sum in d = 1 and a quadrature over the circle in d = 2, the dims
     KernelParams admits.
     """
@@ -381,7 +355,7 @@ class LevyLowerBoundReport:
 
 
 def levy_lower_bound_check(
-    kernel: EffectiveKernel, cone: ConeSpec, params: KernelParams, xi_samples
+    kernel: ConstantForm, cone: ConeSpec, params: KernelParams, xi_samples
 ) -> LevyLowerBoundReport:
     """Min over samples of phi(xi)/|xi|^alpha, reported with a positivity flag."""
     samples = [np.asarray(x, dtype=float).reshape(params.dim) for x in xi_samples]

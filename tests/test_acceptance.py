@@ -146,7 +146,7 @@ def test_04_time_change_effective_constant(tmp_path):
 
 
 def test_05_levy_exponent_oracle():
-    k = kernel.FlatKernel(1.0)
+    k = kernel.ConstantForm(1.0)
     cauchy = kernel.KernelParams(alpha=1.0, dim=1)
     worst_rel = 0.0
     for xi in np.linspace(0.3, 6.0, 10):

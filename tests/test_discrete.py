@@ -139,7 +139,7 @@ def test_unit_cell_quadrature_2d_against_dblquad():
     params = kernel.KernelParams(alpha=alpha, dim=2)
     grid = discrete.Grid(dim=2, length=32.0, n=32)  # h = 1, reach = 8
     form = discrete.assemble_effective_form(
-        grid, kernel.FlatKernel(1.0), kernel.full_space_cone(2), params
+        grid, kernel.ConstantForm(1.0), kernel.full_space_cone(2), params
     )
     idx = {tuple(int(v) for v in s): k for k, s in enumerate(form.stencil)}
 
@@ -252,7 +252,7 @@ def test_dense_generator_matches_apply_and_refuses_large():
     big = discrete.Grid(dim=1, length=8.0, n=8192)
     params = kernel.KernelParams(alpha=1.0, dim=1)
     large = discrete.assemble_effective_form(
-        big, kernel.FlatKernel(1.0), kernel.full_space_cone(1), params
+        big, kernel.ConstantForm(1.0), kernel.full_space_cone(1), params
     )
     with pytest.raises(ConfigurationError):
         large.dense_generator()
@@ -264,10 +264,10 @@ def test_length_rescaling_scales_weights_exactly():
     params = kernel.KernelParams(alpha=0.7, dim=1)
     cone = kernel.full_space_cone(1)
     base = discrete.assemble_effective_form(
-        discrete.Grid(dim=1, length=4.0, n=16), kernel.FlatKernel(1.0), cone, params
+        discrete.Grid(dim=1, length=4.0, n=16), kernel.ConstantForm(1.0), cone, params
     )
     scaled = discrete.assemble_effective_form(
-        discrete.Grid(dim=1, length=12.0, n=16), kernel.FlatKernel(1.0), cone, params
+        discrete.Grid(dim=1, length=12.0, n=16), kernel.ConstantForm(1.0), cone, params
     )
     t = 3.0 ** (1.0 - 0.7)
     for k in range(base.stencil_size):
@@ -279,20 +279,7 @@ def test_flat_kernel_equals_constant_form_bitwise():
     params = kernel.KernelParams(alpha=1.1, dim=1)
     cone = kernel.full_space_cone(1)
     a = discrete.assemble_form(grid, kernel.ConstantForm(3.0), cone, params, eps=1.0)
-    b = discrete.assemble_effective_form(grid, kernel.FlatKernel(3.0), cone, params)
-    for k in range(a.stencil_size):
-        assert np.array_equal(a.weight_slab(k), b.weight_slab(k))
-
-
-def test_plain_angular_kernel_equals_flat_two_bitwise():
-    grid = discrete.Grid(dim=2, length=4.0, n=8)
-    params = kernel.KernelParams(alpha=1.0, dim=2)
-    cone = kernel.ConeSpec(axis=(1.0, 0.0), aperture=0.4)
-    a = discrete.assemble_effective_form(
-        grid, kernel.AngularConstantKernel(c=1.0, angular=kernel.angular_one()), cone, params
-    )
-    b = discrete.assemble_effective_form(grid, kernel.FlatKernel(2.0), cone, params)
-    assert a.stencil_size == b.stencil_size
+    b = discrete.assemble_effective_form(grid, kernel.ConstantForm(3.0), cone, params)
     for k in range(a.stencil_size):
         assert np.array_equal(a.weight_slab(k), b.weight_slab(k))
 
@@ -327,7 +314,7 @@ def _oracle_case(kind, dim, coned):
     else:
         cone = kernel.ConeSpec(axis=(0.6, 0.8) if dim == 2 else axis, aperture=0.5)
     if kind == "angular":
-        k = kernel.AngularConstantKernel(c=0.7, angular=kernel.angular_cos2(axis))
+        k = kernel.ConstantForm(1.4, kernel.angular_cos2(axis))
         return grid, discrete.assemble_effective_form(grid, k, cone, params)
     fields = [env.sample_field(dim, env.lognormal(0.0, 0.6), seed=s) for s in (1, 2)]
     form = {
@@ -371,7 +358,7 @@ def test_n_doubling_energy_drift_small():
     energies = []
     for n in (128, 256):
         grid = discrete.Grid(dim=1, length=8.0, n=n)
-        form = discrete.assemble_effective_form(grid, kernel.FlatKernel(1.0), cone, params)
+        form = discrete.assemble_effective_form(grid, kernel.ConstantForm(1.0), cone, params)
         f = discrete.evaluate(grid, discrete.bump(grid))
         energies.append(form.energy(f, f))
     assert abs(energies[1] / energies[0] - 1.0) < 0.02
@@ -433,12 +420,12 @@ def test_dimension_mismatch_rejected():
     grid = discrete.Grid(dim=2, length=4.0, n=8)
     with pytest.raises(ConfigurationError):
         discrete.assemble_effective_form(
-            grid, kernel.FlatKernel(1.0), kernel.full_space_cone(1),
+            grid, kernel.ConstantForm(1.0), kernel.full_space_cone(1),
             kernel.KernelParams(alpha=1.0, dim=2),
         )
     with pytest.raises(DomainError):
         form = discrete.assemble_effective_form(
-            grid, kernel.FlatKernel(1.0), kernel.full_space_cone(2),
+            grid, kernel.ConstantForm(1.0), kernel.full_space_cone(2),
             kernel.KernelParams(alpha=1.0, dim=2),
         )
         form.energy(np.ones(5), np.ones(5))
@@ -559,7 +546,7 @@ def test_translation_check_smooth_function():
     grid = discrete.Grid(dim=1, length=8.0, n=128)
     params = kernel.KernelParams(alpha=1.0, dim=1)
     form = discrete.assemble_effective_form(
-        grid, kernel.FlatKernel(1.0), kernel.full_space_cone(1), params
+        grid, kernel.ConstantForm(1.0), kernel.full_space_cone(1), params
     )
     f = discrete.evaluate(grid, discrete.bump(grid))
     report = discrete.translation_estimate_check(
@@ -575,7 +562,7 @@ def test_translation_check_constant_and_bad_step():
     grid = discrete.Grid(dim=1, length=8.0, n=32)
     params = kernel.KernelParams(alpha=1.0, dim=1)
     form = discrete.assemble_effective_form(
-        grid, kernel.FlatKernel(1.0), kernel.full_space_cone(1), params
+        grid, kernel.ConstantForm(1.0), kernel.full_space_cone(1), params
     )
     report = discrete.translation_estimate_check(
         form, np.full(32, 3.0), h_steps=[grid.h], r=2.0

@@ -442,6 +442,16 @@ def test_maximal_tail_markov_scaling():
     assert report.frequencies[0] >= report.frequencies[1]
 
 
+def test_maximal_far_r0_refused():
+    # r0**dim used to overflow into a bare OverflowError before any point check
+    field = env.sample_field(2, env.uniform(0.5, 1.5), seed=3)
+    message = "points must be finite, with cell indices below 2"
+    with pytest.raises(ConfigurationError, match=message):
+        env.maximal_functional(field, [0.5], r0=1e200)
+    with pytest.raises(ConfigurationError, match=message):
+        env.maximal_tail_check(field, [0.5], r0=1e200, n_seeds=2)
+
+
 # ---------------------------------------------------------------------------
 # covariance of the summation coefficient
 

@@ -368,6 +368,28 @@ def test_moment_bound_constant_form_is_flat():
     assert not report.flagged
 
 
+def test_kappa_matrix_matches_pointwise_kappa():
+    # the batched coefficient of the moment quadrature against kernel.kappa,
+    # which evaluates the fields one point at a time; the batched matmul of
+    # the cos2 weight may round its dot products an ulp apart
+    nu = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.5), seed=5)
+    lam = env.sample_field(2, env.lognormal(0.0, 0.5), seed=6)
+    forms = [
+        kernel.ConstantForm(1.3),
+        kernel.SummationForm(lambda_field=lam, angular=kernel.angular_cos2((0.6, 0.8))),
+        kernel.ProductForm(nu1=nu, nu2=nu),
+    ]
+    pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(7, 2))
+    for form in forms:
+        k = H._kappa_matrix(form, pts, 0.5)
+        assert np.all(np.diag(k) == 0.0)
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                if i != j:
+                    want = kernel.kappa(form, pts[i], pts[j], 0.5)
+                    assert math.isclose(k[i, j], want, rel_tol=1e-15, abs_tol=0.0)
+
+
 def test_moment_bound_validation():
     grid = discrete.Grid(dim=1, length=4.0, n=64)
     form = kernel.ConstantForm(1.0)

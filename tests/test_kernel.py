@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from stablehom import env, kernel
 from stablehom.errors import ConfigurationError, DomainError
@@ -167,9 +168,7 @@ def test_kappa_summation_pointwise_bounds():
 
 def test_effective_kernel_constant_form():
     k = kernel.effective_kernel(kernel.ConstantForm(5.0))
-    assert isinstance(k, kernel.FlatKernel)
-    assert k.k0 == 5.0
-    assert np.all(kernel.kernel_values(k, np.array([[1.0], [-2.0], [7.5]])) == 5.0)
+    assert k == kernel.ConstantForm(5.0, kernel.angular_one())
 
 
 def test_effective_kernel_product_means():
@@ -178,7 +177,7 @@ def test_effective_kernel_product_means():
     nu1 = env.sample_field(1, env.uniform(1.5, 2.5), seed=1)  # mean 2
     nu2 = env.sample_field(1, env.constant(3.0))
     k = kernel.effective_kernel(kernel.ProductForm(nu1=nu1, nu2=nu2))
-    assert isinstance(k, kernel.FlatKernel)
+    assert k.angular == kernel.angular_one()
     assert np.allclose(k.k0, 12.0, rtol=1e-12)
     # field scale multiplies straight through
     nu1s = env.sample_field(1, env.uniform(1.5, 2.5), seed=1, scale=2.0)
@@ -191,11 +190,29 @@ def test_effective_kernel_summation_values():
     lam = env.sample_field(2, env.lognormal(m, s), seed=8)
     mean = math.exp(m + s * s / 2)
     plain = kernel.effective_kernel(kernel.SummationForm(lambda_field=lam))
-    zs = np.array([[1.0, 0.0], [0.0, 2.0], [-3.0, 1.0]])
-    assert np.allclose(kernel.kernel_values(plain, zs), 2 * mean, rtol=1e-12)
+    assert plain.angular == kernel.angular_one()
+    assert np.allclose(plain.k0, 2 * mean, rtol=1e-12)
     w = kernel.angular_cos2((1.0, 0.0))
     tilted = kernel.effective_kernel(kernel.SummationForm(lambda_field=lam, angular=w))
-    assert np.allclose(kernel.kernel_values(tilted, zs), 2 * mean * w.rho(zs), rtol=1e-12)
+    assert tilted == kernel.ConstantForm(plain.k0, w)
+
+
+def test_effective_kernel_is_an_idempotent_constant_form():
+    lam = env.sample_field(2, env.lognormal(0.0, 0.4), seed=3)
+    nu = env.sample_field(2, env.uniform(0.5, 1.5), seed=4)
+    w = kernel.angular_cos2((0.6, 0.8))
+    forms = [
+        kernel.ConstantForm(1.7),
+        kernel.ConstantForm(0.3, w),
+        kernel.SummationForm(lambda_field=lam),
+        kernel.SummationForm(lambda_field=lam, angular=w),
+        kernel.ProductForm(nu1=lam, nu2=nu),
+        kernel.ProductForm(nu1=nu, nu2=nu),
+    ]
+    for form in forms:
+        k = kernel.effective_kernel(form)
+        assert isinstance(k, kernel.ConstantForm)
+        assert kernel.effective_kernel(k) == k
 
 
 def test_effective_kernel_scale_free():
@@ -204,9 +221,9 @@ def test_effective_kernel_scale_free():
         kernel.SummationForm(lambda_field=lam, angular=kernel.angular_cos2((1.0, 1.0)))
     )
     z = np.array([[0.3, -1.2]])
-    base = kernel.kernel_values(k, z)
+    base = k.k0 * k.angular.rho(z)
     for t in (0.5, 3.0, 100.0):
-        assert np.allclose(kernel.kernel_values(k, t * z), base, rtol=1e-14)
+        assert np.allclose(k.k0 * k.angular.rho(t * z), base, rtol=1e-14)
 
 
 def test_effective_kernel_needs_finite_mean():
@@ -266,7 +283,7 @@ def test_c0_requires_finite_inverse_moment():
 
 def test_levy_exponent_zero_at_origin():
     params = kernel.KernelParams(alpha=1.2, dim=2)
-    k = kernel.FlatKernel(1.0)
+    k = kernel.ConstantForm(1.0)
     assert kernel.levy_exponent(k, kernel.full_space_cone(2), params, (0.0, 0.0)) == 0.0
 
 
@@ -274,7 +291,7 @@ def test_levy_exponent_cauchy_closed_form():
     # d = 1, alpha = 1, K = 1 on the whole line: int (1-cos(xi z))/z^2 dz = pi |xi|
     params = kernel.KernelParams(alpha=1.0, dim=1)
     cone = kernel.full_space_cone(1)
-    k = kernel.FlatKernel(1.0)
+    k = kernel.ConstantForm(1.0)
     for xi in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, -3.0, 0.1, 17.0, -0.75):
         got = kernel.levy_exponent(k, cone, params, (xi,))
         assert np.allclose(got, math.pi * abs(xi), rtol=1e-4)
@@ -284,17 +301,38 @@ def test_levy_exponent_half_stable_closed_form():
     # alpha = 1/2 oracle: integrating by parts, int_0^inf (1-cos u) u^-3/2 du
     # = 2 int_0^inf sin(u)/sqrt(u) du = sqrt(2 pi), so phi = 2 K sqrt(|xi| 2 pi)
     params = kernel.KernelParams(alpha=0.5, dim=1)
-    k = kernel.FlatKernel(2.0)
+    k = kernel.ConstantForm(2.0)
     for xi in (0.3, 1.7, 6.0):
         exact = 2 * 2.0 * math.sqrt(xi) * math.sqrt(2 * math.pi)
         got = kernel.levy_exponent(k, kernel.full_space_cone(1), params, (xi,))
         assert np.allclose(got, exact, rtol=1e-8)
 
 
+def _radial_quadrature(alpha):
+    """int_0^inf (1 - cos u) u^(-1-alpha) du by QUADPACK: the head on [0, 2 pi]
+    as (1 - cos u)/u^2 against the algebraic weight u^(1-alpha), then the
+    tail as an exact power integral minus a Fourier integral (qawf)."""
+    a = 2.0 * math.pi
+    head, _ = integrate.quad(lambda u: 0.5 * np.sinc(u / a) ** 2, 0.0, a,
+                             weight="alg", wvar=(1.0 - alpha, 0.0), limit=200)
+    tail_cos, _ = integrate.quad(lambda u: u ** (-1.0 - alpha), a, np.inf,
+                                 weight="cos", wvar=1.0, limit=200)
+    return head + a ** (-alpha) / alpha - tail_cos
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 1.5, 1.6, 1.8, 1.9, 1.95, 1.99])
+def test_radial_constant_matches_quadrature(alpha):
+    assert np.isclose(kernel._radial_constant(alpha), _radial_quadrature(alpha),
+                      rtol=1e-9, atol=0.0)
+    params = kernel.KernelParams(alpha=alpha, dim=2)
+    assert kernel.levy_exponent(kernel.ConstantForm(1.0), kernel.full_space_cone(2),
+                                params, (0.6, -0.8)) > 0.0
+
+
 def test_levy_exponent_homogeneity():
     cone = kernel.ConeSpec(axis=(1.0, 0.0), aperture=0.5)
     w = kernel.angular_cos2((1.0, 0.0))
-    k = kernel.AngularConstantKernel(c=1.3, angular=w)
+    k = kernel.ConstantForm(2.6, w)
     for alpha in (0.5, 1.5):
         params = kernel.KernelParams(alpha=alpha, dim=2)
         xi = np.array([0.7, -0.4])
@@ -306,7 +344,7 @@ def test_levy_exponent_homogeneity():
 
 def test_levy_lower_bound_full_space_isotropic():
     params = kernel.KernelParams(alpha=1.1, dim=2)
-    k = kernel.FlatKernel(1.0)
+    k = kernel.ConstantForm(1.0)
     angles = np.linspace(0, 2 * math.pi, 9)[:-1]
     samples = [(r * math.cos(a), r * math.sin(a)) for r, a in zip((0.5, 1, 2, 4) * 2, angles)]
     report = kernel.levy_lower_bound_check(k, kernel.full_space_cone(2), params, samples)
@@ -317,7 +355,7 @@ def test_levy_lower_bound_full_space_isotropic():
 
 def test_levy_lower_bound_cone_positive_and_aperture_monotone():
     params = kernel.KernelParams(alpha=1.0, dim=2)
-    k = kernel.FlatKernel(1.0)
+    k = kernel.ConstantForm(1.0)
     angles = np.linspace(0, math.pi, 16, endpoint=False)
     samples = [(math.cos(a), math.sin(a)) for a in angles]
     wide = kernel.levy_lower_bound_check(
@@ -332,7 +370,7 @@ def test_levy_lower_bound_cone_positive_and_aperture_monotone():
 
 def test_levy_lower_bound_rejects_bad_samples():
     params = kernel.KernelParams(alpha=1.0, dim=1)
-    k = kernel.FlatKernel(1.0)
+    k = kernel.ConstantForm(1.0)
     cone = kernel.full_space_cone(1)
     with pytest.raises(ConfigurationError):
         kernel.levy_lower_bound_check(k, cone, params, [])
