@@ -4,6 +4,8 @@ For 1D grids with n in {512, 2048, 8192} and 2D grids with n in {32, 64, 128},
 and for a degenerate 1D case (n = 2048, factors uniform(0, 2), which come
 arbitrarily close to 0), it reports the median wall time of
 
+- the stencil geometry: the first `discrete._stencil_geometry` call, with
+  the caches of it, `_subcell_axis_mass` and `_gl_nodes` cleared;
 - field evaluation at the grid nodes, for iid and moving-average mixing,
   timed through `discrete.measure_weights(grid, field, eps)`, the call the
   library itself makes for grid fields (the same API at older commits, so a
@@ -24,9 +26,9 @@ run` processes on a 2D sweep config (the benchmark's sweep-2d-measure study:
 n = 64, moving-average product form, lognormal(-1/2, 1) measure, eps 1/2 and
 1/4, one seed) and reports their median wall time and minor page faults, the
 children's peak RSS (`getrusage(RUSAGE_CHILDREN)`, the largest child), and
-the scipy modules in
-`sys.modules` at the exit of one more, untimed run: `scipy` itself and the
-public subpackages (`scipy.special`, `scipy.integrate`, ...).
+the optional modules in `sys.modules` at the exit of one more, untimed run:
+`scipy` and its public subpackages (`scipy.special`, `scipy.integrate`, ...),
+OpenSSL's `_hashlib`, `numpy.ma` and `numpy.polynomial`.
 
 Each run is stored in the output JSON under a label, next to the runs already
 there, so two checkouts measured on the same machine sit side by side.  The
@@ -93,6 +95,14 @@ def run_case(dim: int, n: int, length: float, eps: float, factor: tuple) -> dict
     )
     iid = env.sample_field(dim, env.uniform(0.5, 1.5), seed=2)
     out = {"nodes": grid.size}
+
+    def geometry():
+        for cached in (discrete._stencil_geometry, discrete._subcell_axis_mass,
+                       discrete._gl_nodes):
+            cached.cache_clear()
+        discrete._stencil_geometry(dim, n, params.alpha, cone)
+
+    out["geometry_s"] = median_time(geometry)
     out["field_iid_s"] = median_time(lambda: discrete.measure_weights(grid, iid, eps))
     out["field_ma_s"] = median_time(lambda: discrete.measure_weights(grid, form.nu1, eps))
     out["assembly_s"] = median_time(
@@ -151,18 +161,20 @@ COLD_CONFIG = {
 }
 
 
-# `python -m stablehom.cli` that lists `scipy` and the public scipy
-# subpackages it loaded on exit
-_LIST_SCIPY = (
+# `python -m stablehom.cli` that lists the optional modules it loaded on exit:
+# `scipy`, the public scipy subpackages, `_hashlib`, `numpy.ma` and
+# `numpy.polynomial`
+_LIST_MODULES = (
     "import atexit, runpy, sys\n"
-    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m == 'scipy' or\n"
+    "atexit.register(lambda: print(*sorted(m for m in sys.modules if m in\n"
+    "    ('scipy', '_hashlib', 'numpy.ma', 'numpy.polynomial') or\n"
     "    m.count('.') == 1 and m.startswith('scipy.') and not m.startswith('scipy._'))))\n"
     "runpy.run_module('stablehom.cli', run_name='__main__', alter_sys=True)\n"
 )
 
 
 def run_cold_cli(src: str) -> dict:
-    """Fresh `stablehom run` processes: wall time, peak RSS, scipy modules."""
+    """Fresh `stablehom run` processes: wall time, peak RSS, optional modules."""
     child_env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
@@ -177,13 +189,13 @@ def run_cold_cli(src: str) -> dict:
             times.append(time.perf_counter() - t0)
             faults.append(resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - f0)
         peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-        listed = subprocess.run([sys.executable, "-c", _LIST_SCIPY, *cmd[3:]], env=child_env,
+        listed = subprocess.run([sys.executable, "-c", _LIST_MODULES, *cmd[3:]], env=child_env,
                                 check=True, capture_output=True, text=True).stdout
     loaded = listed.splitlines()[-1].split()
     return {"runs": COLD_RUNS, "wall_s": statistics.median(times),
             "wall_s_min": min(times), "wall_s_max": max(times),
             "minor_faults": statistics.median(faults), "peak_rss_mb": peak_mb,
-            "scipy_modules": loaded}
+            "modules": loaded}
 
 
 def source_commit(src: str) -> str:
@@ -239,13 +251,15 @@ def main() -> int:
         "with moving-average uniform(0.5, 1.5) factors (uniform(0, 2) for the "
         "degenerate case), alpha = 1, full-space cone; 1D L = 8, eps = 1/4; 2D L = 4, "
         "eps = 1/2; field_iid_s and field_ma_s time discrete.measure_weights on the "
-        "grid with an iid uniform(0.5, 1.5) field and the first factor.  "
+        "grid with an iid uniform(0.5, 1.5) field and the first factor; geometry_s "
+        "times the first discrete._stencil_geometry call with its caches cleared.  "
         "1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
         "end (5 eps x 10 seeds) and the CG iterations summed over its cells.  "
         "cold-cli-2d-sweep: fresh `python -m stablehom.cli run` processes on a 2D "
         "sweep (n = 64, 2 eps x 1 seed): median, min and max wall time (s), median "
         "minor page faults per process, the largest child's peak RSS (MB), and "
-        "`scipy` and the public scipy subpackages it imports."
+        "the optional modules it imports: `scipy`, the public scipy subpackages, "
+        "`_hashlib`, `numpy.ma` and `numpy.polynomial`."
     )
     doc["runs"][args.label] = run
     with open(args.out, "w") as fh:

@@ -19,8 +19,8 @@ points are rejected where they enter.
 
 from __future__ import annotations
 
-import hashlib
 import math
+from _blake2 import blake2b  # hashlib's blake2b, without hashlib loading OpenSSL
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -94,7 +94,7 @@ def derive_seed(master: int, *tokens) -> int:
     h = _mix_int(master)
     for tok in tokens:
         if isinstance(tok, str):
-            digest = hashlib.blake2b(tok.encode(), digest_size=8).digest()
+            digest = blake2b(tok.encode(), digest_size=8).digest()
             tok = int.from_bytes(digest, "little")
         h = _mix_int(h ^ _mix_int(int(tok)))
     return h
@@ -733,6 +733,25 @@ def maximal_functional(field: RandomField, eps_grid, r0: float = 1.0) -> float:
 # multi-seed diagnostics built on the functionals above
 
 
+def quartiles(values) -> tuple[float, float, float]:
+    """(q25, median, q75) of a sample, bitwise as np.percentile (linear
+    method) and np.median give them, without loading numpy.ma; NaN for an
+    empty sample or one that holds a NaN."""
+    x = np.sort(np.asarray(values, dtype=float)).tolist()
+    n = len(x)
+    if n == 0 or math.isnan(x[-1]):  # a NaN sorts last
+        return math.nan, math.nan, math.nan
+
+    def at(p: float) -> float:
+        i, t = divmod((n - 1) * p, 1.0)
+        a, b = x[int(i)], x[min(int(i) + 1, n - 1)]
+        return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+    mid = n // 2
+    median = x[mid] if n % 2 else (x[mid - 1] + x[mid]) / 2.0
+    return at(0.25), median, at(0.75)
+
+
 @dataclass(frozen=True)
 class BirkhoffStudy:
     eps: float
@@ -765,8 +784,8 @@ def birkhoff_study(
         exact_mean=exact,
         target=target,
         averages=tuple(vals),
-        median_average=float(np.median(vals)),
-        median_abs_rel_error=float(np.median(rel)),
+        median_average=quartiles(vals)[1],
+        median_abs_rel_error=quartiles(rel)[1],
     )
 
 

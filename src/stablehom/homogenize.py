@@ -149,14 +149,6 @@ class ConvergenceReport:
         return self.medians[metric]
 
 
-def _quartiles(values: list[float]) -> tuple[float, float, float]:
-    """(q25, median, q75) of a sample; NaN for an empty one."""
-    if not values:
-        return math.nan, math.nan, math.nan
-    arr = np.asarray(values)
-    return float(np.percentile(arr, 25)), float(np.median(arr)), float(np.percentile(arr, 75))
-
-
 def _solve_limit(config: SweepConfig) -> tuple[SparseSymmetricForm, MeasureWeights, np.ndarray]:
     kernel_eff = effective_kernel(config.form)
     form_k = assemble_effective_form(config.grid, kernel_eff, config.cone, config.params)
@@ -233,7 +225,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     if not cells:
         raise NumericalError(f"every sweep cell failed; first: {failures[0][2]}")
     # quartiles[m][eps index] = (q25, median, q75)
-    quartiles = {m: [_quartiles([getattr(c, m) for c in cells if c.eps == eps])
+    quartiles = {m: [env.quartiles([getattr(c, m) for c in cells if c.eps == eps])
                      for eps in config.eps_list] for m in METRICS}
     return ConvergenceReport(
         eps_list=config.eps_list,
@@ -292,7 +284,7 @@ def estimate_effective_constant(
             if i in skipped:
                 continue
             samples.append(form_eps.energy(f, f) / ref_energy[i])
-    q25, c_hat, q75 = _quartiles(samples)
+    q25, c_hat, q75 = env.quartiles(samples)
     return EffectiveConstantEstimate(
         c_hat=c_hat, iqr=q75 - q25, samples=tuple(samples), skipped_fns=tuple(skipped)
     )
@@ -340,7 +332,7 @@ def mosco_form_check(
             form_eps = assemble_form(grid, reseed_form(form, cell_seed), cone, params, eps)
             for f, lim in zip(fns, limits):
                 errs.append(abs(form_eps.energy(f, f) - lim))
-        quartiles.append(_quartiles(errs))
+        quartiles.append(env.quartiles(errs))
     q25, medians, q75 = zip(*quartiles)
     thr = 0.1 * medians[0] if threshold is None else threshold
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
@@ -501,7 +493,7 @@ def moment_bound_report(
             k = _kappa_matrix(reseed_form(form, cell_seed), points, eps)
             inner = hd * k.sum(axis=1)
             vals.append(hd * float((inner**p).sum()))
-        medians.append(float(np.median(vals)))
+        medians.append(env.quartiles(vals)[1])
     slope = (
         float(np.polyfit(np.log([1.0 / e for e in eps_list]), np.log(medians), 1)[0])
         if len(eps_list) >= 2

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from stablehom import discrete, env, kernel
-from stablehom.errors import ConfigurationError, DomainError
+from stablehom.errors import ConfigurationError, DomainError, NumericalError
 
 
 def unit_q_1d(s, alpha):
@@ -191,6 +191,84 @@ def test_subcell_axis_mass_2d_against_quad(alpha, cone):
         expected.append(total)
     got = discrete._subcell_axis_mass(2, alpha, cone)
     assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_gl_nodes_integrate_even_monomials(order):
+    x, w = discrete._gl_nodes(order)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    for k in range(order):
+        # int_{-1/2}^{1/2} x^(2k) dx
+        assert abs(float((w * x ** (2 * k)).sum()) - 0.5 ** (2 * k) / (2 * k + 1)) <= 1e-15
+
+
+def _unit_cell_integral(s, dim, alpha):
+    """One cell integral at a time: the per-entry form _stencil_geometry had."""
+    dist = math.sqrt(float((s.astype(float) ** 2).sum()))
+    if dist > 4.0:
+        return dist ** (-dim - alpha)
+    if dim == 1:
+        a = abs(float(s[0]))
+        return ((a - 0.5) ** (-alpha) - (a + 0.5) ** (-alpha)) / alpha
+    x, w = discrete._gl_nodes(16)
+    grids = np.meshgrid(*([x] * dim), indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1) + s.astype(float)
+    wts = np.ones(len(pts))
+    for g in np.meshgrid(*([w] * dim), indexing="ij"):
+        wts = wts * g.ravel()
+    vals = ((pts**2).sum(axis=1)) ** (-(dim + alpha) / 2.0)
+    return float((wts * vals).sum())
+
+
+def _stencil_geometry_loop(dim, n, alpha, cone):
+    """The per-entry loop _stencil_geometry replaced, kept as its oracle."""
+    reach = n // 4
+    rng = np.arange(-reach, reach + 1, dtype=np.int64)
+    disp = np.stack([g.ravel() for g in np.meshgrid(*([rng] * dim), indexing="ij")], axis=1)
+    dist = np.sqrt((disp.astype(float) ** 2).sum(axis=1))
+    disp = disp[(dist >= 1.0) & (dist <= reach)]
+    disp = disp[kernel.in_cone(cone, disp.astype(float))]
+    disp = disp[np.lexsort(disp.T[::-1])]
+    q = np.empty(len(disp))
+    index = {tuple(int(v) for v in s): k for k, s in enumerate(disp)}
+    for k, s in enumerate(disp):
+        neg = index[tuple(-int(v) for v in s)]
+        q[k] = q[neg] if neg < k else _unit_cell_integral(s, dim, alpha)
+    mass = discrete._subcell_axis_mass(dim, alpha, cone)
+    for k_axis in range(dim):
+        unit = np.zeros(dim, dtype=np.int64)
+        unit[k_axis] = 1
+        pos, neg = index.get(tuple(unit)), index.get(tuple(-unit))
+        if pos is not None and neg is not None:
+            q[pos] += 0.5 * mass[k_axis]
+            q[neg] += 0.5 * mass[k_axis]
+    return disp, q
+
+
+_GEOMETRY_CONES = {
+    1: [kernel.full_space_cone(1), kernel.ConeSpec(axis=(1.0,), aperture=0.0)],
+    2: [kernel.full_space_cone(2), kernel.ConeSpec(axis=(1.0, 0.3), aperture=0.5),
+        kernel.ConeSpec(axis=(0.0, 1.0), aperture=0.9), kernel.ConeSpec(axis=(0.6, 0.8))],
+}
+
+
+@pytest.mark.parametrize("dim, n", [(1, 4), (1, 64), (1, 8192), (2, 4), (2, 16), (2, 128)])
+def test_stencil_geometry_matches_per_entry_loop_bitwise(dim, n):
+    for alpha in (0.1, 0.5, 1.0, 1.5, 1.8, 1.95):
+        for cone in _GEOMETRY_CONES[dim]:
+            disp, q = discrete._stencil_geometry(dim, n, alpha, cone)
+            want_disp, want_q = _stencil_geometry_loop(dim, n, alpha, cone)
+            assert np.array_equal(disp, want_disp)
+            assert np.array_equal(q.view(np.uint64), want_q.view(np.uint64)), (alpha, cone)
+            # q(s) == q(-s): the mirrored entry of s is -s
+            assert np.array_equal(disp[::-1], -disp) and np.array_equal(q, q[::-1])
+
+
+def test_stencil_geometry_refuses_an_asymmetric_stencil(monkeypatch):
+    monkeypatch.setattr(discrete, "in_cone", lambda cone, z: z[:, 0] > 0)
+    with pytest.raises(NumericalError, match="not mirror-symmetric"):
+        # unwrapped, so no geometry built with the patched test lands in the cache
+        discrete._stencil_geometry.__wrapped__(2, 16, 1.0, kernel.full_space_cone(2))
 
 
 # ---------------------------------------------------------------------------

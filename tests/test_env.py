@@ -357,6 +357,39 @@ def test_derive_seed_is_deterministic_and_token_sensitive():
     assert a != env.derive_seed(123, "mosco", 0, 4)
 
 
+def test_derive_seed_values_are_pinned():
+    # string tokens hash with blake2b; these are the values hashlib.blake2b gives
+    assert env.derive_seed(123, "sweep") == 17624102946006979562
+    assert env.derive_seed(0, "moment", 1, 2) == 4861899335187494581
+
+
+# ---------------------------------------------------------------------------
+# sample quartiles
+
+
+def _numpy_quartiles(x):
+    return np.percentile(x, 25), np.median(x), np.percentile(x, 75)
+
+
+def test_quartiles_match_numpy_bitwise():
+    rng = np.random.default_rng(0)
+    for n in range(1, 61):
+        for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
+            x = scale * rng.lognormal(size=n)
+            ties = scale * rng.integers(0, 4, size=n).astype(float)  # repeated values
+            for sample in (x, ties, -x):
+                got = np.array(env.quartiles(list(sample)))
+                want = np.array(_numpy_quartiles(sample))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, scale)
+
+
+def test_quartiles_of_nan_and_empty_samples():
+    for sample in ([math.nan], [1.0, math.nan, 2.0], [3.0, 1.0, 2.0, math.nan]):
+        assert all(math.isnan(v) for v in _numpy_quartiles(np.array(sample)))
+        assert all(math.isnan(v) for v in env.quartiles(sample))
+    assert all(math.isnan(v) for v in env.quartiles([]))
+
+
 # ---------------------------------------------------------------------------
 # Birkhoff averages
 
