@@ -14,7 +14,11 @@ arbitrarily close to 0), it reports the median wall time of
 - one generator matvec;
 - one resolvent solve (lambda = 1, bump right-hand side, Lebesgue measure,
   tol 1e-9), together with its CG iteration count;
-- one energy of the bump.
+- one energy E(f, f) of the bump f, and one E(u, f) with the random u of
+  the matvec;
+- in 2D, one form-convergence check (`homogenize.mosco_form_check` at eps
+  4e, 2e and e for the case's eps e, one seed, the three functions of
+  `discrete.test_function_suite`).
 
 End to end, it times the acceptance-size sweep: acceptance criterion 3's
 config (1D, n = 512, summation form with lognormal(-1/8, 1/2) lambda,
@@ -64,7 +68,7 @@ CASES = {  # label -> (dim, n, length, eps, factor marginal)
     "1d-n2048-degenerate": (1, 2048, 8.0, 0.25, DEGENERATE),
 }
 COLD_RUNS = 9  # fresh processes of the cold-start case
-REPEATS = 5  # samples per layer, unless BUDGET_S runs out first
+REPEATS = 11  # samples per layer, unless BUDGET_S runs out first
 BUDGET_S = 3.0  # seconds per layer after which repeats stop
 
 
@@ -122,6 +126,13 @@ def run_case(dim: int, n: int, length: float, eps: float, factor: tuple) -> dict
     )
     out["solve_iterations"] = solutions[-1].iterations
     out["energy_s"] = median_time(lambda: op.energy(f, f))
+    out["energy_fg_s"] = median_time(lambda: op.energy(u, f))
+    if dim == 2:
+        from stablehom import homogenize as H
+
+        fns = discrete.test_function_suite(grid)
+        out["mosco_s"] = median_time(lambda: H.mosco_form_check(
+            grid, form, cone, params, (4 * eps, 2 * eps, eps), 1, fns))
     return out
 
 
@@ -252,7 +263,10 @@ def main() -> int:
         "degenerate case), alpha = 1, full-space cone; 1D L = 8, eps = 1/4; 2D L = 4, "
         "eps = 1/2; field_iid_s and field_ma_s time discrete.measure_weights on the "
         "grid with an iid uniform(0.5, 1.5) field and the first factor; geometry_s "
-        "times the first discrete._stencil_geometry call with its caches cleared.  "
+        "times the first discrete._stencil_geometry call with its caches cleared; "
+        "energy_s is E(f, f) of the bump f, energy_fg_s E(u, f) with the matvec's "
+        "random u; mosco_s (2D) is one homogenize.mosco_form_check at eps 2, 1 and "
+        "1/2, one seed and the three functions of test_function_suite.  "
         "1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
         "end (5 eps x 10 seeds) and the CG iterations summed over its cells.  "
         "cold-cli-2d-sweep: fresh `python -m stablehom.cli run` processes on a 2D "

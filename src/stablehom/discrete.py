@@ -14,9 +14,11 @@ exist in d = 1, 2 only, the dims KernelParams admits; grids, measure weights
 and the test functions take any d.
 
 Every coefficient family is node fields times one stencil kernel K; the
-reach n/4 < n/2 makes K an exact circulant on the torus, so the generator and
-the energies are FFT convolutions (see SparseSymmetricForm).  Explicit weight
-slabs are built only on demand, as the oracle path behind the dense checks.
+reach n/4 < n/2 makes K an exact circulant on the torus, so the generator is
+an FFT convolution and an energy a Parseval sum over forward transforms (see
+SparseSymmetricForm).  K and its symbol depend on the config alone, and every
+form of one kernel shares them (`_jump_kernel`).  Explicit weight slabs are
+built only on demand, as the oracle path behind the dense checks.
 """
 
 from __future__ import annotations
@@ -95,14 +97,44 @@ def evaluate(grid: Grid, fn) -> np.ndarray:
 # stencil geometry
 
 
-@lru_cache(maxsize=32)
+# Positive halves of numpy's leggauss rules, mapped to [-1/2, 1/2]: (nodes,
+# weights) by order.  The literals are leggauss's output bitwise, which keeps
+# numpy.polynomial and its LAPACK eigensolver out of a run.
+_GL_HALVES = {
+    16: ((0.04750625491881872, 0.14080177538962946, 0.22900838882861368,
+          0.3089381222013219, 0.3777022041775015, 0.4328156011939159,
+          0.4722875115366163, 0.49470046749582497),
+         (0.09472530522753432, 0.09130170752246182, 0.08457825969750132,
+          0.07479799440828835, 0.062314485627767036, 0.0475792558412463,
+          0.031126761969323728, 0.013576229705877088)),
+    32: ((0.024153832843869162, 0.07223598079139824, 0.11964368112606853,
+          0.16593430114106383, 0.21067563806531767, 0.2534499544661147,
+          0.29385787862038115, 0.3315221334651076, 0.36609105937014486,
+          0.3972418979839712, 0.424683806866285, 0.44816057788302605,
+          0.46745303796886983, 0.4823811277937532, 0.4928057557726342,
+          0.4986319309247408),
+         (0.04827004425736383, 0.047819360039637354, 0.046922199540402255,
+          0.04558693934788189, 0.04382604650220189, 0.041655962113473353,
+          0.039096947893535114, 0.03617289705442417, 0.03291111138818084,
+          0.029342046739267783, 0.025499029631188046, 0.021417949011113418,
+          0.017136931456510882, 0.012696032654631012, 0.008137197365452872,
+          0.003509305004735253)),
+}
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, no longer writeable: cached values are shared by callers."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule of `order` nodes on [-1/2, 1/2]: numpy's leggauss
-    (companion-matrix eigenvalues polished by one Newton step).  Newton's
-    method on the three-term recurrence gives its nodes bitwise at orders 16
-    and 32 but not its weights, which moves a CG count of the report corpus."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * x, 0.5 * w  # mapped to [-1/2, 1/2]
+    """Gauss-Legendre rule of `order` (16 or 32) nodes on [-1/2, 1/2],
+    ascending, equal to numpy's leggauss."""
+    x, w = (np.array(half) for half in _GL_HALVES[order])
+    return _read_only(np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w]))
 
 
 def _cell_integrals(s: np.ndarray, alpha: float) -> np.ndarray:
@@ -209,7 +241,48 @@ def _stencil_geometry(
         pos = np.flatnonzero((disp == unit).all(axis=1))  # empty outside the cone
         q[pos] += 0.5 * mass[k_axis]
         q[size - 1 - pos] += 0.5 * mass[k_axis]
-    return disp, q
+    return _read_only(disp, q)
+
+
+def _symbol(grid: Grid, stencil: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Fourier symbol, in rfftn layout, of the circulant with entries `values`
+    at the displacements `stencil`.
+
+    K_s sits at -s mod n so that (K * v)_i = sum_s K_s v_{i+s}; K is even,
+    so its symbol is real."""
+    lattice = np.zeros(grid.shape)
+    lattice[tuple((-stencil % grid.n).T)] = values
+    return np.fft.rfftn(lattice, axes=tuple(range(grid.dim))).real
+
+
+def _parseval_weights(khat: np.ndarray, size: int) -> np.ndarray:
+    """omega K^ / N for a grid of N = `size` nodes: sum_xi of these times
+    Re(conj(X) Y) over the rfftn half spectrum is (1/N) sum_xi K^ conj(X) Y
+    over the whole one.  omega is 1 on the last-axis zero and Nyquist (n even)
+    columns, which the half holds once, and 2 on the others, which stand for
+    their conjugate mirror too."""
+    w = khat * (2.0 / size)
+    w[..., 0] *= 0.5
+    w[..., -1] *= 0.5
+    return w
+
+
+@lru_cache(maxsize=32)
+def _jump_kernel(
+    grid: Grid, params: KernelParams, cone: ConeSpec, c: float, angular: AngularWeight
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stencil (S, dim), K_s = c rho(s) geom(s), the symbol K^ and its
+    `_parseval_weights`, read-only: K depends on the config alone, so every
+    form of one kernel shares them."""
+    stencil, q = _stencil_geometry(grid.dim, grid.n, params.alpha, cone)
+    geom = grid.h ** (grid.dim - params.alpha) * q
+    rho = 1.0 if angular.kind == "one" else angular.rho(stencil.astype(float))
+    values = c * rho * geom
+    # Nonnegative factors make every weight nonnegative (NaN fails too).
+    if not (values >= 0.0).all():
+        raise DomainError(f"negative jump kernel: min K_s = {values.min():g}")
+    khat = _symbol(grid, stencil, values)
+    return (stencil, *_read_only(values, khat, _parseval_weights(khat, grid.size)))
 
 
 class SparseSymmetricForm:
@@ -221,35 +294,47 @@ class SparseSymmetricForm:
 
     with K_s (`stencil_kernel`) the geometry factor of displacement s times
     the constant c and angular weight rho of the form, and (a_t, b_t) its
-    node-field pairs: kernel.form_terms lists both per family.
-    K is circulant, so with * the FFT convolution (K * v)_i = sum_s K_s v_{i+s}
+    node-field pairs: kernel.form_terms lists both per family.  The form
+    keeps one factor table, the distinct node fields F_u of its pairs (told
+    apart by identity: [nu1, nu2] for a product form, [lam, 1] for a
+    summation form, [1] for a constant one), and the pairs as index pairs
+    (ia_t, ib_t) into it.  K is circulant, so with * the FFT convolution
+    (K * v)_i = sum_s K_s v_{i+s}
 
         A u = sum_t a_t (K * (b_t u)) - d u,    d = sum_t a_t (K * b_t),
 
-    and E(f, g) = -<f, A g>, with K masked to a band for band energies.
-    Inputs are shifted by their first entry before transforming; A
-    annihilates constants, so constants keep exactly zero energy.
-    `weight_slab` builds w(i, i+s) explicitly from the same pairs; it is the
-    independent oracle behind `dense_generator`, `iter_pair_blocks` and
-    `dump_weights`.
+    and E(f, g) = -<f, A g>.  By Parseval's identity, with f' = f - f_0,
+    g' = g - g_0 and X_u, Y_u the rfftn of F_u f' and F_u g',
+
+        E(f, g) = <f', d g'> - (1/N) sum_t sum_xi omega_xi K^(xi)
+                  Re(conj(X_{ia_t}(xi)) Y_{ib_t}(xi)),
+
+    omega the weight of the half spectrum (`_parseval_weights`): an energy
+    takes one forward transform of the U factor fields times f' (and g'),
+    and no inverse.  Band energies use the symbol of K masked to the band
+    and its row sums.  The shift by the first entry keeps constants at
+    exactly zero energy.  `weight_slab` builds w(i, i+s) explicitly from the
+    same pairs; it is the independent oracle behind `dense_generator`,
+    `iter_pair_blocks` and `dump_weights`.
     """
 
     def __init__(
         self,
         grid: Grid,
         params: KernelParams,
-        stencil: np.ndarray,
-        stencil_kernel: np.ndarray,
+        jump_kernel: tuple[np.ndarray, ...],
         pairs: list[tuple[np.ndarray, np.ndarray]],
     ):
         self.grid = grid
         self.params = params
-        self.stencil = stencil
-        self.stencil_kernel = stencil_kernel
-        self._a = np.stack([a for a, _ in pairs])
-        self._b = np.stack([b for _, b in pairs])
-        self._khat = self._symbol(np.ones(len(stencil), dtype=bool))
-        self._d = self._row_sums(self._khat)
+        self.stencil, self.stencil_kernel, self._khat, self._weights = jump_kernel
+        distinct = {id(x): x for pair in pairs for x in pair}
+        index = {key: u for u, key in enumerate(distinct)}
+        self._fields = np.stack(list(distinct.values()))
+        self._terms = tuple((index[id(a)], index[id(b)]) for a, b in pairs)
+        if not (self._fields >= 0.0).all():  # NaN fails too
+            raise DomainError(f"negative coefficient field: min value {self._fields.min():g}")
+        self._d = self._pair_sum(self._fields, self._khat)  # row sums
 
     @property
     def stencil_size(self) -> int:
@@ -263,48 +348,52 @@ class SparseSymmetricForm:
         """Lattice-shaped w(i, i + s_k) for stencil entry k, built explicitly."""
         shift = tuple(-int(v) for v in self.stencil[k])
         axes = tuple(range(self.grid.dim))
-        pairs = sum(a * np.roll(b, shift, axis=axes) for a, b in zip(self._a, self._b))
+        fields = self._fields
+        pairs = sum(fields[i] * np.roll(fields[j], shift, axis=axes) for i, j in self._terms)
         return self.stencil_kernel[k] * pairs
 
-    def _symbol(self, keep: np.ndarray) -> np.ndarray:
-        """Fourier symbol of K restricted to the stencil entries `keep`.
-
-        K_s sits at -s mod n so that (K * v)_i = sum_s K_s v_{i+s}; K is even,
-        so its symbol is real."""
-        lattice = np.zeros(self.grid.shape)
-        lattice[tuple((-self.stencil[keep] % self.grid.n).T)] = self.stencil_kernel[keep]
-        return np.fft.rfftn(lattice, axes=tuple(range(self.grid.dim))).real
-
-    def _convolve(self, fields: np.ndarray, khat: np.ndarray) -> np.ndarray:
-        """K * v for each field v stacked along the leading axis."""
+    def _pair_sum(self, v: np.ndarray, khat: np.ndarray) -> np.ndarray:
+        """sum_t a_t (K * (b_t u)) from v = F u, the factor fields times u:
+        one transform pair per distinct field."""
         axes = tuple(range(1, self.grid.dim + 1))
-        spectrum = np.fft.rfftn(fields, axes=axes) * khat
-        return np.fft.irfftn(spectrum, s=self.grid.shape, axes=axes)
-
-    def _row_sums(self, khat: np.ndarray) -> np.ndarray:
-        return (self._a * self._convolve(self._b, khat)).sum(axis=0)
-
-    def _generator(self, u: np.ndarray, khat: np.ndarray, d: np.ndarray) -> np.ndarray:
-        u = u - u.flat[0]
-        return (self._a * self._convolve(self._b * u, khat)).sum(axis=0) - d * u
+        conv = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * khat, s=self.grid.shape, axes=axes)
+        (i, j), *rest = self._terms
+        out = self._fields[i] * conv[j]
+        for i, j in rest:
+            out += self._fields[i] * conv[j]
+        return out
 
     def energy(self, f: np.ndarray, g: np.ndarray, r_lo=None, r_hi=None) -> float:
         """Dirichlet energy, optionally restricted to jumps with r_lo <= |z| <= r_hi."""
-        F = self._as_lattice(f)
-        G = F if g is f else self._as_lattice(g)
         if r_lo is None and r_hi is None:
-            khat, d = self._khat, self._d
+            d, weights = self._d, self._weights
         else:
             dist = np.sqrt((self.displacements() ** 2).sum(axis=1))
             hi = math.inf if r_hi is None else r_hi
-            khat = self._symbol((dist >= (r_lo or 0.0)) & (dist <= hi))
-            d = self._row_sums(khat)
+            band = (dist >= (r_lo or 0.0)) & (dist <= hi)
+            khat = _symbol(self.grid, self.stencil, np.where(band, self.stencil_kernel, 0.0))
+            d = self._pair_sum(self._fields, khat)  # the band's row sums
+            weights = _parseval_weights(khat, self.grid.size)
+        axes = tuple(range(1, self.grid.dim + 1))
+        F = self._as_lattice(f)
+        F = F - F.flat[0]
+        x = np.fft.rfftn(self._fields * F, axes=axes)
+        if g is f:
+            G, y = F, x
+        else:
+            G = self._as_lattice(g)
+            G = G - G.flat[0]
+            y = np.fft.rfftn(self._fields * G, axes=axes)
+        wy = weights * y
+        cross = sum(np.vdot(x[i], wy[j]).real for i, j in self._terms)
         # 0.0 - x keeps a vanishing energy unsigned
-        return 0.0 - float(np.vdot(F - F.flat[0], self._generator(G, khat, d)))
+        return 0.0 - (float(cross) - float(np.vdot(F, d * G)))
 
     def apply_generator(self, u: np.ndarray) -> np.ndarray:
         """(A u)_i = sum_j w(i,j) (u_j - u_i); annihilates constants."""
-        return self._generator(self._as_lattice(u), self._khat, self._d).reshape(u.shape)
+        U = self._as_lattice(u)
+        U = U - U.flat[0]
+        return (self._pair_sum(self._fields * U, self._khat) - self._d * U).reshape(u.shape)
 
     def row_weight_sums(self) -> np.ndarray:
         """sum_j w(i, j) per node (= |A_ii|), flat layout."""
@@ -378,19 +467,7 @@ def _oscillation_check(grid: Grid, eps: float, cell_size: float):
 
 def _build(grid, params, cone, pairs, c=1.0, angular=AngularWeight()) -> SparseSymmetricForm:
     """Form with K_s = c rho(s) geom(s) and node-field pairs `pairs`."""
-    stencil, q = _stencil_geometry(grid.dim, grid.n, params.alpha, cone)
-    geom = grid.h ** (grid.dim - params.alpha) * q
-    rho = 1.0 if angular.kind == "one" else angular.rho(stencil.astype(float))
-    stencil_kernel = c * rho * geom
-    # Nonnegative factors make every weight nonnegative (NaN fails too).
-    if not (stencil_kernel >= 0.0).all():
-        raise DomainError(f"negative jump kernel: min K_s = {stencil_kernel.min():g}")
-    for a, b in pairs:
-        if not ((a >= 0.0).all() and (b >= 0.0).all()):
-            raise DomainError(
-                f"negative coefficient field: min value {min(a.min(), b.min()):g}"
-            )
-    return SparseSymmetricForm(grid, params, stencil, stencil_kernel, pairs)
+    return SparseSymmetricForm(grid, params, _jump_kernel(grid, params, cone, c, angular), pairs)
 
 
 def node_field_pairs(

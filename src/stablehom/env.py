@@ -484,6 +484,7 @@ def _ma_window(dim: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     dist = np.sqrt((offsets.astype(float) ** 2).sum(axis=1))
     w = (1.0 + dist) ** (-q)
     w /= math.sqrt(float((w**2).sum()))
+    offsets.flags.writeable = w.flags.writeable = False  # shared by every caller
     return offsets, w
 
 
@@ -631,6 +632,7 @@ def _window_terms(dim: int, q: float, shape: tuple[int, ...]):
     shifts = (offsets + _MA_RADIUS) @ strides
     rows = (inner[0],) + shape[1:]
     keep = (slice(None),) + tuple(slice(0, n) for n in inner[1:])
+    distinct.flags.writeable = False  # shared by every caller
     return distinct, tuple(zip(index.tolist(), shifts.tolist())), span, rows, keep
 
 

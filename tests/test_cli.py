@@ -517,8 +517,9 @@ def test_mosco_plotdata_writes_the_report_quartiles(tmp_path):
 
 # A sweep or mosco run loads no scipy module: scipy serves only the
 # Levy-exponent quadrature, the dense oracle and the tests.  Nor does it load
-# OpenSSL (`_hashlib`, which `hashlib` imports) or `numpy.ma` (which
-# np.percentile and np.median import).
+# OpenSSL (`_hashlib`, which `hashlib` imports), `numpy.ma` (which
+# np.percentile and np.median import) or `numpy.polynomial` (the 2D
+# Gauss-Legendre rules are a table of its leggauss output).
 _IMPORT_PATH_SCRIPT = """
 import json, sys
 from stablehom import cli
@@ -535,8 +536,8 @@ for name, extra in (("sweep", {"mu": {"marginal": {"kind": "lognormal", "m": -0.
     assert cli.main(["validate", path]) == 0
     assert cli.main(["run", path, "--out", f"{sys.argv[1]}/{name}"]) in (0, 1)
 print(json.dumps(sorted(name for name in sys.modules
-                        if name in ("scipy", "_hashlib", "numpy.ma")
-                        or name.startswith(("scipy.", "numpy.ma.")))))
+                        if name in ("scipy", "_hashlib", "numpy.ma", "numpy.polynomial")
+                        or name.startswith(("scipy.", "numpy.ma.", "numpy.polynomial.")))))
 """
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import integrate
 
 from stablehom import discrete, env, kernel
+from stablehom import homogenize as H
 from stablehom.errors import ConfigurationError, DomainError, NumericalError
 
 
@@ -200,6 +202,32 @@ def test_gl_nodes_integrate_even_monomials(order):
     for k in range(order):
         # int_{-1/2}^{1/2} x^(2k) dx
         assert abs(float((w * x ** (2 * k)).sum()) - 0.5 ** (2 * k) / (2 * k + 1)) <= 1e-15
+
+
+@pytest.mark.parametrize("order", [16, 32])
+def test_gl_nodes_match_leggauss(order):
+    from numpy.polynomial.legendre import leggauss  # kept out of the library
+
+    x, w = discrete._gl_nodes(order)
+    want_x, want_w = (0.5 * v for v in leggauss(order))
+    assert np.all(np.abs(x - want_x) <= 2 * np.spacing(np.abs(want_x)))
+    assert np.all(np.abs(w - want_w) <= 2 * np.spacing(want_w))
+
+
+def test_cached_arrays_are_read_only():
+    # a caller writing into a cached array would corrupt every later caller
+    grid = discrete.Grid(dim=2, length=4.0, n=16)
+    cone, params = kernel.full_space_cone(2), kernel.KernelParams(alpha=1.0, dim=2)
+    cached = [
+        *discrete._stencil_geometry(2, 16, 1.0, cone),
+        *discrete._gl_nodes(16),
+        *env._ma_window(2, 1.5),
+        env._window_terms(2, 1.5, (12, 12))[0],
+        *discrete._jump_kernel(grid, params, cone, 1.0, kernel.AngularWeight()),
+    ]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
 
 
 def _unit_cell_integral(s, dim, alpha):
@@ -430,6 +458,121 @@ def test_fft_generator_matches_slab_oracle(kind, dim, coned):
         close(form.energy(f, g, r_lo=r_lo, r_hi=r_hi), -float(f @ band_apply(g)))
 
 
+def _pair_sum_energy(form, f, g, r_lo=None, r_hi=None):
+    """1/2 sum over ordered pairs of w (f_i - f_j)(g_i - g_j), summed over the
+    unordered pairs of iter_pair_blocks, optionally only jumps with
+    r_lo <= |z| <= r_hi (|z| from the nodes' nearest periodic image)."""
+    grid = form.grid
+    total = 0.0
+    for lo, hi, w in form.iter_pair_blocks():
+        step = np.subtract(*(np.unravel_index(k[0], grid.shape) for k in (hi, lo)))
+        step = (step + grid.n // 2) % grid.n - grid.n // 2
+        dist = math.sqrt(float(((step * grid.h) ** 2).sum()))
+        if (r_lo is not None and dist < r_lo) or (r_hi is not None and dist > r_hi):
+            continue
+        total += float(np.dot(w, (f[lo] - f[hi]) * (g[lo] - g[hi])))
+    return total
+
+
+def _families(dim, nu1, nu2):
+    """Constant, summation (rho 1 and cos2) and product forms, the last with
+    distinct and with equal factors."""
+    axis = (1.0,) + (0.0,) * (dim - 1)
+    return {
+        "constant": kernel.ConstantForm(1.7),
+        "summation-one": kernel.SummationForm(lambda_field=nu2),
+        "summation-cos2": kernel.SummationForm(nu1, kernel.angular_cos2(axis)),
+        "product": kernel.ProductForm(nu1=nu1, nu2=nu2),
+        "product-equal": kernel.ProductForm(nu1=nu1, nu2=nu1),
+    }
+
+
+def _energy_case(kind, dim, coned):
+    grid = discrete.Grid(dim=dim, length=4.0, n=64 if dim == 1 else 16)
+    params = kernel.KernelParams(alpha=1.3, dim=dim)
+    cone = (kernel.ConeSpec(axis=(0.6, 0.8) if dim == 2 else (1.0,), aperture=0.5) if coned
+            else kernel.full_space_cone(dim))
+    nu1, nu2 = (env.sample_field(dim, env.lognormal(0.0, 0.6), seed=s) for s in (1, 2))
+    form = _families(dim, nu1, nu2)[kind]
+    return grid, discrete.assemble_form(grid, form, cone, params, eps=1.0)
+
+
+@pytest.mark.parametrize("coned", [False, True], ids=["full", "cone"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize(
+    "kind", ["constant", "summation-one", "summation-cos2", "product", "product-equal"]
+)
+def test_spectral_energy_matches_pair_sum_oracle(kind, dim, coned):
+    grid, form = _energy_case(kind, dim, coned)
+    # one factor field each for constant and equal-factor forms, two otherwise
+    assert len(form._fields) == (1 if kind in ("constant", "product-equal") else 2)
+    rng = np.random.default_rng(5)
+    # rough functions: the Nyquist columns of their spectra carry weight
+    f, g = rng.normal(size=grid.size), 3.0 + rng.normal(size=grid.size)
+    for r_lo, r_hi in ((None, None), (None, 0.3), (0.3, None), (0.2, 0.6)):
+        ff = _pair_sum_energy(form, f, f, r_lo, r_hi)
+        gg = _pair_sum_energy(form, g, g, r_lo, r_hi)
+        fg = _pair_sum_energy(form, f, g, r_lo, r_hi)
+        assert ff > 0.0 and gg > 0.0
+        assert abs(form.energy(f, f, r_lo, r_hi) - ff) <= 1e-12 * ff
+        assert abs(form.energy(g, g, r_lo, r_hi) - gg) <= 1e-12 * gg
+        scale = math.sqrt(ff * gg)
+        assert abs(form.energy(f, g, r_lo, r_hi) - fg) <= 1e-12 * scale
+        assert abs(form.energy(g, f, r_lo, r_hi) - fg) <= 1e-12 * scale
+    const = np.full(grid.size, -2.5)
+    for e in (form.energy(const, const), form.energy(const, g), form.energy(f, const)):
+        assert e == 0.0 and math.copysign(1.0, e) == 1.0
+
+
+def test_forms_of_one_kernel_share_its_symbol():
+    grid = discrete.Grid(dim=2, length=4.0, n=32)
+    cone, params = kernel.full_space_cone(2), kernel.KernelParams(alpha=1.0, dim=2)
+    ma = env.moving_average(1.5)
+    form = kernel.ProductForm(nu1=env.sample_field(2, env.uniform(0.5, 1.5), ma, seed=0),
+                              nu2=env.sample_field(2, env.uniform(0.5, 1.5), ma, seed=1))
+    forms = [discrete.assemble_form(grid, H.reseed_form(form, seed), cone, params, eps)
+             for seed in (3, 4) for eps in (1.0, 0.5)]
+    assert all(op._khat is forms[0]._khat for op in forms)
+    assert all(op.stencil_kernel is forms[0].stencil_kernel for op in forms)
+    limit = discrete.assemble_effective_form(grid, kernel.effective_kernel(form), cone, params)
+    assert limit._khat is not forms[0]._khat  # another constant c, another kernel
+
+
+# sha256 prefixes of apply_generator(u) and row_weight_sums(), recorded with
+# the generator that multiplied stacks of the a_t and b_t fields, before the
+# factor table.  They pin its operations bitwise for numpy 2.4's FFT.
+_GENERATOR_DIGESTS = {
+    "1d-constant": ("1303bb12692d90a2", "e60b8c9cdadf7eb2"),
+    "1d-summation-one": ("72e52ebd573b8a74", "ef10ae9a8a17166e"),
+    "1d-summation-cos2": ("a5b05856ff493002", "90243a208dbfd9d1"),
+    "1d-product": ("cbed7e47a905c4f8", "34f569193d55901d"),
+    "1d-product-equal": ("5c00000632d65d47", "8d05993e7e4c0df0"),
+    "2d-constant": ("6dd50ebec606ee90", "e3db50ea91ea4625"),
+    "2d-summation-one": ("c98082c7719759dd", "70e1547e5a9e13de"),
+    "2d-summation-cos2": ("6c1120fccee27c3f", "b3d627d407b7286f"),
+    "2d-product": ("98e6e78f1991431c", "ac1ab5543cf63b07"),
+    "2d-product-equal": ("af45ef504c3884ce", "c6159c5362ab930f"),
+}
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="digests of numpy 2.4's FFT")
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_generator_and_row_sums_match_recorded_digests(dim, n):
+    grid = discrete.Grid(dim=dim, length=4.0, n=n)
+    cone, params = kernel.full_space_cone(dim), kernel.KernelParams(alpha=1.3, dim=dim)
+    nu1 = env.sample_field(dim, env.uniform(0.5, 1.5), env.moving_average(1.5), seed=1)
+    nu2 = env.sample_field(dim, env.lognormal(0.0, 0.5), seed=2)
+    u = np.random.default_rng(0).normal(size=grid.size)
+
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+    for name, coefficient in _families(dim, nu1, nu2).items():
+        op = discrete.assemble_form(grid, coefficient, cone, params, eps=1.0)
+        got = (digest(op.apply_generator(u)), digest(op.row_weight_sums()))
+        assert got == _GENERATOR_DIGESTS[f"{dim}d-{name}"], name
+
+
 def test_n_doubling_energy_drift_small():
     params = kernel.KernelParams(alpha=1.5, dim=1)
     cone = kernel.full_space_cone(1)
@@ -483,13 +626,14 @@ def test_grid_fields_match_field_values_at_nodes_bitwise(dim, eps):
     product = discrete.assemble_form(
         grid, kernel.ProductForm(nu1=nu1, nu2=nu2), cone, params, eps
     )
-    assert np.array_equal(product._a, np.stack([at_nodes(nu1), at_nodes(nu2)]))
-    assert np.array_equal(product._b, np.stack([at_nodes(nu2), at_nodes(nu1)]))
+    # factor tables: [nu1, nu2] and [lam, 1], with the pairs as index pairs
+    assert np.array_equal(product._fields, np.stack([at_nodes(nu1), at_nodes(nu2)]))
+    assert product._terms == ((0, 1), (1, 0))
     summation = discrete.assemble_form(
         grid, kernel.SummationForm(lambda_field=lam), cone, params, eps
     )
-    assert np.array_equal(summation._a[0], at_nodes(lam))
-    assert np.array_equal(summation._b[1], at_nodes(lam))
+    assert np.array_equal(summation._fields, np.stack([at_nodes(lam), np.ones(grid.shape)]))
+    assert summation._terms == ((0, 1), (1, 0))
     mw = discrete.measure_weights(grid, mu, eps)
     assert np.array_equal(mw.m, env.field_values(mu, nodes) * grid.h**dim)
 
