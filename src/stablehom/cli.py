@@ -249,12 +249,16 @@ def _count(name: str, least: int = 1):
     return _rule(_integer, lambda n, out: check_count(name, n, least))
 
 
+def _quarter_length(out) -> float:
+    """The default radius of the translation and moments diagnostics."""
+    return out["grid"]["length"] / 4.0
+
+
 _AXIS = (
     _rule(_numbers, lambda axis, out: None if len(axis) == out["grid"]["dim"]
           else f"has {len(axis)} entries, grid dim is {out['grid']['dim']}"),
     lambda out: [1.0] + [0.0] * (out["grid"]["dim"] - 1),
 )
-_QUARTER_RADIUS = (_number, lambda out: out["grid"]["length"] / 4.0)
 _schema_version = _rule(_integer, lambda v, out: None if v == SCHEMA_VERSION
                         else f"{v} not recognized (expected {SCHEMA_VERSION})")
 _alpha = _rule(_number, lambda a, out: None if 0.0 < a < 2.0 else f"must lie in (0, 2), got {a}")
@@ -269,8 +273,7 @@ _h_multiples = _rule(_array(_integer, "integers"), lambda ks, out: check_transla
     out.built["config.grid"], [k * out.built["config.grid"].h for k in ks]))
 _eta_list = _rule(_numbers, lambda eta, out: H.check_eta_list(eta, out["grid"]["length"]))
 _moment_eps = _rule(_numbers, lambda eps, out: check_ladder("eps_list", eps))
-_moment_radius = (_rule(_number, lambda r, out: H.check_moment_ball(out.built["config.grid"], r)),
-                  _QUARTER_RADIUS[1])
+_moment_radius = _rule(_number, lambda r, out: H.check_moment_ball(out.built["config.grid"], r))
 _eps_grid = _rule(_numbers, lambda eps, out: env.check_eps_grid(eps))
 # the one eps of an estimate, of example 17 or of a diagnostic
 _eps = _rule(_number, lambda eps, out: _resolved_at([eps], out))
@@ -332,10 +335,11 @@ _DIAGNOSTIC_KEYS = {
     "nash": {},
     "cone": {},
     "translation": {"h_multiples": (_h_multiples, [1, 2, 4, 8]),
-                    "radius": _QUARTER_RADIUS, "eps": (_eps, 1.0)},
+                    "radius": (_positive("translation radius"), _quarter_length),
+                    "eps": (_eps, 1.0)},
     "tails": {"eta_list": (_eta_list, _REQUIRED), "eps": (_eps, 1.0)},
     "moments": {"eps_list": (_moment_eps, _REQUIRED), "seeds": (_seeds, 5),
-                "radius": _moment_radius},
+                "radius": (_moment_radius, _quarter_length)},
     "birkhoff": {"eps": (_eps, _REQUIRED),
                  "region": (_REGION, lambda out: [[x] * out["field"]["dim"] for x in (0.0, 1.0)]),
                  "n_seeds": (_count("n_seeds"), 20)},
@@ -384,7 +388,7 @@ _CONFIG = {
     "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None,
                    "sweep translation tails"),
     "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),
-    "mosco": (_object({"threshold": (_number, None)}), {}, "mosco"),
+    "mosco": (_object({"threshold": (_positive("mosco threshold"), None)}), {}, "mosco"),
     "example17": (_EXAMPLE17, _REQUIRED, "example17"),
     "diagnostics": (_rule(_object({}, _DIAGNOSTIC_KEYS), _far_points), _REQUIRED,
                     " ".join(_DIAGNOSTIC_KEYS)),

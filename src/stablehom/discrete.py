@@ -55,8 +55,7 @@ class Grid:
     def __post_init__(self):
         if self.dim < 1:
             raise ConfigurationError(f"grid dim must be >= 1, got {self.dim}")
-        if self.length <= 0:
-            raise ConfigurationError(f"grid length must be positive, got {self.length}")
+        check_positive("grid length", self.length)
         if self.n < 4 or self.n % 2 != 0:
             raise ConfigurationError(f"grid needs even n >= 4, got {self.n}")
 
@@ -314,8 +313,8 @@ class SparseSymmetricForm:
     and no inverse.  Band energies use the symbol of K masked to the band
     and its row sums.  The shift by the first entry keeps constants at
     exactly zero energy.  `weight_slab` builds w(i, i+s) explicitly from the
-    same pairs; it is the independent oracle behind `dense_generator`,
-    `iter_pair_blocks` and `dump_weights`.
+    same pairs; it is the independent oracle behind `dense_generator` and
+    `iter_pair_blocks`.
     """
 
     def __init__(
@@ -538,9 +537,6 @@ class MeasureWeights:
     grid: Grid
     m: np.ndarray
 
-    def norm_sq(self, f: np.ndarray) -> float:
-        return float((self.m * np.asarray(f, dtype=float) ** 2).sum())
-
 
 def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1.0) -> MeasureWeights:
     """Node masses for the measure mu(x/eps) dx; mu_field None means Lebesgue."""
@@ -722,6 +718,7 @@ def translation_estimate_check(
     if f.size != grid.size:
         raise DomainError(f"grid function has {f.size} entries, grid has {grid.size}")
     check_translation_steps(grid, h_steps)
+    check_positive("translation radius", r)
     steps = [round(hval / grid.h) for hval in h_steps]
     mask = grid.ball_mask(r).reshape(grid.shape)
     hd = grid.h**grid.dim
@@ -763,28 +760,3 @@ def translation_estimate_check(
         violation=violation,
     )
 
-
-# ---------------------------------------------------------------------------
-# binary weight dump (external cross-checking interface)
-
-_TRIPLE_DTYPE = np.dtype([("i", "<u8"), ("j", "<u8"), ("w", "<f8")])
-
-
-def dump_weights(form: SparseSymmetricForm, path: str) -> int:
-    """Write (i: u64, j: u64, w: f64) little-endian triples, one per unordered
-    pair with i < j; returns the number of records."""
-    count = 0
-    with open(path, "wb") as fh:
-        for i, j, w in form.iter_pair_blocks():
-            rec = np.empty(len(i), dtype=_TRIPLE_DTYPE)
-            rec["i"] = i
-            rec["j"] = j
-            rec["w"] = w
-            rec.tofile(fh)
-            count += len(rec)
-    return count
-
-
-def load_weight_triples(path: str) -> np.ndarray:
-    """Read a dump_weights file back as a structured array."""
-    return np.fromfile(path, dtype=_TRIPLE_DTYPE)

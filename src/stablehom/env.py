@@ -488,22 +488,6 @@ def _ma_window(dim: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     return offsets, w
 
 
-def ma_weight_correlation(dim: int, q: float, lag_cells) -> float:
-    """Analytic lag correlation of the window-summed Gaussian: sum_k w_k w_{k+lag}."""
-    offsets, w = _ma_window(dim, q)
-    lag = np.asarray(lag_cells, dtype=np.int64).reshape(dim)
-    shifted = offsets + lag
-    inside = np.all(np.abs(shifted) <= _MA_RADIUS, axis=1)
-    if not inside.any():
-        return 0.0
-    # Index each shifted offset through the flattened window grid (C order).
-    side = 2 * _MA_RADIUS + 1
-    idx = np.zeros(int(inside.sum()), dtype=np.int64)
-    for axis in range(dim):
-        idx = idx * side + (shifted[inside, axis] + _MA_RADIUS)
-    return float((w[inside] * w[idx]).sum())
-
-
 def _values_at_cells(field: RandomField, seed, cells: np.ndarray) -> np.ndarray:
     if field.mixing.kind == "iid_cells":
         u = _uniform01(_cell_hash(seed, _SALT_IID, cells.T))
@@ -583,8 +567,10 @@ def field_on_lattice(field: RandomField, axes) -> np.ndarray:
         raise ConfigurationError(f"lattice has {len(axes)} axes, field has dimension {field.dim}")
     shift = _global_shift(field.seed, field.dim, field.cell_size)
     cells = [_cells_of(field, np.asarray(x, dtype=float), s) for x, s in zip(axes, shift)]
-    lows = [c.min() for c in cells]
     shape = tuple(len(c) for c in cells)
+    if 0 in shape:  # an empty axis leaves no cell to hash
+        return np.empty(shape)
+    lows = [c.min() for c in cells]
     box = _box(field, lows, [c.max() for c in cells], math.prod(shape))
     if box is None:  # axis coordinates too scattered for one box
         mesh = np.stack([m.ravel() for m in np.meshgrid(*cells, indexing="ij")], axis=1)
@@ -850,24 +836,6 @@ class CovarianceEntry:
     trials: int
 
 
-@dataclass(frozen=True)
-class CovarianceReport:
-    lags: tuple[float, ...]
-    estimates: tuple[float, ...]
-    standard_errors: tuple[float, ...]
-    fitted_constant: float | None
-    fitted_exponent: float | None
-    analytic_exponent: float | None
-    trials: int
-    truncation: float
-
-    def __post_init__(self):
-        if self.trials < 2:
-            raise ConfigurationError(f"covariance report needs trials >= 2, got {self.trials}")
-        if any(e < 0 for e in self.estimates):
-            raise ConfigurationError("covariance estimates must be absolute values")
-
-
 def empirical_covariance(
     field: RandomField, z1, z2, x, trials: int = 1000, truncation: float = 1e3
 ) -> CovarianceEntry:
@@ -900,65 +868,4 @@ def empirical_covariance(
         signed=c,
         standard_error=se,
         trials=trials,
-    )
-
-
-def analytic_nu_exponent(field: RandomField, z1, z2, lags) -> float | None:
-    """Log-log slope of the analytic moving-average covariance of nu across lags.
-
-    Valid when z1, z2 and the lags are whole numbers of cells; returns the
-    decay exponent l (positive) or None when it does not apply.
-    """
-    if field.mixing.kind != "moving_average":
-        return None
-    cs = field.cell_size
-    vecs = []
-    for lag in lags:
-        lag = np.asarray(lag, dtype=float).reshape(field.dim)
-        vecs.append(lag)
-    z1 = np.asarray(z1, dtype=float).reshape(field.dim)
-    z2 = np.asarray(z2, dtype=float).reshape(field.dim)
-    pts = [z1 / cs, z2 / cs] + [v / cs for v in vecs]
-    if not all(np.allclose(p, np.rint(p), atol=1e-9) for p in pts):
-        return None
-    z1c = np.rint(z1 / cs).astype(np.int64)
-    z2c = np.rint(z2 / cs).astype(np.int64)
-    values, norms = [], []
-    for v in vecs:
-        xc = np.rint(v / cs).astype(np.int64)
-        total = 0.0
-        for a in (np.zeros(field.dim, dtype=np.int64), z1c):
-            for b in (xc, xc + z2c):
-                total += ma_weight_correlation(field.dim, field.mixing.q, b - a)
-        if total <= 0:
-            return None
-        values.append(total)
-        norms.append(float(np.sqrt((v**2).sum())))
-    slope = float(np.polyfit(np.log(norms), np.log(values), 1)[0])
-    return -slope
-
-
-def covariance_report(
-    field: RandomField, z1, z2, lags, trials: int = 1000, truncation: float = 1e3
-) -> CovarianceReport:
-    """Covariance decay across a list of lag vectors, with a power-law fit
-    |Cov| ~ C1 * |x|^(-l) and, for moving averages at whole-cell lags, the
-    analytic exponent for comparison."""
-    entries = [empirical_covariance(field, z1, z2, x, trials, truncation) for x in lags]
-    mags = np.array([e.lag for e in entries])
-    ests = np.array([e.estimate for e in entries])
-    fitted_c = fitted_l = None
-    if len(entries) >= 2 and np.all(ests > 0) and np.all(mags > 0):
-        slope, intercept = np.polyfit(np.log(mags), np.log(ests), 1)
-        fitted_l = -float(slope)
-        fitted_c = float(math.exp(intercept))
-    return CovarianceReport(
-        lags=tuple(float(m) for m in mags),
-        estimates=tuple(float(e) for e in ests),
-        standard_errors=tuple(e.standard_error for e in entries),
-        fitted_constant=fitted_c,
-        fitted_exponent=fitted_l,
-        analytic_exponent=analytic_nu_exponent(field, z1, z2, lags),
-        trials=trials,
-        truncation=truncation,
     )

@@ -27,9 +27,11 @@ class ConvergenceFailure(NumericalError):
 
 
 def check_positive(name: str, value: float) -> None:
-    """Scale ratios, radii and step sizes must be positive; NaN fails too."""
+    """Scale ratios, radii and step sizes must be positive and finite; NaN fails too."""
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value}")
+    if value == float("inf"):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 def check_count(name: str, value: int, least: int = 1) -> None:

@@ -319,6 +319,8 @@ def mosco_form_check(
     eps_list = tuple(float(e) for e in eps_list)
     check_ladder("eps_list", eps_list)
     check_count("seeds", seeds)
+    if threshold is not None:
+        check_positive("mosco threshold", threshold)
     fns = [np.asarray(f, dtype=float) for f in test_fns]
     if not fns:
         raise ConfigurationError("test_fns must be nonempty")
@@ -457,6 +459,7 @@ def _declared_p(form: CoefficientForm) -> float:
 
 def check_moment_ball(grid: Grid, radius: float) -> None:
     """The moment quadrature needs a ball that holds at least two grid nodes."""
+    check_positive("moment ball radius", radius)
     nodes = int(grid.ball_mask(radius).sum())
     if nodes < 2:
         raise ConfigurationError(

@@ -53,6 +53,10 @@ def write_config(tmp_path, cfg, name="config.json"):
 # one on none.  The `far-*` rejections are coordinates whose cells env cannot
 # index: `validate` used to accept them, and `run` refused the birkhoff and
 # maximal ones with this message but ran the covariance one with lag inf.
+# `library-translation-radius-*`, `library-moments-radius-negative` and
+# `library-mosco-threshold` used to pass `validate` too: a negative radius
+# measured the ball of its absolute value, a zero one a single node, and a
+# negative threshold failed every run.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 

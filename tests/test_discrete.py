@@ -599,6 +599,16 @@ _UNIT = (kernel.full_space_cone(1), kernel.KernelParams(alpha=1.0, dim=1))
             _GRID16, env.sample_field(1, env.constant(1.0)), eps=math.nan
         ),
         lambda: kernel.kappa(kernel.ConstantForm(1.0), [0.0], [1.0], eps=math.nan),
+        # infinite scales, refused as NaN ones are
+        lambda: discrete.assemble_form(
+            _GRID16, kernel.SummationForm(env.sample_field(1, env.uniform(0.5, 1.5))), *_UNIT,
+            eps=math.inf,
+        ),
+        lambda: discrete.measure_weights(
+            _GRID16, env.sample_field(1, env.constant(1.0)), eps=math.inf
+        ),
+        lambda: discrete.Grid(dim=1, length=math.nan, n=64),
+        lambda: discrete.Grid(dim=1, length=math.inf, n=64),
     ],
 )
 def test_non_finite_form_inputs_rejected(make):
@@ -671,8 +681,7 @@ def test_measure_weights_lebesgue_exact():
     grid = discrete.Grid(dim=2, length=4.0, n=8)
     mw = discrete.measure_weights(grid, None)
     assert np.all(mw.m == grid.h**2)
-    f = np.ones(grid.size)
-    assert np.allclose(mw.norm_sq(f), 16.0, rtol=1e-12)  # total mass L^d
+    assert np.allclose(mw.m.sum(), 16.0, rtol=1e-12)  # total mass L^d
 
 
 def test_measure_weights_total_mass_ergodic():
@@ -799,26 +808,12 @@ def test_translation_check_constant_and_bad_step():
         discrete.check_translation_steps(grid, [0.0])
 
 
-# ---------------------------------------------------------------------------
-# binary weight dump
+@pytest.mark.parametrize("r", [-2.0, 0.0])
+def test_translation_check_refuses_non_positive_radius(r):
+    # the ball mask compares |x|^2 with r^2: -r measured the ball of r, and 0 one node
+    grid = discrete.Grid(dim=1, length=8.0, n=32)
+    form = discrete.assemble_effective_form(grid, kernel.ConstantForm(1.0), *_UNIT)
+    f = discrete.evaluate(grid, discrete.bump(grid))
+    with pytest.raises(ConfigurationError, match=f"^translation radius must be positive, got {r}$"):
+        discrete.translation_estimate_check(form, f, h_steps=[grid.h], r=r)
 
-
-def test_dump_weights_roundtrip(tmp_path):
-    grid, form = _small_random_form(seed=5)
-    path = tmp_path / "weights.bin"
-    count = discrete.dump_weights(form, str(path))
-    triples = discrete.load_weight_triples(str(path))
-    assert len(triples) == count
-    assert path.stat().st_size == 24 * count  # u64 + u64 + f64 per record
-    assert np.all(triples["i"] < triples["j"])
-    # energy rebuilt from the flat pair list matches the operator
-    rng = np.random.default_rng(1)
-    f = rng.normal(size=grid.size)
-    rebuilt = float(
-        (triples["w"] * (f[triples["i"].astype(int)] - f[triples["j"].astype(int)]) ** 2).sum()
-    )
-    assert np.allclose(rebuilt, form.energy(f, f), rtol=1e-12)
-    # a second dump is byte-identical
-    path2 = tmp_path / "weights2.bin"
-    discrete.dump_weights(form, str(path2))
-    assert path.read_bytes() == path2.read_bytes()

@@ -264,6 +264,17 @@ def test_mosco_validation():
         )
 
 
+@pytest.mark.parametrize("threshold", [-1.0, 0.0, math.nan, math.inf])
+def test_mosco_refuses_non_positive_threshold(threshold):
+    # a negative threshold failed every run, and a NaN one every comparison
+    grid = discrete.Grid(dim=1, length=8.0, n=64)
+    with pytest.raises(ConfigurationError, match="^mosco threshold must be"):
+        H.mosco_form_check(
+            grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, (1.0, 0.5), seeds=2,
+            test_fns=discrete.test_function_suite(grid), threshold=threshold,
+        )
+
+
 def test_mosco_refuses_empty_eps_list():
     grid = discrete.Grid(dim=1, length=8.0, n=64)
     with pytest.raises(ConfigurationError, match="eps_list must be nonempty"):
@@ -401,6 +412,15 @@ def test_moment_bound_validation():
         H.moment_bound_report(grid, form, (1.0,), seeds=2, radius=1e-6)
     with pytest.raises(ConfigurationError, match="smallest entry of eps_list"):
         H.moment_bound_report(grid, form, (1.0, 0.0), seeds=2, radius=1.0)
+
+
+def test_moment_ball_refuses_negative_radius():
+    # a radius of -1 used to give the ball of radius 1 and its medians
+    grid = discrete.Grid(dim=1, length=4.0, n=64)
+    with pytest.raises(ConfigurationError, match="^moment ball radius must be positive, got -1.0$"):
+        H.check_moment_ball(grid, -1.0)
+    with pytest.raises(ConfigurationError, match="^moment ball radius must be positive"):
+        H.moment_bound_report(grid, kernel.ConstantForm(1.0), (1.0, 0.5), seeds=2, radius=-1.0)
 
 
 def test_metric_names_are_stable():
