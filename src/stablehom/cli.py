@@ -46,6 +46,7 @@ from .kernel import (
     KernelParams,
     ProductForm,
     SummationForm,
+    effective_kernel,
     form_cell_size,
 )
 from .solver import ResolventProblem, check_lambda, check_tol, solve_resolvent
@@ -466,6 +467,8 @@ def parse_config(text: str) -> ExperimentConfig:
     grid = plan["grid"]
     if "alpha" in out:
         plan["params"] = KernelParams(alpha=out["alpha"], dim=grid.dim)
+    if experiment in ("sweep", "mosco"):
+        effective_kernel(plan["form"])  # their limit refuses fields of infinite mean
     if experiment == "sweep":
         rhs = None if out["rhs_radius"] is None else evaluate(grid, bump(grid, out["rhs_radius"]))
         plan["sweep"] = _sweep_plan(out, plan, out["eps_list"], built.get("config.mu"),

@@ -80,11 +80,8 @@ class Grid:
         grids = np.meshgrid(*([c] * self.dim), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def ball_mask(self, radius: float, center=None) -> np.ndarray:
-        pts = self.nodes()
-        if center is not None:
-            pts = pts - np.asarray(center, dtype=float)
-        return (pts**2).sum(axis=1) <= radius**2
+    def ball_mask(self, radius: float) -> np.ndarray:
+        return (self.nodes() ** 2).sum(axis=1) <= radius**2
 
 
 def evaluate(grid: Grid, fn) -> np.ndarray:
@@ -313,8 +310,7 @@ class SparseSymmetricForm:
     and no inverse.  Band energies use the symbol of K masked to the band
     and its row sums.  The shift by the first entry keeps constants at
     exactly zero energy.  `weight_slab` builds w(i, i+s) explicitly from the
-    same pairs; it is the independent oracle behind `dense_generator` and
-    `iter_pair_blocks`.
+    same pairs; it is the independent oracle behind `dense_generator`.
     """
 
     def __init__(
@@ -409,34 +405,22 @@ class SparseSymmetricForm:
         c = float(self._d.mean()) / k0 if k0 > 0.0 else 0.0
         return c * (k0 - self._khat)
 
-    def iter_pair_blocks(self):
-        """Yield (i, j, w) index/weight arrays, one block per stencil entry,
-        each unordered pair appearing exactly once."""
-        idx = np.arange(self.grid.size).reshape(self.grid.shape)
-        axes = tuple(range(self.grid.dim))
-        seen_half = set()
-        for k in range(self.stencil_size):
-            s = tuple(int(v) for v in self.stencil[k])
-            if tuple(-v for v in s) in seen_half:
-                continue
-            seen_half.add(s)
-            j = np.roll(idx, tuple(-v for v in s), axis=axes).ravel()
-            i = idx.ravel()
-            w = self.weight_slab(k).ravel()
-            lo = np.minimum(i, j)
-            hi = np.maximum(i, j)
-            yield lo, hi, w
-
     def dense_generator(self) -> np.ndarray:
-        """Dense A for small instances (tests and the direct solver oracle)."""
+        """Dense A for small instances (tests and the direct solver oracle).
+
+        Entry (i, i + s_k) is w_k(i) from `weight_slab(k)`; the reach n/4 < n/2
+        keeps distinct displacements distinct mod n, so each entry is written
+        once."""
         if self.grid.size > 4096:
             raise ConfigurationError(
                 f"dense generator refused for N = {self.grid.size} > 4096"
             )
         a = np.zeros((self.grid.size, self.grid.size))
-        for i, j, w in self.iter_pair_blocks():
-            np.add.at(a, (i, j), w)
-            np.add.at(a, (j, i), w)
+        rows = np.arange(self.grid.size)
+        node = np.indices(self.grid.shape).reshape(self.grid.dim, -1)
+        for k, s in enumerate(self.stencil):
+            cols = np.ravel_multi_index(node + s[:, None], self.grid.shape, mode="wrap")
+            a[rows, cols] = self.weight_slab(k).ravel()
         np.fill_diagonal(a, a.diagonal() - a.sum(axis=1))
         return a
 
@@ -560,8 +544,8 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
 # built-in test functions
 
 
-def bump(grid: Grid, radius: float | None = None, center=None):
-    """Smooth compactly supported bump exp(1 - 1/(1 - (|x-c|/r)^2)), sup = 1."""
+def bump(grid: Grid, radius: float | None = None):
+    """Smooth compactly supported bump exp(1 - 1/(1 - (|x|/r)^2)), sup = 1."""
     r = grid.length / 8.0 if radius is None else radius
     check_positive("bump radius", r)  # radius 0 gives the zero function
     if r > grid.length / 8.0 + 1e-12:
@@ -569,10 +553,9 @@ def bump(grid: Grid, radius: float | None = None, center=None):
             f"test-function radius {r:g} exceeds L/8 = {grid.length / 8:g}; "
             "support must stay well inside the torus"
         )
-    c = np.zeros(grid.dim) if center is None else np.asarray(center, dtype=float)
 
     def fn(points: np.ndarray) -> np.ndarray:
-        rho2 = (((points - c) / r) ** 2).sum(axis=1)
+        rho2 = ((points / r) ** 2).sum(axis=1)
         out = np.zeros(len(points))
         inside = rho2 < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))

@@ -325,32 +325,36 @@ def shifted_pareto(x_min: float, tail_index: float, declared_p: float = 2.0) -> 
 
 
 def moment(spec: DistributionSpec, p: float) -> float:
-    """Analytic E[V^p] for the catalog marginals; math.inf when divergent."""
+    """Analytic E[V^p] for the catalog marginals; math.inf when divergent or
+    beyond the float range."""
     p = float(p)
     if p == 0.0:
         return 1.0
-    if spec.kind == "constant":
-        return spec.params[0] ** p
-    if spec.kind == "uniform":
-        a, b = spec.params
-        if a == 0.0 and p <= -1.0:
-            return math.inf
-        if p == -1.0:
-            return math.log(b / a) / (b - a)
-        lo = a ** (p + 1.0) if a > 0.0 else 0.0
-        return (b ** (p + 1.0) - lo) / ((b - a) * (p + 1.0))
-    if spec.kind == "lognormal":
-        m, s = spec.params
-        return math.exp(p * m + 0.5 * (p * s) ** 2)
-    if spec.kind == "exp_abs_gauss":
-        # E[exp(t|G|)] = 2 exp(t^2/2) Phi(t) with t = -p*s; log form avoids overflow.
-        s = spec.params[0]
-        return math.exp(0.5 * (p * s) ** 2 + math.log(2.0) + _log_ndtr(-p * s))
-    if spec.kind == "shifted_pareto":
-        x_min, a = spec.params
-        if p >= a:
-            return math.inf
-        return a * x_min**p / (a - p)
+    try:
+        if spec.kind == "constant":
+            return spec.params[0] ** p
+        if spec.kind == "uniform":
+            a, b = spec.params
+            if a == 0.0 and p <= -1.0:
+                return math.inf
+            if p == -1.0:
+                return math.log(b / a) / (b - a)
+            lo = a ** (p + 1.0) if a > 0.0 else 0.0
+            return (b ** (p + 1.0) - lo) / ((b - a) * (p + 1.0))
+        if spec.kind == "lognormal":
+            m, s = spec.params
+            return math.exp(p * m + 0.5 * (p * s) ** 2)
+        if spec.kind == "exp_abs_gauss":
+            # E[exp(t|G|)] = 2 exp(t^2/2) Phi(t) with t = -p*s; log form avoids overflow.
+            s = spec.params[0]
+            return math.exp(0.5 * (p * s) ** 2 + math.log(2.0) + _log_ndtr(-p * s))
+        if spec.kind == "shifted_pareto":
+            x_min, a = spec.params
+            if p >= a:
+                return math.inf
+            return a * x_min**p / (a - p)
+    except OverflowError:
+        return math.inf
     raise ConfigurationError(f"unknown marginal kind {spec.kind!r}")
 
 

@@ -14,7 +14,7 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceFailure(NumericalError):
-    """An iterative solver ran out of iterations.
+    """An iterative solver ran out of iterations or stopped above its tolerance.
 
     Carries the last relative residual and the iteration count so callers can
     report partial progress.

@@ -32,7 +32,6 @@ from .discrete import (
 )
 from .errors import (
     ConfigurationError,
-    ConvergenceFailure,
     NumericalError,
     check_count,
     check_ladder,
@@ -102,6 +101,8 @@ class SweepConfig:
         object.__setattr__(self, "eps_list", eps)
         check_count("seeds", self.seeds)
         check_lambda(self.lam)
+        if self.mu_field is not None and not math.isfinite(env.field_mean(self.mu_field)):
+            raise ConfigurationError("the measure field must have a finite mean")
         r = self.grid.length / 8.0 if self.report_radius is None else self.report_radius
         check_positive("report radius", r)
         object.__setattr__(self, "report_radius", float(r))
@@ -150,13 +151,14 @@ class ConvergenceReport:
 
 
 def _solve_limit(config: SweepConfig) -> tuple[SparseSymmetricForm, MeasureWeights, np.ndarray]:
+    """The limit (lambda E[mu] - A_K) u = E[mu] f: mu(x/eps) dx homogenizes to
+    E[mu] dx, and K is the averaged kernel."""
     kernel_eff = effective_kernel(config.form)
     form_k = assemble_effective_form(config.grid, kernel_eff, config.cone, config.params)
-    lebesgue = measure_weights(config.grid, None)
-    sol = solve_resolvent(
-        ResolventProblem(form_k, lebesgue, config.lam, config.rhs), tol=config.tol
-    )
-    return form_k, lebesgue, sol.u
+    mean_mu = 1.0 if config.mu_field is None else env.field_mean(config.mu_field)
+    mw_k = MeasureWeights(config.grid, mean_mu * measure_weights(config.grid, None).m)
+    sol = solve_resolvent(ResolventProblem(form_k, mw_k, config.lam, config.rhs), tol=config.tol)
+    return form_k, mw_k, sol.u
 
 
 def _sweep_cell(
@@ -164,7 +166,7 @@ def _sweep_cell(
     eps_index: int,
     seed_index: int,
     form_k: SparseSymmetricForm,
-    lebesgue: MeasureWeights,
+    mw_k: MeasureWeights,
     u_k: np.ndarray,
 ) -> SweepCell:
     eps = config.eps_list[eps_index]
@@ -173,7 +175,7 @@ def _sweep_cell(
     start = time.perf_counter()
     pairs = node_field_pairs(config.grid, form, eps)
     if config.mu_field is None:
-        mw = lebesgue
+        mw = mw_k
     else:
         mu = _reseed_field(config.mu_field, env.derive_seed(cell_seed, "mu"))
         mw = measure_weights(config.grid, mu, eps)
@@ -191,10 +193,10 @@ def _sweep_cell(
     ball = grid.ball_mask(config.report_radius)
     err_l2_mu = math.sqrt(float(np.dot(mw.m, diff * diff)))
     err_l1_ball = hd * float(np.abs(diff[ball]).sum())
-    pairing_err = abs(float(np.dot(mw.m, u * g)) - float(np.dot(lebesgue.m, u_k * g)))
+    pairing_err = abs(float(np.dot(mw.m, u * g)) - float(np.dot(mw_k.m, u_k * g)))
     form_err = abs(form_eps.energy(u, g) - form_k.energy(u_k, g))
     norm_err = abs(
-        math.sqrt(float(np.dot(mw.m, u * u))) - math.sqrt(float(np.dot(lebesgue.m, u_k * u_k)))
+        math.sqrt(float(np.dot(mw.m, u * u))) - math.sqrt(float(np.dot(mw_k.m, u_k * u_k)))
     )
     return SweepCell(
         eps=eps,
@@ -213,17 +215,22 @@ def _sweep_cell(
 
 
 def run_sweep(config: SweepConfig) -> ConvergenceReport:
-    """Solve the limit problem once, then every (eps, seed) cell against it."""
-    form_k, lebesgue, u_k = _solve_limit(config)
+    """Solve the limit problem once, then every (eps, seed) cell against it.
+    A cell whose solve fails is listed in `failures`, and every cell is when
+    the limit's solve fails; an eps with no cell left has NaN quartiles."""
     cells, failures = [], []
-    for ei, eps in enumerate(config.eps_list):
-        for si in range(config.seeds):
-            try:
-                cells.append(_sweep_cell(config, ei, si, form_k, lebesgue, u_k))
-            except (NumericalError, ConvergenceFailure) as exc:
-                failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
-    if not cells:
-        raise NumericalError(f"every sweep cell failed; first: {failures[0][2]}")
+    try:
+        limit = _solve_limit(config)
+    except NumericalError as exc:  # ConvergenceFailure included
+        failures = [(eps, si, f"limit {type(exc).__name__}: {exc}")
+                    for eps in config.eps_list for si in range(config.seeds)]
+    else:
+        for ei, eps in enumerate(config.eps_list):
+            for si in range(config.seeds):
+                try:
+                    cells.append(_sweep_cell(config, ei, si, *limit))
+                except NumericalError as exc:
+                    failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
     # quartiles[m][eps index] = (q25, median, q75)
     quartiles = {m: [env.quartiles([getattr(c, m) for c in cells if c.eps == eps])
                      for eps in config.eps_list] for m in METRICS}

@@ -7,7 +7,7 @@ is diagonal in Fourier space (`SparseSymmetricForm.mean_symbol`), scaled on
 both sides by s = sqrt(diag(P) / diag(S)) so that it keeps the diagonal of
 the random system: the measure can be heavy-tailed and the coefficients
 degenerate, which makes that diagonal wildly nonuniform.  For the limit
-problem (constant kernel, Lebesgue measure) s = 1 and P is the system itself,
+problem (constant kernel, constant measure) s = 1 and P is the system itself,
 so CG stops after one step.  All reductions go through numpy dot products in
 a fixed order, so identical inputs give identical iterates.
 """
@@ -31,9 +31,12 @@ def check_lambda(lam: float) -> None:
 
 
 def check_tol(tol: float) -> None:
-    """The relative residual at which CG stops must lie in (0, 1e-2]."""
+    """CG's relative residual bound lies in [1e-12, 1e-2]: the true residual
+    b - S u stalls near 1e-13 at best, however far the recursive one falls."""
     if not 0.0 < tol <= 1e-2:
         raise ConfigurationError(f"tol must lie in (0, 1e-2], got {tol}")
+    if tol < 1e-12:
+        raise ConfigurationError(f"tol must be at least 1e-12, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -80,8 +83,9 @@ def solve_resolvent(
     The residual is measured relative to ||f||_M in the M^{-1} norm, which
     makes the reported number the relative defect of the weak formulation
     lambda <u, g>_m + E(u, g) = <f, g>_m over all test vectors g.  The loop
-    stops on the recursively updated residual; the reported one is
-    recomputed from b - S u with one more matvec.
+    stops on the recursively updated residual or after max_iter steps; the
+    reported one is recomputed from b - S u with one more matvec, and
+    ConvergenceFailure is raised when that one exceeds tol.
     """
     check_tol(tol)
     start = time.perf_counter()
@@ -113,14 +117,7 @@ def solve_resolvent(
     rz = float(np.dot(r, z))
     residual = res_norm(r)
     iterations = 0
-    while residual > tol:
-        if iterations >= max_iter:
-            raise ConvergenceFailure(
-                f"resolvent CG did not reach tol={tol:g} in {max_iter} iterations "
-                f"(residual {residual:.3e})",
-                residual=residual,
-                iterations=iterations,
-            )
+    while residual > tol and iterations < max_iter:
         ap = _apply_system(problem, p)
         pap = float(np.dot(p, ap))
         if not pap > 0.0:
@@ -134,8 +131,12 @@ def solve_resolvent(
         rz = rz_new
         iterations += 1
         residual = res_norm(r)
-    # Report the true defect: the recurrence drifts from b - S u by roundoff.
+    # The true defect decides: the recurrence drifts from b - S u by roundoff.
     residual = res_norm(b - _apply_system(problem, u))
+    if residual > tol:
+        raise ConvergenceFailure(
+            f"resolvent CG stopped after {iterations} iterations at a true residual "
+            f"{residual:.3e} above tol={tol:g}", residual=residual, iterations=iterations)
     return ResolventSolution(u, iterations, residual, time.perf_counter() - start)
 
 

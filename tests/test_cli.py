@@ -57,6 +57,11 @@ def write_config(tmp_path, cfg, name="config.json"):
 # `library-mosco-threshold` used to pass `validate` too: a negative radius
 # measured the ball of its absolute value, a zero one a single node, and a
 # negative threshold failed every run.
+# So did `library-sweep-tol-floor`, a tol below the 1e-12 that CG's true
+# residual can reach, and the `*-mean-*` configs, whose limit needs a finite
+# mean: `run` refused the sweep and mosco forms of infinite mean with this
+# message, crashed on the one whose mean overflows, and ran the sweep whose
+# measure has an infinite mean against a meaningless limit.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
@@ -256,6 +261,31 @@ def test_run_sweep_writes_report_and_csv(tmp_path, capsys):
     lines = (out / "cells.csv").read_text().splitlines()
     assert lines[0] == "eps,seed,metric,value"
     assert len(lines) == 1 + 2 * 2 * len(cli.H.METRICS)  # eps x seeds x metrics
+
+
+def test_sweep_with_every_cell_failed_writes_its_report(tmp_path, capsys):
+    # a degenerate alpha = 1.8 product stalls above tol = 1e-12 in every cell
+    # (and in its limit): run reports each failure with NaN medians, exit 1
+    def uniform(seed):
+        return {"marginal": {"kind": "uniform", "a": 0.0, "b": 2.0}, "seed": seed}
+
+    cfg_path = write_config(tmp_path, sweep_config(
+        grid={"dim": 1, "length": 8.0, "n": 512}, alpha=1.8, eps_list=[0.5, 0.25], tol=1e-12,
+        form={"kind": "product", "nu1": uniform(1), "nu2": uniform(2)},
+    ))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg_path, "--out", str(out), "--deterministic"]) == 1
+    assert "[FAIL] no_cell_failures: 4 failed cells" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    sweep = report["results"]["sweep"]
+    assert sweep["cells"] == []
+    assert [(f["eps"], f["seed"]) for f in sweep["failures"]] == [
+        (0.5, 0), (0.5, 1), (0.25, 0), (0.25, 1)]
+    assert all("ConvergenceFailure" in f["error"] for f in sweep["failures"])
+    assert all(math.isnan(v) for v in sweep["metrics"]["err_l2_mu"]["median"])
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("no_cell_failures", False), ("err_l2_mu_end_to_end_decrease", False)]
+    assert (out / "cells.csv").read_text() == "eps,seed,metric,value\n"
 
 
 def test_sweep_cells_carry_solver_telemetry(tmp_path):

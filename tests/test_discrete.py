@@ -459,19 +459,21 @@ def test_fft_generator_matches_slab_oracle(kind, dim, coned):
 
 
 def _pair_sum_energy(form, f, g, r_lo=None, r_hi=None):
-    """1/2 sum over ordered pairs of w (f_i - f_j)(g_i - g_j), summed over the
-    unordered pairs of iter_pair_blocks, optionally only jumps with
-    r_lo <= |z| <= r_hi (|z| from the nodes' nearest periodic image)."""
+    """1/2 sum_k sum_i w_k(i) (f_i - f_{i+s_k})(g_i - g_{i+s_k}) from the
+    weight slabs, optionally only jumps with r_lo <= |s_k| h <= r_hi."""
     grid = form.grid
+    axes = tuple(range(grid.dim))
+    f, g = f.reshape(grid.shape), g.reshape(grid.shape)
     total = 0.0
-    for lo, hi, w in form.iter_pair_blocks():
-        step = np.subtract(*(np.unravel_index(k[0], grid.shape) for k in (hi, lo)))
-        step = (step + grid.n // 2) % grid.n - grid.n // 2
-        dist = math.sqrt(float(((step * grid.h) ** 2).sum()))
+    for k, s in enumerate(form.stencil):
+        dist = math.sqrt(float(((s * grid.h) ** 2).sum()))
         if (r_lo is not None and dist < r_lo) or (r_hi is not None and dist > r_hi):
             continue
-        total += float(np.dot(w, (f[lo] - f[hi]) * (g[lo] - g[hi])))
-    return total
+        shift = tuple(-int(v) for v in s)
+        df = f - np.roll(f, shift, axis=axes)
+        dg = g - np.roll(g, shift, axis=axes)
+        total += float((form.weight_slab(k) * df * dg).sum())
+    return 0.5 * total
 
 
 def _families(dim, nu1, nu2):

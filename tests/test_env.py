@@ -110,6 +110,15 @@ def test_pareto_moment_threshold():
     assert np.isfinite(env.moment(spec, -1.0))
 
 
+def test_moments_beyond_the_float_range_are_infinite():
+    # exp(800) and 1e300^2 overflow; math.exp and float powers raise on that
+    assert env.moment(env.lognormal(0.0, 40.0), 1.0) == math.inf
+    assert env.field_mean(env.sample_field(1, env.lognormal(0.0, 40.0))) == math.inf
+    assert env.moment(env.exp_abs_gauss(40.0), -40.0) == math.inf
+    assert env.moment(env.constant(1e300), 2.0) == math.inf
+    assert env.moment(env.uniform(1e300, 1.5e300), 1.0) == math.inf
+
+
 def test_uniform_at_zero_has_no_inverse_moment():
     assert env.moment(env.uniform(0.0, 2.0), -1.0) == math.inf
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stablehom import discrete, env, kernel
+from stablehom import discrete, env, kernel, solver
 from stablehom import homogenize as H
-from stablehom.errors import ConfigurationError
+from stablehom.errors import ConfigurationError, ConvergenceFailure
 
 CONE1 = kernel.full_space_cone(1)
 PARAMS1 = kernel.KernelParams(alpha=1.0, dim=1)
@@ -76,6 +76,9 @@ def test_sweep_config_validation_and_defaults():
         H.SweepConfig(eps_list=(1.0,), seeds=2, rhs=np.ones(5), **base)
     with pytest.raises(ConfigurationError):
         H.SweepConfig(eps_list=(1.0,), seeds=2, report_radius=-1.0, **base)
+    with pytest.raises(ConfigurationError, match="measure field must have a finite mean"):
+        H.SweepConfig(eps_list=(1.0,), seeds=2, **base,
+                      mu_field=env.sample_field(1, env.shifted_pareto(1.0, 0.8)))
 
 
 def test_constant_form_sweep_sits_at_solver_floor():
@@ -124,21 +127,92 @@ def test_sweep_with_measure_field():
             assert math.isfinite(value) and value >= 0.0
 
 
-def test_limit_solve_ignores_measure_field():
-    # the limit problem lives on Lebesgue measure by construction; the
-    # environment measure enters only the finite-eps side
+def test_limit_measure_is_the_mean_of_mu():
+    # mu(x/eps) dx homogenizes to E[mu] dx, so the limit solves
+    # (lambda E[mu] - A_K) u = E[mu] f; a mean-1 measure leaves it on Lebesgue
+    # weights bitwise
     grid = discrete.Grid(dim=1, length=8.0, n=128)
     base = dict(
         grid=grid, form=lognormal_summation(), cone=CONE1, params=PARAMS1,
         eps_list=(0.5,), seeds=2,
     )
-    with_mu = H.SweepConfig(
-        mu_field=env.sample_field(1, env.uniform(0.5, 1.5), seed=77), **base
+    _, lebesgue, u_plain = H._solve_limit(H.SweepConfig(**base))
+    unit_mean = H.SweepConfig(mu_field=env.sample_field(1, env.uniform(0.5, 1.5), seed=77), **base)
+    assert np.array_equal(H._solve_limit(unit_mean)[2], u_plain)
+    cfg = H.SweepConfig(mu_field=env.sample_field(1, env.uniform(1.0, 3.0), seed=77), **base)
+    form_k, mw_k, u_k = H._solve_limit(cfg)
+    assert np.array_equal(mw_k.m, 2.0 * lebesgue.m)
+    defect = cfg.lam * mw_k.m * u_k - form_k.apply_generator(u_k) - mw_k.m * cfg.rhs
+    assert np.abs(defect).max() <= 1e-12 * np.abs(mw_k.m * cfg.rhs).max()
+
+
+def test_constant_measure_sweep_matches_its_limit():
+    # a constant form under the constant measure mu = 2 has no randomness at
+    # all: every cell is the limit problem itself, so every metric is zero.
+    # Against a Lebesgue limit the metric medians reached 0.544.
+    grid = discrete.Grid(dim=1, length=8.0, n=64)
+    cfg = H.SweepConfig(
+        grid=grid, form=kernel.ConstantForm(1.5), cone=CONE1, params=PARAMS1,
+        eps_list=(1.0, 0.5), seeds=2, mu_field=env.sample_field(1, env.constant(2.0)),
     )
-    without = H.SweepConfig(**base)
-    _, _, u_mu = H._solve_limit(with_mu)
-    _, _, u_plain = H._solve_limit(without)
-    assert np.array_equal(u_mu, u_plain)
+    report = H.run_sweep(cfg)
+    assert not report.failures
+    for metric in H.METRICS:
+        assert max(report.medians[metric]) <= 1e-12
+
+
+def _failing_solves(monkeypatch, fails):
+    """Patch the sweep's solver: call k (0 is the limit, then the cells in
+    eps-major order) raises ConvergenceFailure when fails(k)."""
+    calls = []
+
+    def solve(problem, tol):
+        calls.append(None)
+        if fails(len(calls) - 1):
+            raise ConvergenceFailure("stalled", residual=1e-3, iterations=7)
+        return solver.solve_resolvent(problem, tol=tol)
+
+    monkeypatch.setattr(H, "solve_resolvent", solve)
+
+
+def _summation_sweep():
+    grid = discrete.Grid(dim=1, length=8.0, n=64)
+    return H.SweepConfig(
+        grid=grid, form=lognormal_summation(), cone=CONE1, params=PARAMS1,
+        eps_list=(1.0, 0.5), seeds=2,
+    )
+
+
+def test_failed_cell_is_reported_alone(monkeypatch):
+    cfg = _summation_sweep()
+    clean = H.run_sweep(cfg)
+    _failing_solves(monkeypatch, lambda k: k == 3)  # eps 0.5, seed 0
+    report = H.run_sweep(cfg)
+    assert report.failures == ((0.5, 0, "ConvergenceFailure: stalled"),)
+    kept = [c for c in clean.cells if (c.eps, c.seed_index) != (0.5, 0)]
+    assert len(report.cells) == len(kept) == 3
+    for got, want in zip(report.cells, kept):
+        assert (got.eps, got.seed_index, got.iterations) == (want.eps, want.seed_index, want.iterations)
+        for metric in (*H.METRICS, "residual"):
+            assert getattr(got, metric) == getattr(want, metric)
+    assert report.medians["err_l2_mu"][0] == clean.medians["err_l2_mu"][0]
+    assert report.medians["err_l2_mu"][1] == report.cells[-1].err_l2_mu
+
+
+def test_sweep_with_every_cell_failed_reports_nan(monkeypatch):
+    cfg = _summation_sweep()
+    _failing_solves(monkeypatch, lambda k: k > 0)
+    report = H.run_sweep(cfg)
+    assert report.cells == ()
+    assert [(e, s) for e, s, _ in report.failures] == [(1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
+    for table in (report.medians, report.q25, report.q75):
+        assert all(math.isnan(v) for metric in H.METRICS for v in table[metric])
+    # a failed limit fails every cell with its own message
+    monkeypatch.undo()
+    _failing_solves(monkeypatch, lambda k: k == 0)
+    report = H.run_sweep(cfg)
+    assert report.cells == ()
+    assert {msg for _, _, msg in report.failures} == {"limit ConvergenceFailure: stalled"}
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,27 @@ def test_convergence_failure_carries_progress():
     assert exc.value.residual > 0.0
 
 
+def test_degenerate_solve_refuses_a_residual_it_did_not_reach():
+    # factors uniform on (0, 2) come arbitrarily close to 0: the recursive
+    # residual falls below 1e-12 while the true one, b - S u, stalls near
+    # 1.8e-11, and that one decides
+    grid = discrete.Grid(dim=1, length=8.0, n=512)
+    params = kernel.KernelParams(alpha=1.8, dim=1)
+    form = kernel.ProductForm(*(env.sample_field(1, env.uniform(0.0, 2.0), seed=s) for s in (1, 2)))
+    problem = solver.ResolventProblem(
+        discrete.assemble_form(grid, form, kernel.full_space_cone(1), params, eps=0.5),
+        discrete.measure_weights(grid, None), 1.0, discrete.evaluate(grid, discrete.bump(grid)),
+    )
+    with pytest.raises(ConvergenceFailure, match="true residual") as exc:
+        solver.solve_resolvent(problem, tol=1e-12)
+    assert exc.value.residual > 1e-12
+    assert exc.value.iterations > 0
+    assert solver.solve_resolvent(problem, tol=1e-9).residual <= 1e-9
+    # below reach: r.z underflows to 0 long before such a residual
+    with pytest.raises(ConfigurationError, match="at least 1e-12"):
+        solver.solve_resolvent(problem, tol=1e-300)
+
+
 def test_parameter_validation():
     problem = make_problem(0)
     with pytest.raises(ConfigurationError):
