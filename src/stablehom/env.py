@@ -264,7 +264,7 @@ class DistributionSpec:
       shifted_pareto (x_min, tail_index): density a*x_min^a/v^(a+1), v >= x_min
 
     `declared_p` is the moment exponent (> 1) this marginal claims to have;
-    moment checks verify the claim analytically.
+    homogenize._declared_p reads it as the exponent of the moments diagnostic.
     """
 
     kind: str
@@ -461,11 +461,6 @@ def sample_field(
 
 def field_mean(field: RandomField) -> float:
     return field.scale * moment(field.marginal, 1.0)
-
-
-def field_moment(field: RandomField, p: float) -> float:
-    m = moment(field.marginal, p)
-    return math.inf if math.isinf(m) else field.scale**p * m
 
 
 def _shifts(seed, dim: int, cell_size: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import (
-    DistributionSpec, RandomField, field_at, field_mean, field_moment, mean_value, moment,
+    DistributionSpec, RandomField, field_at, field_mean, mean_value, moment,
 )
 from .errors import ConfigurationError, DomainError, NumericalError, check_positive
 
@@ -124,22 +124,6 @@ class AngularWeight:
         norms = np.sqrt((z**2).sum(axis=1, keepdims=True))
         return self.rho_units(z / norms)
 
-    @property
-    def rho_min(self) -> float:
-        return 1.0
-
-    @property
-    def rho_max(self) -> float:
-        return 1.0 if self.kind == "one" else 1.5
-
-
-def angular_one() -> AngularWeight:
-    return AngularWeight("one")
-
-
-def angular_cos2(axis) -> AngularWeight:
-    return AngularWeight("cos2", tuple(float(a) for a in axis))
-
 
 # ---------------------------------------------------------------------------
 # coefficient forms
@@ -187,7 +171,7 @@ def form_terms(form: CoefficientForm) -> tuple[float, AngularWeight, list[tuple[
     """The form as (c, rho, pairs), kappa(x, y) = c rho(dir(y-x)) sum_t a_t(x) b_t(y).
 
     Every evaluation of a form reads this table; only the seed tokens of
-    reseed_form and the hypotheses of moment_check look at the family itself.
+    reseed_form and the run's constant-form check look at the family itself.
     """
     if isinstance(form, ConstantForm):
         return form.k0, form.angular, [(None, None)]
@@ -345,85 +329,3 @@ def levy_exponent(kernel: ConstantForm, cone: ConeSpec, params: KernelParams, xi
     radial = _radial_constant(params.alpha)
     angular = _angular_integral(kernel, cone, params, xi / norm)
     return norm**params.alpha * radial * angular
-
-
-@dataclass(frozen=True)
-class LevyLowerBoundReport:
-    ratios: tuple[float, ...]
-    min_ratio: float
-    positive: bool
-
-
-def levy_lower_bound_check(
-    kernel: ConstantForm, cone: ConeSpec, params: KernelParams, xi_samples
-) -> LevyLowerBoundReport:
-    """Min over samples of phi(xi)/|xi|^alpha, reported with a positivity flag."""
-    samples = [np.asarray(x, dtype=float).reshape(params.dim) for x in xi_samples]
-    if not samples:
-        raise ConfigurationError("xi_samples must be nonempty")
-    ratios = []
-    for xi in samples:
-        norm = float(np.sqrt((xi**2).sum()))
-        if norm == 0.0:
-            raise ConfigurationError("xi samples must be nonzero")
-        ratios.append(levy_exponent(kernel, cone, params, xi) / norm**params.alpha)
-    min_ratio = min(ratios)
-    return LevyLowerBoundReport(
-        ratios=tuple(ratios), min_ratio=min_ratio, positive=min_ratio > 0.0
-    )
-
-
-# ---------------------------------------------------------------------------
-# moment conditions
-
-
-@dataclass(frozen=True)
-class MomentEntry:
-    name: str
-    value: float
-    finite: bool
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    entries: tuple[MomentEntry, ...]
-    passed: bool
-
-
-def _entry(name: str, value: float) -> MomentEntry:
-    return MomentEntry(name=name, value=value, finite=math.isfinite(value))
-
-
-def moment_check(form: CoefficientForm) -> MomentReport:
-    """Analytic verification of the moment conditions each form needs.
-
-    Summation: E[Lambda^-1] and E[Lambda^p] finite (p = declared exponent).
-    Product: E[(nu1 nu2)^-1/2] and E[(nu1+nu2)^2] finite, using independence
-    of the two fields (or exact identity when they are the same field).
-    """
-    if isinstance(form, ConstantForm):
-        entries = (_entry("K0", form.k0),)
-        return MomentReport(entries=entries, passed=True)
-    if isinstance(form, SummationForm):
-        lam = form.lambda_field
-        p = lam.marginal.declared_p
-        entries = (
-            _entry("E[Lambda^-1]", field_moment(lam, -1.0)),
-            _entry(f"E[Lambda^{p:g}]", field_moment(lam, p)),
-        )
-        return MomentReport(entries=entries, passed=all(e.finite for e in entries))
-    nu1, nu2 = form.nu1, form.nu2
-    if nu1 == nu2:
-        inv_half = field_moment(nu1, -1.0)
-        cross = field_moment(nu1, 2.0)
-    else:
-        inv_half = field_moment(nu1, -0.5) * field_moment(nu2, -0.5)
-        cross = field_moment(nu1, 1.0) * field_moment(nu2, 1.0)
-    sq1 = field_moment(nu1, 2.0)
-    sq2 = field_moment(nu2, 2.0)
-    second = sq1 + 2.0 * cross + sq2
-    entries = (
-        _entry("E[(nu1*nu2)^-1/2]", inv_half),
-        _entry("E[(nu1+nu2)^2]", second),
-    )
-    return MomentReport(entries=entries, passed=all(e.finite for e in entries))

@@ -379,6 +379,54 @@ def test_example17_recovers_effective_constant(tmp_path):
     assert np.allclose(block["c_hat"], 0.5, rtol=1e-9)
 
 
+def test_translation_with_a_failed_solve_writes_its_report(tmp_path, capsys):
+    # the degenerate alpha = 1.8 product of the sweep test above stalls above
+    # tol = 1e-12 in the diagnostic's one solve too: the failure fails the
+    # check and lands in the report, exit 1
+    def uniform(seed):
+        return {"marginal": {"kind": "uniform", "a": 0.0, "b": 2.0}, "seed": seed}
+
+    cfg_path = write_config(tmp_path, {
+        "schema_version": 1,
+        "experiment": "diagnostics",
+        "diagnostics": {"kind": "translation", "eps": 0.5},
+        "grid": {"dim": 1, "length": 8.0, "n": 512},
+        "alpha": 1.8,
+        "form": {"kind": "product", "nu1": uniform(1), "nu2": uniform(2)},
+        "tol": 1e-12,
+    })
+    assert cli.main(["validate", cfg_path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg_path, "--out", str(out), "--deterministic"]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("[FAIL] translation_exponent: ConvergenceFailure: ")
+    report = json.loads((out / "report.json").read_text())
+    error = report["results"]["translation"]["error"]
+    assert error.startswith("ConvergenceFailure: resolvent CG stopped after")
+    assert report["checks"] == [
+        {"name": "translation_exponent", "passed": False, "detail": error}]
+    assert (out / "cells.csv").read_text() == "eps,seed,metric,value\n"
+
+
+def test_plotdata_refuses_a_file_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text("{not json")
+    plots = tmp_path / "plots"
+    assert cli.main(["plotdata", str(path), "--out", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"report error: {path} is not a stablehom report\n"
+    assert not plots.exists()
+
+
+def test_plotdata_refuses_a_json_object_without_results(tmp_path, capsys):
+    # a config passed by mistake
+    cfg_path = write_config(tmp_path, sweep_config())
+    assert cli.main(["plotdata", cfg_path, "--out", str(tmp_path / "plots")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"report error: {cfg_path} is not a stablehom report\n"
+
+
 def test_failing_check_exits_one(tmp_path, capsys):
     cfg = {
         "schema_version": 1,

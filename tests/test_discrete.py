@@ -113,7 +113,7 @@ def test_pair_enumeration_matches_roll_energy():
     lam = env.sample_field(2, env.lognormal(0.0, 0.5), seed=3)
     form = discrete.assemble_form(
         grid,
-        kernel.SummationForm(lambda_field=lam, angular=kernel.angular_cos2((1.0, 0.0))),
+        kernel.SummationForm(lambda_field=lam, angular=kernel.AngularWeight("cos2", (1.0, 0.0))),
         cone,
         params,
         eps=4.0,
@@ -420,13 +420,13 @@ def _oracle_case(kind, dim, coned):
     else:
         cone = kernel.ConeSpec(axis=(0.6, 0.8) if dim == 2 else axis, aperture=0.5)
     if kind == "angular":
-        k = kernel.ConstantForm(1.4, kernel.angular_cos2(axis))
+        k = kernel.ConstantForm(1.4, kernel.AngularWeight("cos2", axis))
         return grid, discrete.assemble_effective_form(grid, k, cone, params)
     fields = [env.sample_field(dim, env.lognormal(0.0, 0.6), seed=s) for s in (1, 2)]
     form = {
         "constant": kernel.ConstantForm(1.7),
         "summation": kernel.SummationForm(
-            lambda_field=fields[0], angular=kernel.angular_cos2(axis)
+            lambda_field=fields[0], angular=kernel.AngularWeight("cos2", axis)
         ),
         "product": kernel.ProductForm(nu1=fields[0], nu2=fields[1]),
     }[kind]
@@ -483,7 +483,7 @@ def _families(dim, nu1, nu2):
     return {
         "constant": kernel.ConstantForm(1.7),
         "summation-one": kernel.SummationForm(lambda_field=nu2),
-        "summation-cos2": kernel.SummationForm(nu1, kernel.angular_cos2(axis)),
+        "summation-cos2": kernel.SummationForm(nu1, kernel.AngularWeight("cos2", axis)),
         "product": kernel.ProductForm(nu1=nu1, nu2=nu2),
         "product-equal": kernel.ProductForm(nu1=nu1, nu2=nu1),
     }

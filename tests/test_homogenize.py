@@ -461,7 +461,7 @@ def test_kappa_matrix_matches_pointwise_kappa():
     lam = env.sample_field(2, env.lognormal(0.0, 0.5), seed=6)
     forms = [
         kernel.ConstantForm(1.3),
-        kernel.SummationForm(lambda_field=lam, angular=kernel.angular_cos2((0.6, 0.8))),
+        kernel.SummationForm(lambda_field=lam, angular=kernel.AngularWeight("cos2", (0.6, 0.8))),
         kernel.ProductForm(nu1=nu, nu2=nu),
     ]
     pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(7, 2))
