@@ -37,8 +37,7 @@ from .discrete import (
     test_function_suite,
     translation_estimate_check,
 )
-from .errors import (ConfigurationError, DomainError, NumericalError, check_count, check_ladder,
-                     check_positive)
+from .errors import ConfigurationError, DomainError, NumericalError, check_count, check_positive
 from .kernel import (
     AngularWeight,
     CoefficientForm,
@@ -273,8 +272,7 @@ _tol = _rule(_number, lambda tol, out: check_tol(tol))
 _seeds = _count("seeds")
 _h_multiples = _rule(_array(_integer, "integers"), lambda ks, out: check_translation_steps(
     out.built["config.grid"], [k * out.built["config.grid"].h for k in ks]))
-_eta_list = _rule(_numbers, lambda eta, out: H.check_eta_list(eta, out["grid"]["length"]))
-_moment_eps = _rule(_numbers, lambda eps, out: check_ladder("eps_list", eps))
+_moment_eps = _rule(_numbers, lambda eps, out: H.check_moment_eps(eps))
 _moment_radius = _rule(_number, lambda r, out: H.check_moment_ball(out.built["config.grid"], r))
 _eps_grid = _rule(_numbers, lambda eps, out: env.check_eps_grid(eps))
 # the one eps of an estimate, of example 17 or of a diagnostic
@@ -339,7 +337,6 @@ _DIAGNOSTIC_KEYS = {
     "translation": {"h_multiples": (_h_multiples, [1, 2, 4, 8]),
                     "radius": (_positive("translation radius"), _quarter_length),
                     "eps": (_eps, 1.0)},
-    "tails": {"eta_list": (_eta_list, _REQUIRED), "eps": (_eps, 1.0)},
     "moments": {"eps_list": (_moment_eps, _REQUIRED), "seeds": (_seeds, 5),
                 "radius": (_moment_radius, _quarter_length)},
     "birkhoff": {"eps": (_eps, _REQUIRED),
@@ -366,9 +363,9 @@ def _far_points(diag, out) -> None:
         with np.errstate(over="ignore"):  # a point that overflows to inf is refused
             env.check_points(out.built["config.field"], _REACH[diag["kind"]](diag))
 
-_GRIDDED = "sweep estimate_constant mosco example17 nash cone translation tails moments"
-_JUMPS = "sweep estimate_constant mosco example17 nash cone translation tails"
-_FORMS = "sweep estimate_constant mosco translation tails moments"
+_GRIDDED = "sweep estimate_constant mosco example17 nash cone translation moments"
+_JUMPS = "sweep estimate_constant mosco example17 nash cone translation"
+_FORMS = "sweep estimate_constant mosco translation moments"
 _SOLVES = "sweep example17 translation"
 
 # top-level key -> (kind, default, the experiments and diagnostic kinds it
@@ -388,7 +385,7 @@ _CONFIG = {
         out["eps_list"], out, mu["cell_size"])), _build_field), None, "sweep"),
     "report_radius": (_positive("report radius"), None, "sweep"),
     "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None,
-                   "sweep translation tails"),
+                   "sweep translation"),
     "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),
     "mosco": (_object({"threshold": (_positive("mosco threshold"), None)}), {}, "mosco"),
     "example17": (_EXAMPLE17, _REQUIRED, "example17"),
@@ -647,25 +644,6 @@ def _run_translation(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
                f"min exponent {rep.min_exponent:.4g} vs {target:.4g}")]
 
 
-def _run_tails(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
-    grid, alpha = config.grid, config.params.alpha
-    rep = H.truncation_tail_report(
-        grid, config.form, config.cone, config.params, diag["eps"],
-        evaluate(grid, bump(grid, config.resolved.get("rhs_radius"))), diag["eta_list"],
-    )
-    block = _fields(rep, "eta_list", "small_energies", "large_energies", "small_slope",
-                    "large_slope", eta_list="eta", small_energies="small",
-                    large_energies="large")
-    return block, [
-        _check("tails_decreasing", rep.small_decreasing and rep.large_decreasing,
-               "both truncation tails shrink as eta falls"),
-        _check("small_jump_exponent", rep.small_slope_ok,
-               f"slope {rep.small_slope:.4g} vs 2-alpha = {2 - alpha:.4g}"),
-        _check("large_jump_exponent", rep.large_slope_ok,
-               f"slope {rep.large_slope:.4g} vs alpha/2 = {alpha / 2:.4g}"),
-    ]
-
-
 def _run_moments(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
     rep = H.moment_bound_report(config.grid, config.form, diag["eps_list"], diag["seeds"],
                                 diag["radius"], master_seed=config.resolved["master_seed"])
@@ -710,7 +688,6 @@ _DIAGNOSTICS = {
     "nash": _run_nash,
     "cone": _run_cone,
     "translation": _run_translation,
-    "tails": _run_tails,
     "moments": _run_moments,
     "birkhoff": _run_birkhoff,
     "maximal": _run_maximal,

@@ -307,9 +307,8 @@ class SparseSymmetricForm:
 
     omega the weight of the half spectrum (`_parseval_weights`): an energy
     takes one forward transform of the U factor fields times f' (and g'),
-    and no inverse.  Band energies use the symbol of K masked to the band
-    and its row sums.  The shift by the first entry keeps constants at
-    exactly zero energy.  `weight_slab` builds w(i, i+s) explicitly from the
+    and no inverse.  The shift by the first entry keeps constants at exactly
+    zero energy.  `weight_slab` builds w(i, i+s) explicitly from the
     same pairs; it is the independent oracle behind `dense_generator`.
     """
 
@@ -329,15 +328,11 @@ class SparseSymmetricForm:
         self._terms = tuple((index[id(a)], index[id(b)]) for a, b in pairs)
         if not (self._fields >= 0.0).all():  # NaN fails too
             raise DomainError(f"negative coefficient field: min value {self._fields.min():g}")
-        self._d = self._pair_sum(self._fields, self._khat)  # row sums
+        self._d = self._pair_sum(self._fields)  # row sums
 
     @property
     def stencil_size(self) -> int:
         return len(self.stencil)
-
-    def displacements(self) -> np.ndarray:
-        """Physical displacement vectors of the stencil, shape (S, dim)."""
-        return self.stencil.astype(float) * self.grid.h
 
     def weight_slab(self, k: int) -> np.ndarray:
         """Lattice-shaped w(i, i + s_k) for stencil entry k, built explicitly."""
@@ -347,28 +342,19 @@ class SparseSymmetricForm:
         pairs = sum(fields[i] * np.roll(fields[j], shift, axis=axes) for i, j in self._terms)
         return self.stencil_kernel[k] * pairs
 
-    def _pair_sum(self, v: np.ndarray, khat: np.ndarray) -> np.ndarray:
+    def _pair_sum(self, v: np.ndarray) -> np.ndarray:
         """sum_t a_t (K * (b_t u)) from v = F u, the factor fields times u:
         one transform pair per distinct field."""
         axes = tuple(range(1, self.grid.dim + 1))
-        conv = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * khat, s=self.grid.shape, axes=axes)
+        conv = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * self._khat, s=self.grid.shape, axes=axes)
         (i, j), *rest = self._terms
         out = self._fields[i] * conv[j]
         for i, j in rest:
             out += self._fields[i] * conv[j]
         return out
 
-    def energy(self, f: np.ndarray, g: np.ndarray, r_lo=None, r_hi=None) -> float:
-        """Dirichlet energy, optionally restricted to jumps with r_lo <= |z| <= r_hi."""
-        if r_lo is None and r_hi is None:
-            d, weights = self._d, self._weights
-        else:
-            dist = np.sqrt((self.displacements() ** 2).sum(axis=1))
-            hi = math.inf if r_hi is None else r_hi
-            band = (dist >= (r_lo or 0.0)) & (dist <= hi)
-            khat = _symbol(self.grid, self.stencil, np.where(band, self.stencil_kernel, 0.0))
-            d = self._pair_sum(self._fields, khat)  # the band's row sums
-            weights = _parseval_weights(khat, self.grid.size)
+    def energy(self, f: np.ndarray, g: np.ndarray) -> float:
+        """Dirichlet energy E(f, g) from the cached row sums and Parseval weights."""
         axes = tuple(range(1, self.grid.dim + 1))
         F = self._as_lattice(f)
         F = F - F.flat[0]
@@ -379,16 +365,16 @@ class SparseSymmetricForm:
             G = self._as_lattice(g)
             G = G - G.flat[0]
             y = np.fft.rfftn(self._fields * G, axes=axes)
-        wy = weights * y
+        wy = self._weights * y
         cross = sum(np.vdot(x[i], wy[j]).real for i, j in self._terms)
         # 0.0 - x keeps a vanishing energy unsigned
-        return 0.0 - (float(cross) - float(np.vdot(F, d * G)))
+        return 0.0 - (float(cross) - float(np.vdot(F, self._d * G)))
 
     def apply_generator(self, u: np.ndarray) -> np.ndarray:
         """(A u)_i = sum_j w(i,j) (u_j - u_i); annihilates constants."""
         U = self._as_lattice(u)
         U = U - U.flat[0]
-        return (self._pair_sum(self._fields * U, self._khat) - self._d * U).reshape(u.shape)
+        return (self._pair_sum(self._fields * U) - self._d * U).reshape(u.shape)
 
     def row_weight_sums(self) -> np.ndarray:
         """sum_j w(i, j) per node (= |A_ii|), flat layout."""

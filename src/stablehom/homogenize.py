@@ -5,8 +5,8 @@ ratios eps and independent environment realizations, solves the limiting
 constant-coefficient problem once on the same grid, and records five error
 metrics per (eps, seed) cell.  Companion estimators measure the effective
 constant through energy ratios, check form convergence on smooth test
-functions, and probe the small/large-jump truncation tails and the
-kernel moment bound that the convergence theory assumes.
+functions, and probe the kernel moment bound that the convergence theory
+assumes.
 """
 
 from __future__ import annotations
@@ -359,74 +359,7 @@ def mosco_form_check(
 
 
 # ---------------------------------------------------------------------------
-# assumption diagnostics: truncation tails and kernel moments
-
-
-def check_eta_list(eta_list, length: float) -> None:
-    """Truncation levels fall strictly and start inside the jump cutoff L/4."""
-    check_ladder("eta_list", eta_list)
-    if eta_list[0] > length / 4.0:
-        raise ConfigurationError(
-            f"largest eta {eta_list[0]:g} exceeds the jump cutoff L/4 = {length / 4:g}"
-        )
-
-
-@dataclass(frozen=True)
-class TruncationTailReport:
-    eta_list: tuple[float, ...]
-    small_energies: tuple[float, ...]
-    large_energies: tuple[float, ...]
-    small_slope: float
-    large_slope: float
-    small_decreasing: bool
-    large_decreasing: bool
-    small_slope_ok: bool
-    large_slope_ok: bool
-
-
-def truncation_tail_report(
-    grid: Grid,
-    form: CoefficientForm,
-    cone: ConeSpec,
-    params: KernelParams,
-    eps: float,
-    g: np.ndarray,
-    eta_list,
-) -> TruncationTailReport:
-    """Energy carried by jumps |z| <= eta and |z| >= 1/eta.
-
-    The small-jump side should vanish like eta^(2-alpha) and the large-jump
-    side like eta^alpha as eta -> 0; both sequences must be nonincreasing.
-    """
-    eta_list = tuple(float(e) for e in eta_list)
-    check_eta_list(eta_list, grid.length)
-    form_eps = assemble_form(grid, form, cone, params, eps)
-    g = np.asarray(g, dtype=float)
-    small = [form_eps.energy(g, g, r_hi=eta) for eta in eta_list]
-    large = [form_eps.energy(g, g, r_lo=1.0 / eta) for eta in eta_list]
-
-    def fit_slope(values):
-        pts = [(e, v) for e, v in zip(eta_list, values) if v > 0]
-        if len(pts) < 2:
-            return math.nan
-        es, vs = zip(*pts)
-        return float(np.polyfit(np.log(es), np.log(vs), 1)[0])
-
-    small_slope = fit_slope(small)
-    large_slope = fit_slope(large)
-    alpha = params.alpha
-    return TruncationTailReport(
-        eta_list=eta_list,
-        small_energies=tuple(small),
-        large_energies=tuple(large),
-        small_slope=small_slope,
-        large_slope=large_slope,
-        small_decreasing=all(b <= a for a, b in zip(small, small[1:])),
-        large_decreasing=all(b <= a for a, b in zip(large, large[1:])),
-        small_slope_ok=(not math.isnan(small_slope))
-        and abs(small_slope - (2.0 - alpha)) <= 0.3,
-        large_slope_ok=(not math.isnan(large_slope)) and large_slope >= alpha / 2.0,
-    )
+# assumption diagnostics: kernel moments
 
 
 @dataclass(frozen=True)
@@ -474,6 +407,15 @@ def check_moment_ball(grid: Grid, radius: float) -> None:
         )
 
 
+def check_moment_eps(eps_list) -> None:
+    """The growth slope is fitted over a falling eps ladder of two entries or more."""
+    check_ladder("eps_list", eps_list)
+    if len(eps_list) < 2:
+        raise ConfigurationError(
+            f"eps_list needs at least two entries to fit a growth slope, got {len(eps_list)}"
+        )
+
+
 def moment_bound_report(
     grid: Grid,
     form: CoefficientForm,
@@ -486,10 +428,11 @@ def moment_bound_report(
 
     The declared moment exponent p comes from the form's fields.  A positive
     fitted slope of log-value against log(1/eps) above 0.1 flags growth,
-    the signature of a divergent coefficient moment.
+    the signature of a divergent coefficient moment; so does a NaN slope,
+    which a zero median gives.
     """
     eps_list = tuple(float(e) for e in eps_list)
-    check_ladder("eps_list", eps_list)
+    check_moment_eps(eps_list)
     check_count("seeds", seeds)
     check_moment_ball(grid, radius)
     p = _declared_p(form)
@@ -504,16 +447,13 @@ def moment_bound_report(
             inner = hd * k.sum(axis=1)
             vals.append(hd * float((inner**p).sum()))
         medians.append(env.quartiles(vals)[1])
-    slope = (
-        float(np.polyfit(np.log([1.0 / e for e in eps_list]), np.log(medians), 1)[0])
-        if len(eps_list) >= 2
-        else 0.0
-    )
+    with np.errstate(divide="ignore"):  # log(0) = -inf makes the slope NaN
+        slope = float(np.polyfit(np.log([1.0 / e for e in eps_list]), np.log(medians), 1)[0])
     return MomentBoundReport(
         eps_list=eps_list,
         medians=tuple(medians),
         max_value=max(medians),
         growth_slope=slope,
         exponent_p=p,
-        flagged=slope > 0.1,
+        flagged=not slope <= 0.1,
     )

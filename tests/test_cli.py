@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,10 @@ def write_config(tmp_path, cfg, name="config.json"):
 # mean: `run` refused the sweep and mosco forms of infinite mean with this
 # message, crashed on the one whose mean overflows, and ran the sweep whose
 # measure has an infinite mean against a meaningless limit.
+# `library-moments-eps-single` used to pass `run` with growth slope 0 whatever
+# the form.  `removed-kind-tails` pins the refusal of the deleted `tails`
+# diagnostic, whose probe measured the jump cutoff L/4 and the test
+# function's support on this torus rather than the kernel's tails.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
@@ -213,6 +218,14 @@ def test_unknown_diagnostic_kind():
     }
     with pytest.raises(ConfigurationError):
         cli.parse_config(json.dumps(cfg))
+
+
+def test_schema_names_only_existing_kinds():
+    # a stale kind left in an applicability string is accepted silently
+    kinds = set(cli._EXPERIMENTS) | set(cli._DIAGNOSTIC_KEYS)
+    for key, (_, _, applies) in cli._CONFIG.items():
+        assert {word.rstrip("!") for word in applies.split()} <= kinds, key
+    assert cli._DIAGNOSTICS.keys() == cli._DIAGNOSTIC_KEYS.keys()
 
 
 def test_checks_fail_on_nan_medians(monkeypatch):
@@ -454,6 +467,26 @@ def test_failing_check_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "[FAIL] moment_bound_no_growth" in captured.out
+
+
+def test_moments_with_zero_medians_fail_without_warnings(tmp_path, capsys):
+    # a zero form has zero medians and a NaN growth slope, which used to pass
+    # after numpy's divide-by-zero warning
+    cfg = {
+        "schema_version": 1,
+        "experiment": "diagnostics",
+        "diagnostics": {"kind": "moments", "eps_list": [1.0, 0.5]},
+        "grid": {"dim": 1, "length": 4.0, "n": 32},
+        "form": {"kind": "constant", "k0": 0.0},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["run", cfg_path, "--out", str(tmp_path / "out"), "--deterministic"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "[FAIL] moment_bound_no_growth: growth slope nan" in captured.out
+    assert caught == [] and captured.err == ""
 
 
 def test_config_error_exits_two(tmp_path, capsys):

@@ -390,18 +390,12 @@ def test_flat_kernel_equals_constant_form_bitwise():
         assert np.array_equal(a.weight_slab(k), b.weight_slab(k))
 
 
-def _roll_oracle(form, r_lo=None, r_hi=None):
+def _roll_oracle(form):
     """Generator and row sums from explicit weight slabs, one np.roll each."""
-    dist = np.sqrt((form.displacements() ** 2).sum(axis=1))
-    keep = np.ones(form.stencil_size, dtype=bool)
-    if r_lo is not None:
-        keep &= dist >= r_lo
-    if r_hi is not None:
-        keep &= dist <= r_hi
     axes = tuple(range(form.grid.dim))
     slabs = [
         (tuple(-int(v) for v in form.stencil[k]), form.weight_slab(k))
-        for k in np.nonzero(keep)[0]
+        for k in range(form.stencil_size)
     ]
 
     def apply(u):
@@ -453,22 +447,16 @@ def test_fft_generator_matches_slab_oracle(kind, dim, coned):
     close(form.row_weight_sums(), rows)
     close(form.energy(f, g), -float(f @ apply(g)))
     close(form.energy(f, f), -float(f @ apply(f)))
-    for r_lo, r_hi in ((None, 0.5), (0.3, None), (0.3, 0.6)):
-        band_apply, _ = _roll_oracle(form, r_lo, r_hi)
-        close(form.energy(f, g, r_lo=r_lo, r_hi=r_hi), -float(f @ band_apply(g)))
 
 
-def _pair_sum_energy(form, f, g, r_lo=None, r_hi=None):
+def _pair_sum_energy(form, f, g):
     """1/2 sum_k sum_i w_k(i) (f_i - f_{i+s_k})(g_i - g_{i+s_k}) from the
-    weight slabs, optionally only jumps with r_lo <= |s_k| h <= r_hi."""
+    weight slabs."""
     grid = form.grid
     axes = tuple(range(grid.dim))
     f, g = f.reshape(grid.shape), g.reshape(grid.shape)
     total = 0.0
     for k, s in enumerate(form.stencil):
-        dist = math.sqrt(float(((s * grid.h) ** 2).sum()))
-        if (r_lo is not None and dist < r_lo) or (r_hi is not None and dist > r_hi):
-            continue
         shift = tuple(-int(v) for v in s)
         df = f - np.roll(f, shift, axis=axes)
         dg = g - np.roll(g, shift, axis=axes)
@@ -511,16 +499,15 @@ def test_spectral_energy_matches_pair_sum_oracle(kind, dim, coned):
     rng = np.random.default_rng(5)
     # rough functions: the Nyquist columns of their spectra carry weight
     f, g = rng.normal(size=grid.size), 3.0 + rng.normal(size=grid.size)
-    for r_lo, r_hi in ((None, None), (None, 0.3), (0.3, None), (0.2, 0.6)):
-        ff = _pair_sum_energy(form, f, f, r_lo, r_hi)
-        gg = _pair_sum_energy(form, g, g, r_lo, r_hi)
-        fg = _pair_sum_energy(form, f, g, r_lo, r_hi)
-        assert ff > 0.0 and gg > 0.0
-        assert abs(form.energy(f, f, r_lo, r_hi) - ff) <= 1e-12 * ff
-        assert abs(form.energy(g, g, r_lo, r_hi) - gg) <= 1e-12 * gg
-        scale = math.sqrt(ff * gg)
-        assert abs(form.energy(f, g, r_lo, r_hi) - fg) <= 1e-12 * scale
-        assert abs(form.energy(g, f, r_lo, r_hi) - fg) <= 1e-12 * scale
+    ff = _pair_sum_energy(form, f, f)
+    gg = _pair_sum_energy(form, g, g)
+    fg = _pair_sum_energy(form, f, g)
+    assert ff > 0.0 and gg > 0.0
+    assert abs(form.energy(f, f) - ff) <= 1e-12 * ff
+    assert abs(form.energy(g, g) - gg) <= 1e-12 * gg
+    scale = math.sqrt(ff * gg)
+    assert abs(form.energy(f, g) - fg) <= 1e-12 * scale
+    assert abs(form.energy(g, f) - fg) <= 1e-12 * scale
     const = np.full(grid.size, -2.5)
     for e in (form.energy(const, const), form.energy(const, g), form.energy(f, const)):
         assert e == 0.0 and math.copysign(1.0, e) == 1.0

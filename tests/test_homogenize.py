@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -367,61 +368,6 @@ def test_mosco_refuses_empty_test_functions():
 
 
 # ---------------------------------------------------------------------------
-# truncation tails
-
-
-def test_truncation_tails_slopes():
-    grid = discrete.Grid(dim=1, length=8.0, n=512)
-    g = discrete.evaluate(grid, discrete.bump(grid))
-    etas = (1.0, 0.5, 0.25, 0.125)
-    for alpha in (0.5, 1.0, 1.5):
-        report = H.truncation_tail_report(
-            grid, lognormal_summation(), CONE1,
-            kernel.KernelParams(alpha=alpha, dim=1), 1.0, g, etas,
-        )
-        assert report.small_decreasing and report.large_decreasing
-        # small jumps carry energy ~ eta^(2-alpha), large ones die out fast
-        assert report.small_slope_ok, f"alpha={alpha}: slope {report.small_slope}"
-        assert report.large_slope_ok, f"alpha={alpha}: slope {report.large_slope}"
-        assert report.small_energies[-1] < report.small_energies[0]
-
-
-def test_truncation_tails_constant_function():
-    grid = discrete.Grid(dim=1, length=8.0, n=512)
-    report = H.truncation_tail_report(
-        grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, 1.0,
-        np.full(grid.size, 2.0), (1.0, 0.5),
-    )
-    assert report.small_energies == (0.0, 0.0)
-    assert report.large_energies == (0.0, 0.0)
-    assert math.isnan(report.small_slope)
-    assert not report.small_slope_ok and not report.large_slope_ok
-    assert report.small_decreasing  # flat zeros count as nonincreasing
-
-
-def test_truncation_tails_validation():
-    grid = discrete.Grid(dim=1, length=8.0, n=512)
-    g = discrete.evaluate(grid, discrete.bump(grid))
-    with pytest.raises(ConfigurationError):
-        H.truncation_tail_report(
-            grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, 1.0, g, (4.0, 1.0)
-        )
-    with pytest.raises(ConfigurationError):
-        H.truncation_tail_report(
-            grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, 1.0, g, (0.5, 0.5)
-        )
-    with pytest.raises(ConfigurationError):
-        H.truncation_tail_report(
-            grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, 1.0, g, ()
-        )
-    # a zero truncation level used to divide by zero
-    with pytest.raises(ConfigurationError, match="smallest entry of eta_list"):
-        H.truncation_tail_report(
-            grid, kernel.ConstantForm(1.0), CONE1, PARAMS1, 1.0, g, (0.5, 0.0)
-        )
-
-
-# ---------------------------------------------------------------------------
 # coefficient moment growth
 
 
@@ -453,6 +399,32 @@ def test_moment_bound_constant_form_is_flat():
     assert not report.flagged
 
 
+def test_moment_bound_refuses_a_single_eps():
+    # one eps used to give growth slope 0, so an infinite moment passed
+    grid = discrete.Grid(dim=1, length=4.0, n=32)
+    heavy = kernel.SummationForm(
+        lambda_field=env.sample_field(1, env.shifted_pareto(1.0, 1.2, declared_p=2.0))
+    )
+    message = "^eps_list needs at least two entries to fit a growth slope, got 1$"
+    with pytest.raises(ConfigurationError, match=message):
+        H.check_moment_eps((0.5,))
+    with pytest.raises(ConfigurationError, match=message):
+        H.moment_bound_report(grid, heavy, (0.5,), seeds=2, radius=1.0)
+
+
+def test_moment_bound_flags_a_nan_slope():
+    # a zero form has zero medians, whose log-log slope is NaN
+    grid = discrete.Grid(dim=1, length=4.0, n=32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = H.moment_bound_report(
+            grid, kernel.ConstantForm(0.0), (1.0, 0.5), seeds=2, radius=1.0
+        )
+    assert report.medians == (0.0, 0.0)
+    assert math.isnan(report.growth_slope)
+    assert report.flagged
+
+
 def test_kappa_matrix_matches_pointwise_kappa():
     # the batched coefficient of the moment quadrature against kernel.kappa,
     # which evaluates the fields one point at a time; the batched matmul of
@@ -481,9 +453,9 @@ def test_moment_bound_validation():
     with pytest.raises(ConfigurationError):
         H.moment_bound_report(grid, form, (0.5, 1.0), seeds=2, radius=1.0)
     with pytest.raises(ConfigurationError):
-        H.moment_bound_report(grid, form, (1.0,), seeds=0, radius=1.0)
+        H.moment_bound_report(grid, form, (1.0, 0.5), seeds=0, radius=1.0)
     with pytest.raises(ConfigurationError):
-        H.moment_bound_report(grid, form, (1.0,), seeds=2, radius=1e-6)
+        H.moment_bound_report(grid, form, (1.0, 0.5), seeds=2, radius=1e-6)
     with pytest.raises(ConfigurationError, match="smallest entry of eps_list"):
         H.moment_bound_report(grid, form, (1.0, 0.0), seeds=2, radius=1.0)
 
