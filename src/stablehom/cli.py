@@ -346,7 +346,7 @@ _DIAGNOSTIC_KEYS = {
                 "r0": (_positive("r0"), 1.0), "n_seeds": (_count("n_seeds"), 200)},
     "covariance": {"z1": (_POINT, _REQUIRED), "z2": (_POINT, _REQUIRED),
                    "x": (_POINT, _REQUIRED), "trials": (_count("trials", 100), 1000),
-                   "truncation": (_number, 1e3)},
+                   "truncation": (_positive("truncation"), 1e3)},
 }
 
 # the farthest points, in field units, at which a field diagnostic evaluates its field
@@ -674,7 +674,11 @@ def _run_covariance(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
     field = config.field
     entry = env.empirical_covariance(field, diag["z1"], diag["z2"], diag["x"],
                                      trials=diag["trials"], truncation=diag["truncation"])
-    if field.mixing.kind == "iid_cells" and entry.lag > field.cell_size:
+    # iid pairs are independent when, for each point of {0, z1} and each of
+    # {x, x + z2}, some axis parts the two by a cell or more
+    z1, z2, x = (np.asarray(diag[k], dtype=float) for k in ("z1", "z2", "x"))
+    gaps = [np.abs(b - a).max() for a in (0.0 * x, z1) for b in (x, x + z2)]
+    if field.mixing.kind == "iid_cells" and min(gaps) >= field.cell_size:
         passed = entry.estimate <= 3.0 * entry.standard_error
         detail = f"|cov| {entry.estimate:.4g} vs 3 se {3 * entry.standard_error:.4g}"
     else:

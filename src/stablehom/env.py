@@ -8,13 +8,13 @@ finite-window moving average with polynomially decaying weights, transformed
 so the declared marginal holds exactly.
 
 Two entries evaluate a field.  `field_on_lattice` serves tensor lattices
-such as grid nodes: it forms cells per axis, hashes every cell of their
-bounding box (padded by the window radius for a moving average) once, forms
-window sums as shifted adds over the flattened box, and gathers the lattice.
-`field_values` serves scattered points; a moving-average batch uses the same
-box when it is small enough.  Widely scattered points and per-row seeds fall
-back to hashing every window cell of every point.  Non-finite parameters and
-points are rejected where they enter.
+such as grid nodes and quadrature midpoints: it forms cells per axis, hashes
+every cell of their bounding box (padded by the window radius for a moving
+average) once, forms window sums as shifted adds over the flattened box, and
+gathers the lattice.  `field_values` serves scattered points, and
+`_field_values_seeds` the per-row seeds of the covariance trials: both hash
+every window cell of every point, and `field_values` is the lattice path's
+oracle.  Non-finite parameters and points are rejected where they enter.
 """
 
 from __future__ import annotations
@@ -445,9 +445,9 @@ def sample_field(
 
     No lattice is stored: every cell value is produced on demand by a
     counter-based hash of (seed, cell index), so values are independent of
-    traversal order and batching.  A batch of points costs one hash per cell
-    of its bounding box padded by the window radius, or one per window cell
-    of every point when that is fewer.
+    traversal order and batching.  A lattice costs one hash per cell of its
+    bounding box padded by the window radius, or one per window cell of
+    every node when that is fewer.
     """
     return RandomField(
         dim=dim,
@@ -491,11 +491,16 @@ def _values_at_cells(field: RandomField, seed, cells: np.ndarray) -> np.ndarray:
     if field.mixing.kind == "iid_cells":
         u = _uniform01(_cell_hash(seed, _SALT_IID, cells.T))
     else:
+        # the window cells of every point, hashed up to 2^18 at a time (a few
+        # MiB per temporary) and summed offset by offset in window order
         offsets, weights = _ma_window(field.dim, field.mixing.q)
         acc = np.zeros(len(cells))
-        for off, w in zip(offsets, weights):
-            g = _ndtri(_uniform01(_cell_hash(seed, _SALT_GAUSS, (cells + off).T)))
-            acc += w * g
+        step = max(1, 2**18 // max(1, len(cells)))
+        for k in range(0, len(offsets), step):
+            window = np.moveaxis(cells[None, :, :] + offsets[k:k + step, None, :], -1, 0)
+            g = _ndtri(_uniform01(_cell_hash(seed, _SALT_GAUSS, window)))
+            for w, g_k in zip(weights[k:k + step], g):
+                acc += w * g_k
         u = _ndtr(acc)
     return field.scale * _icdf(field.marginal, u)
 
@@ -516,24 +521,10 @@ def check_points(field: RandomField, points) -> None:
         _cells_of(field, np.asarray(points, dtype=float), shift)
 
 
-def _box(field: RandomField, lows, highs, queries: int):
-    """Origin and shape of the box of cells from `lows` to `highs` on each
-    axis, padded by the window radius for a moving average; None when it
-    holds more cells than the windows of `queries` separate query cells."""
-    r = _MA_RADIUS if field.mixing.kind == "moving_average" else 0
-    # Python ints, so the box size cannot wrap around int64 into a small one.
-    lo = [int(c) - r for c in lows]
-    pad = [int(c) + r + 1 - a for c, a in zip(highs, lo)]
-    window = len(_ma_window(field.dim, field.mixing.q)[1]) if r else 1
-    return (lo, pad) if math.prod(pad) <= window * queries else None
-
-
 def field_values(field: RandomField, points) -> np.ndarray:
-    """Evaluate the field at an (m, dim) array of scattered points.
-
-    A moving-average batch is evaluated over the padded bounding box of its
-    cells when that box is small enough.  Grid nodes are a tensor lattice;
-    `field_on_lattice` serves them from cells formed per axis.
+    """Evaluate the field at an (m, dim) array of scattered points, hashing
+    every window cell of every point.  Grid nodes and other tensor lattices
+    go through `field_on_lattice`, which hashes each cell of their box once.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -543,13 +534,7 @@ def field_values(field: RandomField, points) -> np.ndarray:
             f"points have dimension {pts.shape[1]}, field has dimension {field.dim}"
         )
     shift = np.array(_global_shift(field.seed, field.dim, field.cell_size))
-    cells = _cells_of(field, pts, shift)
-    if field.mixing.kind == "moving_average" and len(cells):
-        low = cells.min(axis=0)
-        box = _box(field, low, cells.max(axis=0), len(cells))
-        if box is not None:
-            return _values_on_box(field, *box)[tuple((cells - low).T)]
-    return _values_at_cells(field, field.seed, cells)
+    return _values_at_cells(field, field.seed, _cells_of(field, pts, shift))
 
 
 def field_on_lattice(field: RandomField, axes) -> np.ndarray:
@@ -569,12 +554,16 @@ def field_on_lattice(field: RandomField, axes) -> np.ndarray:
     shape = tuple(len(c) for c in cells)
     if 0 in shape:  # an empty axis leaves no cell to hash
         return np.empty(shape)
-    lows = [c.min() for c in cells]
-    box = _box(field, lows, [c.max() for c in cells], math.prod(shape))
-    if box is None:  # axis coordinates too scattered for one box
+    # the box of cells, padded by the window radius for a moving average, in
+    # Python ints, so that its size cannot wrap around int64 into a small one
+    r = _MA_RADIUS if field.mixing.kind == "moving_average" else 0
+    lo = [int(c.min()) - r for c in cells]
+    pad = [int(c.max()) + r + 1 - a for c, a in zip(cells, lo)]
+    window = len(_ma_window(field.dim, field.mixing.q)[1]) if r else 1
+    if math.prod(pad) > window * math.prod(shape):  # more cells than the nodes' windows
         mesh = np.stack([m.ravel() for m in np.meshgrid(*cells, indexing="ij")], axis=1)
         return _values_at_cells(field, field.seed, mesh).reshape(shape)
-    return _values_on_box(field, *box)[np.ix_(*(c - a for c, a in zip(cells, lows)))]
+    return _values_on_box(field, lo, pad)[np.ix_(*(c - c.min() for c in cells))]
 
 
 def _values_on_box(field: RandomField, lo, pad) -> np.ndarray:
@@ -655,13 +644,11 @@ def _field_values_seeds(field: RandomField, seeds: np.ndarray, points: np.ndarra
 # ergodic functionals
 
 
-def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, eps_cell: float, cap: int) -> np.ndarray:
-    axes = []
-    for a, b in zip(lo, hi):
-        n = int(min(cap, max(8, math.ceil(4.0 * (b - a) / eps_cell))))
-        axes.append(a + (b - a) * (np.arange(n) + 0.5) / n)
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, eps_cell: float, cap: int) -> list:
+    """Per-axis midpoints of the box [lo, hi], about four per eps-cell, at
+    least 8 and at most `cap` per axis."""
+    counts = [int(min(cap, max(8, math.ceil(4.0 * (b - a) / eps_cell)))) for a, b in zip(lo, hi)]
+    return [a + (b - a) * (np.arange(n) + 0.5) / n for a, b, n in zip(lo, hi, counts)]
 
 
 def check_region(lo, hi) -> None:
@@ -691,10 +678,11 @@ def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> flo
     check_region(lo, hi)
     check_positive("eps", eps)
     cap = 4096 if field.dim == 1 else 128
-    points = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
+    axes = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
     vol = float(np.prod(hi - lo))
-    vals = field_values(field, points / eps)
+    vals = field_on_lattice(field, [a / eps for a in axes]).ravel()
     if weight is not None:
+        points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         vals = vals * np.asarray(weight(points), dtype=float)
     return vol * float(vals.mean())
 
@@ -711,8 +699,9 @@ def maximal_functional(field: RandomField, eps_grid, r0: float = 1.0) -> float:
     vol = r0**field.dim
     best = -math.inf
     for eps in eps_grid:
-        points = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
-        best = max(best, vol * float(field_values(field, points / eps).mean()))
+        axes = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
+        vals = field_on_lattice(field, [a / eps for a in axes]).ravel()
+        best = max(best, vol * float(vals.mean()))
     return best
 
 
@@ -845,6 +834,7 @@ def empirical_covariance(
     moment.  Each trial uses its own derived seed.
     """
     check_count("trials", trials, 100)
+    check_positive("truncation", truncation)
     z1 = np.asarray(z1, dtype=float).reshape(field.dim)
     z2 = np.asarray(z2, dtype=float).reshape(field.dim)
     x = np.asarray(x, dtype=float).reshape(field.dim)

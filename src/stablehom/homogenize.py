@@ -32,6 +32,7 @@ from .discrete import (
 )
 from .errors import (
     ConfigurationError,
+    DomainError,
     NumericalError,
     check_count,
     check_ladder,
@@ -53,31 +54,32 @@ from .solver import ResolventProblem, check_lambda, solve_resolvent
 METRICS = ("err_l2_mu", "err_l1_ball", "pairing_err", "form_err", "norm_err")
 
 
-def _reseed_field(field: env.RandomField, seed: int) -> env.RandomField:
-    return replace(field, seed=seed)
-
-
 def reseed_form(form: CoefficientForm, cell_seed: int) -> CoefficientForm:
     """Give every random field of the form a seed derived from cell_seed.
 
-    Equal nu1/nu2 fields of a product form stay equal, preserving the
+    Equal nu1/nu2 fields of a product form stay one object, preserving the
     perfectly correlated construction used by the ratio-of-means experiment.
     """
-    if isinstance(form, ConstantForm):
-        return form
     if isinstance(form, SummationForm):
-        lam = _reseed_field(form.lambda_field, env.derive_seed(cell_seed, "lambda"))
-        return replace(form, lambda_field=lam)
+        seed = env.derive_seed(cell_seed, "lambda")
+        return replace(form, lambda_field=replace(form.lambda_field, seed=seed))
     if isinstance(form, ProductForm):
         if form.nu1 == form.nu2:
-            nu = _reseed_field(form.nu1, env.derive_seed(cell_seed, "nu"))
+            nu = replace(form.nu1, seed=env.derive_seed(cell_seed, "nu"))
             return replace(form, nu1=nu, nu2=nu)
         return replace(
             form,
-            nu1=_reseed_field(form.nu1, env.derive_seed(cell_seed, "nu1")),
-            nu2=_reseed_field(form.nu2, env.derive_seed(cell_seed, "nu2")),
+            nu1=replace(form.nu1, seed=env.derive_seed(cell_seed, "nu1")),
+            nu2=replace(form.nu2, seed=env.derive_seed(cell_seed, "nu2")),
         )
-    raise ConfigurationError(f"unknown coefficient form {type(form).__name__}")
+    return form  # a ConstantForm has no field
+
+
+def _study_cells(master_seed: int, tag: str, eps_list, seeds: int):
+    """(eps index, eps, seed index, cell seed) of every cell of a study, in
+    eps-major order: the one place a study derives its cells' seeds."""
+    return [(ei, eps, si, env.derive_seed(master_seed, tag, ei, si))
+            for ei, eps in enumerate(eps_list) for si in range(seeds)]
 
 
 @dataclass(frozen=True)
@@ -163,21 +165,20 @@ def _solve_limit(config: SweepConfig) -> tuple[SparseSymmetricForm, MeasureWeigh
 
 def _sweep_cell(
     config: SweepConfig,
-    eps_index: int,
+    eps: float,
     seed_index: int,
+    cell_seed: int,
     form_k: SparseSymmetricForm,
     mw_k: MeasureWeights,
     u_k: np.ndarray,
 ) -> SweepCell:
-    eps = config.eps_list[eps_index]
-    cell_seed = env.derive_seed(config.master_seed, "sweep", eps_index, seed_index)
     form = reseed_form(config.form, cell_seed)
     start = time.perf_counter()
     pairs = node_field_pairs(config.grid, form, eps)
     if config.mu_field is None:
         mw = mw_k
     else:
-        mu = _reseed_field(config.mu_field, env.derive_seed(cell_seed, "mu"))
+        mu = replace(config.mu_field, seed=env.derive_seed(cell_seed, "mu"))
         mw = measure_weights(config.grid, mu, eps)
     fields_done = time.perf_counter()
     form_eps = form_from_pairs(config.grid, form, config.cone, config.params, pairs)
@@ -216,21 +217,21 @@ def _sweep_cell(
 
 def run_sweep(config: SweepConfig) -> ConvergenceReport:
     """Solve the limit problem once, then every (eps, seed) cell against it.
-    A cell whose solve fails is listed in `failures`, and every cell is when
-    the limit's solve fails; an eps with no cell left has NaN quartiles."""
+    A cell whose solve fails, or whose measure weights underflow to zero, is
+    listed in `failures`, and every cell is when the limit's solve fails; an
+    eps with no cell left has NaN quartiles."""
     cells, failures = [], []
+    study = _study_cells(config.master_seed, "sweep", config.eps_list, config.seeds)
     try:
         limit = _solve_limit(config)
     except NumericalError as exc:  # ConvergenceFailure included
-        failures = [(eps, si, f"limit {type(exc).__name__}: {exc}")
-                    for eps in config.eps_list for si in range(config.seeds)]
+        failures = [(eps, si, f"limit {type(exc).__name__}: {exc}") for _, eps, si, _ in study]
     else:
-        for ei, eps in enumerate(config.eps_list):
-            for si in range(config.seeds):
-                try:
-                    cells.append(_sweep_cell(config, ei, si, *limit))
-                except NumericalError as exc:
-                    failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
+        for _, eps, si, cell_seed in study:
+            try:
+                cells.append(_sweep_cell(config, eps, si, cell_seed, *limit))
+            except (NumericalError, DomainError) as exc:
+                failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
     # quartiles[m][eps index] = (q25, median, q75)
     quartiles = {m: [env.quartiles([getattr(c, m) for c in cells if c.eps == eps])
                      for eps in config.eps_list] for m in METRICS}
@@ -274,23 +275,15 @@ def estimate_effective_constant(
     """
     check_count("seeds", seeds)
     reference = assemble_effective_form(grid, ConstantForm(1.0), cone, params)
-    ref_energy, skipped = [], []
     fns = [np.asarray(f, dtype=float) for f in test_fns]
-    for i, f in enumerate(fns):
-        e = reference.energy(f, f)
-        ref_energy.append(e)
-        if e == 0.0:
-            skipped.append(i)
+    ref_energy = [reference.energy(f, f) for f in fns]
+    skipped = [i for i, e in enumerate(ref_energy) if e == 0.0]
     if len(skipped) == len(fns):
         raise ConfigurationError("all test functions have zero reference energy")
-    samples = []
-    for si in range(seeds):
-        cell_seed = env.derive_seed(master_seed, "estimate", si)
-        form_eps = assemble_form(grid, reseed_form(form, cell_seed), cone, params, eps)
-        for i, f in enumerate(fns):
-            if i in skipped:
-                continue
-            samples.append(form_eps.energy(f, f) / ref_energy[i])
+    kept = [(f, e) for f, e in zip(fns, ref_energy) if e != 0.0]
+    forms = (assemble_form(grid, reseed_form(form, env.derive_seed(master_seed, "estimate", si)),
+                           cone, params, eps) for si in range(seeds))
+    samples = [form_eps.energy(f, f) / e for form_eps in forms for f, e in kept]
     q25, c_hat, q75 = env.quartiles(samples)
     return EffectiveConstantEstimate(
         c_hat=c_hat, iqr=q75 - q25, samples=tuple(samples), skipped_fns=tuple(skipped)
@@ -333,16 +326,11 @@ def mosco_form_check(
         raise ConfigurationError("test_fns must be nonempty")
     form_k = assemble_effective_form(grid, effective_kernel(form), cone, params)
     limits = [form_k.energy(f, f) for f in fns]
-    quartiles = []
-    for ei, eps in enumerate(eps_list):
-        errs = []
-        for si in range(seeds):
-            cell_seed = env.derive_seed(master_seed, "mosco", ei, si)
-            form_eps = assemble_form(grid, reseed_form(form, cell_seed), cone, params, eps)
-            for f, lim in zip(fns, limits):
-                errs.append(abs(form_eps.energy(f, f) - lim))
-        quartiles.append(env.quartiles(errs))
-    q25, medians, q75 = zip(*quartiles)
+    errs = [[] for _ in eps_list]
+    for ei, eps, _, cell_seed in _study_cells(master_seed, "mosco", eps_list, seeds):
+        form_eps = assemble_form(grid, reseed_form(form, cell_seed), cone, params, eps)
+        errs[ei] += [abs(form_eps.energy(f, f) - lim) for f, lim in zip(fns, limits)]
+    q25, medians, q75 = zip(*map(env.quartiles, errs))
     thr = 0.1 * medians[0] if threshold is None else threshold
     decreasing = all(b < a for a, b in zip(medians, medians[1:]))
     final_ok = medians[-1] <= thr
@@ -372,15 +360,16 @@ class MomentBoundReport:
     flagged: bool
 
 
-def _kappa_matrix(form: CoefficientForm, points: np.ndarray, eps: float) -> np.ndarray:
-    """Raw coefficient kappa(x_i/eps, x_j/eps) on all point pairs, zero diagonal."""
+def _kappa_matrix(form: CoefficientForm, axes, ball: np.ndarray, eps: float) -> np.ndarray:
+    """Raw coefficient kappa(x_i/eps, x_j/eps) on all pairs of nodes of the lattice
+    axes[0] x ... x axes[dim-1] in `ball`, a C-order mask of them; zero diagonal."""
     c, angular, pairs = form_terms(form)
-    values = factor_values(
-        pairs, lambda f: np.ones(len(points)) if f is None else env.field_values(f, points / eps)
-    )
+    values = factor_values(pairs, lambda f: np.ones(int(ball.sum())) if f is None
+                           else env.field_on_lattice(f, [a / eps for a in axes]).ravel()[ball])
     if angular.kind == "one":
         rho = 1.0
     else:
+        points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)[ball]
         z = points[:, None, :] - points[None, :, :]
         norms = np.sqrt((z**2).sum(axis=-1))
         np.fill_diagonal(norms, 1.0)
@@ -398,13 +387,13 @@ def _declared_p(form: CoefficientForm) -> float:
 
 
 def check_moment_ball(grid: Grid, radius: float) -> None:
-    """The moment quadrature needs a ball that holds at least two grid nodes."""
+    """The moment quadrature needs a ball that holds at least two grid nodes,
+    and at most 4096, the dense oracle's bound: it holds node-by-node matrices."""
     check_positive("moment ball radius", radius)
     nodes = int(grid.ball_mask(radius).sum())
-    if nodes < 2:
-        raise ConfigurationError(
-            f"ball of radius {radius:g} contains {nodes} grid nodes; enlarge it"
-        )
+    if not 2 <= nodes <= 4096:
+        fix = "enlarge it" if nodes < 2 else "shrink it to at most 4096"
+        raise ConfigurationError(f"ball of radius {radius:g} contains {nodes} grid nodes; {fix}")
 
 
 def check_moment_eps(eps_list) -> None:
@@ -436,17 +425,14 @@ def moment_bound_report(
     check_count("seeds", seeds)
     check_moment_ball(grid, radius)
     p = _declared_p(form)
-    points = grid.nodes()[grid.ball_mask(radius)]
+    axes, ball = [grid.axis_coords()] * grid.dim, grid.ball_mask(radius)
     hd = grid.h**grid.dim
-    medians = []
-    for ei, eps in enumerate(eps_list):
-        vals = []
-        for si in range(seeds):
-            cell_seed = env.derive_seed(master_seed, "moment", ei, si)
-            k = _kappa_matrix(reseed_form(form, cell_seed), points, eps)
-            inner = hd * k.sum(axis=1)
-            vals.append(hd * float((inner**p).sum()))
-        medians.append(env.quartiles(vals)[1])
+    vals = [[] for _ in eps_list]
+    for ei, eps, _, cell_seed in _study_cells(master_seed, "moment", eps_list, seeds):
+        k = _kappa_matrix(reseed_form(form, cell_seed), axes, ball, eps)
+        inner = hd * k.sum(axis=1)
+        vals[ei].append(hd * float((inner**p).sum()))
+    medians = [env.quartiles(v)[1] for v in vals]
     with np.errstate(divide="ignore"):  # log(0) = -inf makes the slope NaN
         slope = float(np.polyfit(np.log([1.0 / e for e in eps_list]), np.log(medians), 1)[0])
     return MomentBoundReport(

@@ -67,6 +67,9 @@ def write_config(tmp_path, cfg, name="config.json"):
 # the form.  `removed-kind-tails` pins the refusal of the deleted `tails`
 # diagnostic, whose probe measured the jump cutoff L/4 and the test
 # function's support on this torus rather than the kernel's tails.
+# `library-covariance-truncation` used to pass `run` with covariance 0 by
+# construction, and `validate` accepted `library-moments-radius-large`, a
+# ball of 12,853 nodes whose node-by-node matrices take 1.26 GiB each.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
@@ -301,6 +304,23 @@ def test_sweep_with_every_cell_failed_writes_its_report(tmp_path, capsys):
     assert (out / "cells.csv").read_text() == "eps,seed,metric,value\n"
 
 
+def test_sweep_cell_whose_measure_underflows_writes_its_report(tmp_path, capsys):
+    # exp(-3000 |G|) underflows to 0 in some cell of every realization: each
+    # sweep cell fails alone with DomainError, where the run used to end in a
+    # traceback with no report
+    cfg_path = write_config(tmp_path, sweep_config(
+        form={"kind": "constant", "k0": 1.0},
+        mu={"marginal": {"kind": "exp_abs_gauss", "s": 3000.0}},
+    ))
+    out = tmp_path / "out"
+    assert cli.main(["run", cfg_path, "--out", str(out), "--deterministic"]) == 1
+    assert "[FAIL] no_cell_failures: 4 failed cells" in capsys.readouterr().out
+    failures = json.loads((out / "report.json").read_text())["results"]["sweep"]["failures"]
+    assert [(f["eps"], f["seed"]) for f in failures] == [(1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
+    assert {f["error"] for f in failures} == {
+        "DomainError: measure weights must be strictly positive, min 0"}
+
+
 def test_sweep_cells_carry_solver_telemetry(tmp_path):
     cfg_path = write_config(tmp_path, sweep_config())
     timed, zeroed = tmp_path / "timed", tmp_path / "zeroed"
@@ -487,6 +507,32 @@ def test_moments_with_zero_medians_fail_without_warnings(tmp_path, capsys):
     assert code == 1
     assert "[FAIL] moment_bound_no_growth: growth slope nan" in captured.out
     assert caught == [] and captured.err == ""
+
+
+_NO_GATE = "[ok] covariance_decay: no zero-covariance gate at this lag or mixing; value reported"
+
+
+@pytest.mark.parametrize("dim, diag, line", [
+    # x + z2 is the origin, which nu_a reads too
+    (1, {"z1": [0.0], "z2": [-2.0], "x": [2.0]}, _NO_GATE),
+    # |x| = 1.13 exceeds the cell, but 0 and x can share a square cell
+    (2, {"z1": [0.0, 0.0], "z2": [0.0, 0.0], "x": [0.8, 0.8], "trials": 20000}, _NO_GATE),
+    # every point of one pair is 2.75 from every point of the other
+    (1, {"z1": [0.25], "z2": [0.25], "x": [3.0]},
+     "[ok] covariance_decay: |cov| 0.01294 vs 3 se 0.02771"),
+], ids=["shared-origin", "shared-square", "separated"])
+def test_covariance_gates_only_pairs_in_disjoint_cells(tmp_path, capsys, dim, diag, line):
+    # an iid lag beyond one cell used to be gated as independent although
+    # the two pairs could share a cell: the first two configs failed the gate
+    cfg = {
+        "schema_version": 1,
+        "experiment": "diagnostics",
+        "diagnostics": {"kind": "covariance", **diag},
+        "field": {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5}, "dim": dim},
+    }
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out"), "--deterministic"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == line
 
 
 def test_config_error_exits_two(tmp_path, capsys):

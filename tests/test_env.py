@@ -204,8 +204,8 @@ def test_evaluation_is_pure_and_order_independent():
 
 
 def test_moving_average_grid_matches_per_point_bitwise():
-    # field_values hashes each cell of the padded bounding box once; a grid
-    # with eps < 1 puts many nodes in one cell
+    # field_values hashes the window cells of a batch of points together;
+    # a grid with eps < 1 puts many nodes in one cell
     field = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.5), seed=4)
     axis = -1.5 + 0.25 * np.arange(12)
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
@@ -217,49 +217,28 @@ def test_moving_average_grid_matches_per_point_bitwise():
     assert np.array_equal(vals, single)
 
 
-def _grid_points(dim: int, n: int, eps: float, origin: float = -2.0) -> np.ndarray:
-    axis = origin + 4.0 * (np.arange(n) + 0.5) / n
-    grids = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1) / eps
+@pytest.mark.parametrize("dim, m", [(1, 20_000), (2, 2_000)])
+def test_window_cells_match_per_offset_loop_bitwise(dim, m):
+    # the per-cell path hashes its window cells a batch of offsets at a time;
+    # a hash and multiply-add per offset, in window order, is the oracle.
+    # These sizes split the window into several batches, the last one short.
+    field = env.sample_field(dim, env.lognormal(0.1, 0.8), env.moving_average(1.5))
+    rng = np.random.default_rng(dim)
+    cells = rng.integers(-10**6, 10**6, size=(m, dim))
+    offsets, weights = env._ma_window(dim, 1.5)
+    for seed in (7, rng.integers(0, 2**63, size=m).astype(np.uint64)):
+        acc = np.zeros(m)
+        for off, w in zip(offsets, weights):
+            h = env._cell_hash(seed, env._SALT_GAUSS, (cells + off).T)
+            acc += w * env._ndtri(env._uniform01(h))
+        want = env._icdf(field.marginal, env._ndtr(acc))
+        assert np.array_equal(env._values_at_cells(field, seed, cells), want)
 
 
-@pytest.mark.parametrize(
-    "dim, cell_size, seed, points, box",
-    [
-        (1, 1.0, 0, _grid_points(1, 512, 0.5), True),
-        (1, 1.0, 9, _grid_points(1, 512, 0.125), True),
-        (1, 0.7, 0, _grid_points(1, 64, 0.25, origin=-90.0), True),
-        (2, 1.0, 9, _grid_points(2, 32, 0.5), True),
-        (2, 1.0, 0, _grid_points(2, 32, 0.125), True),
-        (2, 0.7, 9, _grid_points(2, 16, 0.25, origin=-60.0), True),
-        (3, 1.0, 0, _grid_points(3, 6, 0.25), True),
-        (1, 1.0, 9, np.array([[-3.3]]), True),
-        (2, 0.7, 0, np.array([[-41.2, 5.9]]), True),
-        (3, 1.0, 9, np.array([[0.4, -7.5, 2.2]]), True),
-        (1, 1.0, 0, np.array([[-5e3], [0.0], [7e3]]), False),
-        (2, 1.0, 9, np.random.default_rng(1).uniform(-1e4, 1e4, size=(20, 2)), False),
-    ],
-)
-def test_moving_average_box_matches_window_loop_bitwise(
-    monkeypatch, dim, cell_size, seed, points, box
-):
-    # the per-offset loop over every window cell of every point is the oracle
-    field = env.sample_field(
-        dim, env.lognormal(0.1, 0.8), env.moving_average(1.5), cell_size=cell_size, seed=seed
-    )
-    box_calls = []
-    box_path = env._values_on_box
-    monkeypatch.setattr(
-        env, "_values_on_box", lambda *a: box_calls.append(1) or box_path(*a)
-    )
-    vals = env.field_values(field, points)
-    shift = np.array(env._global_shift(seed, dim, cell_size))
-    cells = np.floor((points + shift) / cell_size).astype(np.int64)
-    assert bool(box_calls) == box
-    assert np.array_equal(vals, env._values_at_cells(field, seed, cells))
-
-
-_LATTICE_CASES = [  # (dim, cell_size, seed, n, eps, origin) of the grid cases above
+# (dim, cell_size, seed, n, eps, origin) of lattices with coordinates
+# (origin + 4 (k + 1/2) / n) / eps: eps 0.125 puts many nodes in one cell,
+# and origins -90 and -60 put the box far from cell 0
+_LATTICE_CASES = [
     (1, 1.0, 0, 512, 0.5, -2.0),
     (1, 1.0, 9, 512, 0.125, -2.0),
     (1, 0.7, 0, 64, 0.25, -90.0),
@@ -529,6 +508,15 @@ def test_covariance_trials_floor():
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
     with pytest.raises(ConfigurationError):
         env.empirical_covariance(field, [0.25], [0.25], [3.0], trials=50)
+
+
+@pytest.mark.parametrize("truncation", [0.0, -1.0, math.nan])
+def test_covariance_truncation_must_be_positive(truncation):
+    # a cap at or below 0 made every coefficient the constant cap: zero
+    # covariance whatever the lag
+    field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
+    with pytest.raises(ConfigurationError, match="truncation must be positive"):
+        env.empirical_covariance(field, [0.25], [0.25], [0.0], trials=100, truncation=truncation)
 
 
 @pytest.mark.parametrize("lag", [math.nan, 1e300])

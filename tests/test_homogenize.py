@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,6 +198,36 @@ def test_failed_cell_is_reported_alone(monkeypatch):
         for metric in (*H.METRICS, "residual"):
             assert getattr(got, metric) == getattr(want, metric)
     assert report.medians["err_l2_mu"][0] == clean.medians["err_l2_mu"][0]
+    assert report.medians["err_l2_mu"][1] == report.cells[-1].err_l2_mu
+
+
+def test_cell_whose_measure_underflows_is_reported_alone(monkeypatch):
+    # measure weights that underflow to 0 fail their cell with DomainError, as
+    # a failed solve does, instead of ending the sweep
+    mu = env.sample_field(1, env.uniform(0.5, 1.5), seed=4)
+    cfg = H.SweepConfig(
+        grid=discrete.Grid(dim=1, length=8.0, n=64), form=lognormal_summation(), cone=CONE1,
+        params=PARAMS1, eps_list=(1.0, 0.5), seeds=2, mu_field=mu,
+    )
+    clean = H.run_sweep(cfg)
+    calls = []
+
+    def weights(grid, field, eps=1.0):  # call 0 is the limit's, then the cells
+        calls.append(None)
+        if len(calls) == 4:  # eps 0.5, seed 0: exp(-3000 |G|) is 0 for |G| > 0.25
+            field = replace(field, marginal=env.exp_abs_gauss(3000.0))
+        return discrete.measure_weights(grid, field, eps)
+
+    monkeypatch.setattr(H, "measure_weights", weights)
+    report = H.run_sweep(cfg)
+    assert report.failures == (
+        (0.5, 0, "DomainError: measure weights must be strictly positive, min 0"),)
+    kept = [c for c in clean.cells if (c.eps, c.seed_index) != (0.5, 0)]
+    assert len(report.cells) == len(kept) == 3
+    for got, want in zip(report.cells, kept):
+        assert (got.eps, got.seed_index, got.iterations) == (want.eps, want.seed_index, want.iterations)
+        for metric in (*H.METRICS, "residual"):
+            assert getattr(got, metric) == getattr(want, metric)
     assert report.medians["err_l2_mu"][1] == report.cells[-1].err_l2_mu
 
 
@@ -426,9 +457,10 @@ def test_moment_bound_flags_a_nan_slope():
 
 
 def test_kappa_matrix_matches_pointwise_kappa():
-    # the batched coefficient of the moment quadrature against kernel.kappa,
-    # which evaluates the fields one point at a time; the batched matmul of
-    # the cos2 weight may round its dot products an ulp apart
+    # the coefficient of the moment quadrature, from fields evaluated on the
+    # grid lattice, against kernel.kappa, which evaluates the fields one
+    # point at a time, on the ball nodes of a small grid; the batched matmul
+    # of the cos2 weight may round its dot products an ulp apart
     nu = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.5), seed=5)
     lam = env.sample_field(2, env.lognormal(0.0, 0.5), seed=6)
     forms = [
@@ -436,15 +468,27 @@ def test_kappa_matrix_matches_pointwise_kappa():
         kernel.SummationForm(lambda_field=lam, angular=kernel.AngularWeight("cos2", (0.6, 0.8))),
         kernel.ProductForm(nu1=nu, nu2=nu),
     ]
-    pts = np.random.default_rng(4).uniform(-2.0, 2.0, size=(7, 2))
+    grid = discrete.Grid(dim=2, length=4.0, n=8)
+    ball = grid.ball_mask(1.0)
+    pts = grid.nodes()[ball]
+    assert len(pts) == 13
     for form in forms:
-        k = H._kappa_matrix(form, pts, 0.5)
+        k = H._kappa_matrix(form, [grid.axis_coords()] * 2, ball, 0.5)
         assert np.all(np.diag(k) == 0.0)
         for i in range(len(pts)):
             for j in range(len(pts)):
                 if i != j:
                     want = kernel.kappa(form, pts[i], pts[j], 0.5)
                     assert math.isclose(k[i, j], want, rel_tol=1e-15, abs_tol=0.0)
+
+
+def test_moment_ball_holds_at_most_4096_nodes():
+    # the quadrature holds node-by-node matrices: 12,853 nodes would need
+    # 1.26 GiB for each
+    big = discrete.Grid(dim=2, length=4.0, n=256)
+    with pytest.raises(ConfigurationError, match="12853 grid nodes; shrink it to at most 4096"):
+        H.check_moment_ball(big, 1.0)
+    H.check_moment_ball(discrete.Grid(dim=2, length=4.0, n=128), 1.0)  # 3,209 nodes
 
 
 def test_moment_bound_validation():
