@@ -281,18 +281,11 @@ _eps = _rule(_number, lambda eps, out: _resolved_at([eps], out))
 _field_dim = _rule(_integer, lambda d, out: None if "grid" not in out or d == out["grid"]["dim"]
                    else f"is {d}, grid dim is {out['grid']['dim']}")
 
-# the schema proper
-_MARGINAL_PARAMS = {
-    "constant": ("c",),
-    "uniform": ("a", "b"),
-    "lognormal": ("m", "s"),
-    "exp_abs_gauss": ("s",),
-    "shifted_pareto": ("x_min", "tail_index"),
-}
+# the schema proper; a marginal's keys are its kind's parameter names in env's table
 _MARGINAL = _builds(_object({"declared_p": (_number, 2.0)}, {
-    kind: {p: (_number, _REQUIRED) for p in params} for kind, params in _MARGINAL_PARAMS.items()
+    kind: {key: (_number, _REQUIRED) for key in row.names} for kind, row in env.MARGINALS.items()
 }, label="marginal kind"), lambda d, part: env.DistributionSpec(
-    d["kind"], tuple(d[key] for key in _MARGINAL_PARAMS[d["kind"]]), d["declared_p"]))
+    d["kind"], tuple(d[key] for key in env.MARGINALS[d["kind"]].names), d["declared_p"]))
 _MIXING = _builds(_object({}, {"iid_cells": {}, "moving_average": {"q": (_number, 1.0)}},
                           label="kind"), lambda d, part: env.MixingSpec(**d))
 _FIELD_KEYS = _object({
@@ -357,8 +350,11 @@ _REACH = {
 }
 
 
-def _far_points(diag, out) -> None:
-    """Refuse, with run's message, points whose field cells env cannot index."""
+def _field_refusals(diag, out) -> None:
+    """Refuse, with run's messages, a field of infinite mean for the studies
+    whose limit is that mean, and points whose field cells env cannot index."""
+    if diag["kind"] in ("birkhoff", "maximal"):
+        env.check_finite_mean(out.built["config.field"])
     if diag["kind"] in _REACH:
         with np.errstate(over="ignore"):  # a point that overflows to inf is refused
             env.check_points(out.built["config.field"], _REACH[diag["kind"]](diag))
@@ -389,7 +385,7 @@ _CONFIG = {
     "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),
     "mosco": (_object({"threshold": (_positive("mosco threshold"), None)}), {}, "mosco"),
     "example17": (_EXAMPLE17, _REQUIRED, "example17"),
-    "diagnostics": (_rule(_object({}, _DIAGNOSTIC_KEYS), _far_points), _REQUIRED,
+    "diagnostics": (_rule(_object({}, _DIAGNOSTIC_KEYS), _field_refusals), _REQUIRED,
                     " ".join(_DIAGNOSTIC_KEYS)),
 }
 
@@ -639,9 +635,10 @@ def _run_translation(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
     steps = [m * grid.h for m in diag["h_multiples"]]
     rep = translation_estimate_check(form, sol.u, steps, diag["radius"])
     target = config.params.alpha / 2.0 - 0.2
+    violation = "; zero energy with nonzero translation moduli" if rep.violation else ""
     return _fields(rep, "h_steps", "max_ratio", "fitted_exponents", "min_exponent"), [
         _check("translation_exponent", (not rep.violation) and rep.min_exponent >= target,
-               f"min exponent {rep.min_exponent:.4g} vs {target:.4g}")]
+               f"min exponent {rep.min_exponent:.4g} vs {target:.4g}{violation}")]
 
 
 def _run_moments(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:

@@ -656,7 +656,6 @@ def cone_comparability_check(
 @dataclass(frozen=True)
 class TranslationReport:
     h_steps: tuple[float, ...]
-    t_values: tuple[tuple[float, ...], ...]  # per axis, per step
     ratios: tuple[tuple[float, ...], ...]
     max_ratio: float
     fitted_exponents: tuple[float, ...]
@@ -694,7 +693,7 @@ def translation_estimate_check(
     energy = form.energy(f, f)
     alpha = form.params.alpha
     lattice = f.reshape(grid.shape)
-    t_values, ratios, exponents = [], [], []
+    ratios, exponents = [], []
     violation = False
     for axis in range(grid.dim):
         t_axis, r_axis = [], []
@@ -709,7 +708,6 @@ def translation_estimate_check(
                 r_axis.append(math.inf)
             else:
                 r_axis.append(0.0)
-        t_values.append(tuple(t_axis))
         ratios.append(tuple(r_axis))
         pos = [(m * grid.h, t) for m, t in zip(steps, t_axis) if t > 0]
         if len(pos) >= 2:
@@ -721,7 +719,6 @@ def translation_estimate_check(
     finite_exp = [e for e in exponents if not math.isnan(e)]
     return TranslationReport(
         h_steps=tuple(float(m * grid.h) for m in steps),
-        t_values=tuple(t_values),
         ratios=tuple(ratios),
         max_ratio=max(flat) if flat else 0.0,
         fitted_exponents=tuple(exponents),

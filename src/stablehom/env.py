@@ -2,7 +2,7 @@
 
 Every field value is a pure function of (seed, cell index): evaluation order,
 batching, and repeated queries cannot change a result, and any region can be
-reproduced from the seed alone.  Marginals come from a small catalog with
+reproduced from the seed alone.  Marginals come from a catalog table with
 closed-form moments.  Spatial mixing is either independent cells or a
 finite-window moving average with polynomially decaying weights, transformed
 so the declared marginal holds exactly.
@@ -20,6 +20,7 @@ oracle.  Non-finite parameters and points are rejected where they enter.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from _blake2 import blake2b  # hashlib's blake2b, without hashlib loading OpenSSL
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -249,19 +250,66 @@ def _log_ndtr(a: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# marginal catalog
+# marginal catalog: one row per kind
+
+
+def _uniform_moment(a: float, b: float, p: float) -> float:
+    if a == 0.0 and p <= -1.0:
+        return math.inf
+    if p == -1.0:
+        return math.log(b / a) / (b - a)
+    lo = a ** (p + 1.0) if a > 0.0 else 0.0
+    return (b ** (p + 1.0) - lo) / ((b - a) * (p + 1.0))
+
+
+# kind -> its parameter names, then functions of those parameters in order: the
+# complaint about parameters outside the domain (None inside it), E[V^p] at
+# p != 0 (math.inf when divergent) and the quantile function on (0, 1)
+_Marginal = namedtuple("_Marginal", "names complaint moment icdf")
+MARGINALS = {
+    "constant": _Marginal(
+        ("c",),
+        lambda c: f"constant marginal needs c > 0, got {c}" if c <= 0 else None,
+        lambda c, p: c**p,
+        lambda c, u: np.full_like(u, c),
+    ),
+    # uniform on [a, b]
+    "uniform": _Marginal(
+        ("a", "b"),
+        lambda a, b: None if 0.0 <= a < b
+        else f"uniform marginal needs 0 <= a < b, got a={a}, b={b}",
+        _uniform_moment,
+        lambda a, b, u: a + (b - a) * u,
+    ),
+    # exp(m + s*G)
+    "lognormal": _Marginal(
+        ("m", "s"),
+        lambda m, s: f"lognormal marginal needs s >= 0, got {s}" if s < 0 else None,
+        lambda m, s, p: math.exp(p * m + 0.5 * (p * s) ** 2),
+        lambda m, s, u: np.exp(m + s * _ndtri(u)),
+    ),
+    # exp(-s*|G|) in (0, 1]: E[exp(t|G|)] = 2 exp(t^2/2) Phi(t) with t = -p*s,
+    # in log form against overflow, and the cdf is F(v) = 2 Phi(log(v)/s)
+    "exp_abs_gauss": _Marginal(
+        ("s",),
+        lambda s: f"exp_abs_gauss marginal needs s > 0, got {s}" if s <= 0 else None,
+        lambda s, p: math.exp(0.5 * (p * s) ** 2 + math.log(2.0) + _log_ndtr(-p * s)),
+        lambda s, u: np.exp(s * _ndtri(0.5 * u)),
+    ),
+    # density a*x_min^a/v^(a+1) on v >= x_min, with a the tail index
+    "shifted_pareto": _Marginal(
+        ("x_min", "tail_index"),
+        lambda x_min, a: None if x_min > 0 and a > 0 else
+        f"shifted_pareto marginal needs x_min > 0 and tail_index > 0, got {(x_min, a)}",
+        lambda x_min, a, p: math.inf if p >= a else a * x_min**p / (a - p),
+        lambda x_min, a, u: x_min * (1.0 - u) ** (-1.0 / a),
+    ),
+}
 
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Marginal law of a field value, with closed-form moments.
-
-    kind/params:
-      constant       (c,)
-      uniform        (a, b) on [a, b], 0 <= a < b
-      lognormal      (m, s): exp(m + s*G)
-      exp_abs_gauss  (s,): exp(-s*|G|), values in (0, 1]
-      shifted_pareto (x_min, tail_index): density a*x_min^a/v^(a+1), v >= x_min
+    """Marginal law of a field value: a kind of `MARGINALS` and its parameters.
 
     `declared_p` is the moment exponent (> 1) this marginal claims to have;
     homogenize._declared_p reads it as the exponent of the moments diagnostic.
@@ -280,28 +328,16 @@ class DistributionSpec:
             raise ConfigurationError(
                 f"declared moment exponent must be finite and exceed 1, got {self.declared_p}"
             )
-        p = self.params
-        if self.kind == "constant":
-            if p[0] <= 0:
-                raise ConfigurationError(f"constant marginal needs c > 0, got {p[0]}")
-        elif self.kind == "uniform":
-            if not (0.0 <= p[0] < p[1]):
-                raise ConfigurationError(
-                    f"uniform marginal needs 0 <= a < b, got a={p[0]}, b={p[1]}"
-                )
-        elif self.kind == "lognormal":
-            if p[1] < 0:
-                raise ConfigurationError(f"lognormal marginal needs s >= 0, got {p[1]}")
-        elif self.kind == "exp_abs_gauss":
-            if p[0] <= 0:
-                raise ConfigurationError(f"exp_abs_gauss marginal needs s > 0, got {p[0]}")
-        elif self.kind == "shifted_pareto":
-            if p[0] <= 0 or p[1] <= 0:
-                raise ConfigurationError(
-                    f"shifted_pareto marginal needs x_min > 0 and tail_index > 0, got {p}"
-                )
-        else:
+        row = MARGINALS.get(self.kind)
+        if row is None:
             raise ConfigurationError(f"unknown marginal kind {self.kind!r}")
+        if len(self.params) != len(row.names):
+            raise ConfigurationError(
+                f"{self.kind} marginal needs parameters ({', '.join(row.names)}), got {self.params}"
+            )
+        complaint = row.complaint(*self.params)
+        if complaint:
+            raise ConfigurationError(complaint)
 
 
 def constant(c: float, declared_p: float = 2.0) -> DistributionSpec:
@@ -331,31 +367,9 @@ def moment(spec: DistributionSpec, p: float) -> float:
     if p == 0.0:
         return 1.0
     try:
-        if spec.kind == "constant":
-            return spec.params[0] ** p
-        if spec.kind == "uniform":
-            a, b = spec.params
-            if a == 0.0 and p <= -1.0:
-                return math.inf
-            if p == -1.0:
-                return math.log(b / a) / (b - a)
-            lo = a ** (p + 1.0) if a > 0.0 else 0.0
-            return (b ** (p + 1.0) - lo) / ((b - a) * (p + 1.0))
-        if spec.kind == "lognormal":
-            m, s = spec.params
-            return math.exp(p * m + 0.5 * (p * s) ** 2)
-        if spec.kind == "exp_abs_gauss":
-            # E[exp(t|G|)] = 2 exp(t^2/2) Phi(t) with t = -p*s; log form avoids overflow.
-            s = spec.params[0]
-            return math.exp(0.5 * (p * s) ** 2 + math.log(2.0) + _log_ndtr(-p * s))
-        if spec.kind == "shifted_pareto":
-            x_min, a = spec.params
-            if p >= a:
-                return math.inf
-            return a * x_min**p / (a - p)
+        return MARGINALS[spec.kind].moment(*spec.params, p)
     except OverflowError:
         return math.inf
-    raise ConfigurationError(f"unknown marginal kind {spec.kind!r}")
 
 
 def mean_value(spec: DistributionSpec) -> float:
@@ -364,22 +378,7 @@ def mean_value(spec: DistributionSpec) -> float:
 
 def _icdf(spec: DistributionSpec, u: np.ndarray) -> np.ndarray:
     """Quantile function, vectorized over u in (0, 1)."""
-    if spec.kind == "constant":
-        return np.full_like(u, spec.params[0])
-    if spec.kind == "uniform":
-        a, b = spec.params
-        return a + (b - a) * u
-    if spec.kind == "lognormal":
-        m, s = spec.params
-        return np.exp(m + s * _ndtri(u))
-    if spec.kind == "exp_abs_gauss":
-        # V = exp(-s|G|) has cdf F(v) = 2 Phi(log(v)/s) on (0, 1].
-        s = spec.params[0]
-        return np.exp(s * _ndtri(0.5 * u))
-    if spec.kind == "shifted_pareto":
-        x_min, a = spec.params
-        return x_min * (1.0 - u) ** (-1.0 / a)
-    raise ConfigurationError(f"unknown marginal kind {spec.kind!r}")
+    return MARGINALS[spec.kind].icdf(*spec.params, u)
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +665,14 @@ def check_eps_grid(eps_grid: list[float]) -> None:
         raise ConfigurationError(f"eps_grid values must lie in (0, 1), got {eps_grid}")
 
 
+def check_finite_mean(field: RandomField) -> float:
+    """E[field], the Birkhoff and maximal studies' limit; refused if not finite."""
+    exact = field_mean(field)
+    if not math.isfinite(exact):
+        raise ConfigurationError("the field must have a finite mean")
+    return exact
+
+
 def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> float:
     """Quadrature of int_region weight(x) * field(x/eps) dx.
 
@@ -743,9 +750,7 @@ def birkhoff_study(
 ) -> BirkhoffStudy:
     """Run birkhoff_average over n_seeds derived realizations of the field."""
     check_count("n_seeds", n_seeds)
-    exact = field_mean(field)
-    if not math.isfinite(exact):
-        raise ConfigurationError("marginal mean is not finite; Birkhoff limit undefined")
+    exact = check_finite_mean(field)
     lo = np.asarray(region[0], dtype=float).reshape(field.dim)
     hi = np.asarray(region[1], dtype=float).reshape(field.dim)
     vol = float(np.prod(hi - lo))
@@ -768,7 +773,6 @@ def birkhoff_study(
 @dataclass(frozen=True)
 class MaximalReport:
     eps_grid: tuple[float, ...]
-    sups: tuple[float, ...]
     levels: tuple[float, ...]
     frequencies: tuple[float, ...]
     fitted_c: float
@@ -788,9 +792,7 @@ def maximal_tail_check(
     lambda = 8 r0^d E[F].
     """
     check_count("n_seeds", n_seeds)
-    exact = field_mean(field)
-    if not math.isfinite(exact):
-        raise ConfigurationError("marginal mean is not finite")
+    exact = check_finite_mean(field)
     sups = []
     for i in range(n_seeds):
         f_i = replace(field, seed=derive_seed(field.seed, "maximal", i))
@@ -803,7 +805,6 @@ def maximal_tail_check(
     ok = all(freqs[k] <= fitted_c / levels[k] for k in range(1, len(levels)))
     return MaximalReport(
         eps_grid=tuple(float(e) for e in eps_grid),
-        sups=tuple(sups),
         levels=levels,
         frequencies=freqs,
         fitted_c=fitted_c,

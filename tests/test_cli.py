@@ -70,6 +70,9 @@ def write_config(tmp_path, cfg, name="config.json"):
 # `library-covariance-truncation` used to pass `run` with covariance 0 by
 # construction, and `validate` accepted `library-moments-radius-large`, a
 # ball of 12,853 nodes whose node-by-node matrices take 1.26 GiB each.
+# `validate` also accepted `library-birkhoff-mean-infinite` and
+# `library-maximal-mean-infinite`, whose field mean, the studies' limit,
+# diverges or overflows; `run` refused them.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
@@ -440,6 +443,24 @@ def test_translation_with_a_failed_solve_writes_its_report(tmp_path, capsys):
     assert report["checks"] == [
         {"name": "translation_exponent", "passed": False, "detail": error}]
     assert (out / "cells.csv").read_text() == "eps,seed,metric,value\n"
+
+
+def test_translation_detail_names_a_zero_energy_violation(tmp_path, capsys):
+    # the zero form has no energy while its solution still moves under
+    # translation; the check failed on that violation with a detail that
+    # printed only a passing exponent comparison
+    cfg_path = write_config(tmp_path, {
+        "schema_version": 1,
+        "experiment": "diagnostics",
+        "diagnostics": {"kind": "translation"},
+        "grid": {"dim": 1, "length": 8.0, "n": 64},
+        "alpha": 1.0,
+        "form": {"kind": "constant", "k0": 0.0},
+    })
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "[FAIL] translation_exponent: min exponent 0.9553 vs 0.3; "
+        "zero energy with nonzero translation moduli")
 
 
 def test_plotdata_refuses_a_file_that_is_not_json(tmp_path, capsys):

@@ -134,6 +134,34 @@ def test_marginal_validation():
         env.DistributionSpec("nonsense", (1.0,))
 
 
+# one spec per row of the marginal table
+_ROW_SPECS = [env.constant(1.75), env.uniform(0.5, 1.5), env.lognormal(-0.125, 0.5),
+              env.exp_abs_gauss(0.3), env.shifted_pareto(1.0, 5.0)]
+
+
+def test_row_specs_cover_the_table():
+    assert [spec.kind for spec in _ROW_SPECS] == list(env.MARGINALS)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("spec", _ROW_SPECS, ids=lambda spec: spec.kind)
+def test_moment_matches_midpoint_rule_on_its_quantile(spec, p):
+    # E[V^p] = int_0^1 icdf(u)^p du ties each row's moment to its own quantile
+    u = (np.arange(2**20) + 0.5) / 2**20
+    quadrature = float(np.mean(env._icdf(spec, u) ** p))
+    assert math.isclose(env.moment(spec, p), quadrature, rel_tol=1e-3)
+
+
+@pytest.mark.parametrize("spec", _ROW_SPECS, ids=lambda spec: spec.kind)
+def test_wrong_parameter_count_refused(spec):
+    # a short tuple used to raise a bare IndexError, a long one went unread
+    names = ", ".join(env.MARGINALS[spec.kind].names)
+    for params in (spec.params[:-1], spec.params + (1.0,)):
+        with pytest.raises(ConfigurationError) as exc:
+            env.DistributionSpec(spec.kind, params)
+        assert str(exc.value) == f"{spec.kind} marginal needs parameters ({names}), got {params}"
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -442,6 +470,18 @@ def test_birkhoff_study_median_tracks_mean():
     half = env.birkhoff_study(field, 1 / 64, ([0.0], [0.5]), n_seeds=2)
     assert half.target == 0.5 * half.exact_mean
     assert study.median_abs_rel_error <= 0.05
+
+
+@pytest.mark.parametrize("marginal", [env.shifted_pareto(1.0, 0.8), env.lognormal(0.0, 60.0)],
+                         ids=["divergent", "overflowing"])
+def test_studies_refuse_a_field_of_infinite_mean(marginal):
+    # the Birkhoff and maximal studies compare with E[field]; the schema
+    # calls the same check, so validate refuses what run refuses
+    field = env.sample_field(1, marginal)
+    for study in (lambda: env.birkhoff_study(field, 0.5, ([0.0], [1.0]), n_seeds=2),
+                  lambda: env.maximal_tail_check(field, n_seeds=2)):
+        with pytest.raises(ConfigurationError, match="^the field must have a finite mean$"):
+            study()
 
 
 # ---------------------------------------------------------------------------
