@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,6 @@ from . import __version__
 
 SCHEMA_VERSION = 1
 
-_EXPERIMENTS = ("sweep", "estimate_constant", "mosco", "diagnostics", "example17")
 # the eps values of example17's sweep when the config gives no eps_list
 _EXAMPLE17_LADDER = [1.0, 0.5, 0.25, 0.125, 0.0625]
 
@@ -324,164 +324,10 @@ _EXAMPLE17 = _object({
     "sweep": (_rule(_boolean, lambda sweep, out: _resolved_at(
         out["eps_list"] or _EXAMPLE17_LADDER, out, 1.0) if sweep else None), False),
 })
-_DIAGNOSTIC_KEYS = {
-    "nash": {},
-    "cone": {},
-    "translation": {"h_multiples": (_h_multiples, [1, 2, 4, 8]),
-                    "radius": (_positive("translation radius"), _quarter_length),
-                    "eps": (_eps, 1.0)},
-    "moments": {"eps_list": (_moment_eps, _REQUIRED), "seeds": (_seeds, 5),
-                "radius": (_moment_radius, _quarter_length)},
-    "birkhoff": {"eps": (_eps, _REQUIRED),
-                 "region": (_REGION, lambda out: [[x] * out["field"]["dim"] for x in (0.0, 1.0)]),
-                 "n_seeds": (_count("n_seeds"), 20)},
-    "maximal": {"eps_grid": (_eps_grid, [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]),
-                "r0": (_positive("r0"), 1.0), "n_seeds": (_count("n_seeds"), 200)},
-    "covariance": {"z1": (_POINT, _REQUIRED), "z2": (_POINT, _REQUIRED),
-                   "x": (_POINT, _REQUIRED), "trials": (_count("trials", 100), 1000),
-                   "truncation": (_positive("truncation"), 1e3)},
-}
-
-# the farthest points, in field units, at which a field diagnostic evaluates its field
-_REACH = {
-    "birkhoff": lambda diag: np.divide(diag["region"], diag["eps"]),
-    "maximal": lambda diag: diag["r0"] / min(diag["eps_grid"]),
-    "covariance": lambda diag: [diag["z1"], diag["x"], np.add(diag["x"], diag["z2"])],
-}
-
-
-def _field_refusals(diag, out) -> None:
-    """Refuse, with run's messages, a field of infinite mean for the studies
-    whose limit is that mean, and points whose field cells env cannot index."""
-    if diag["kind"] in ("birkhoff", "maximal"):
-        env.check_finite_mean(out.built["config.field"])
-    if diag["kind"] in _REACH:
-        with np.errstate(over="ignore"):  # a point that overflows to inf is refused
-            env.check_points(out.built["config.field"], _REACH[diag["kind"]](diag))
-
-_GRIDDED = "sweep estimate_constant mosco example17 nash cone translation moments"
-_JUMPS = "sweep estimate_constant mosco example17 nash cone translation"
-_FORMS = "sweep estimate_constant mosco translation moments"
-_SOLVES = "sweep example17 translation"
-
-# top-level key -> (kind, default, the experiments and diagnostic kinds it
-# applies to; a trailing '!' makes it required there), in echo order
-_CONFIG = {
-    "master_seed": (_integer, 0, " ".join(_EXPERIMENTS + tuple(_DIAGNOSTIC_KEYS))),
-    "field": (_FIELD, _REQUIRED, "birkhoff maximal covariance"),
-    "grid": (_GRID, _REQUIRED, _GRIDDED),
-    "alpha": (_alpha, _REQUIRED, _JUMPS),
-    "cone": (_CONE, {"full_space": True}, _JUMPS),
-    "form": (_FORM, _REQUIRED, _FORMS),
-    "lambda": (_lambda, 1.0, _SOLVES),
-    "tol": (_tol, 1e-9, _SOLVES),
-    "seeds": (_seeds, 10, "sweep mosco example17"),
-    "eps_list": (_eps_list, None, "sweep! mosco! example17"),
-    "mu": (_builds(_rule(_FIELD_KEYS, lambda mu, out: _resolved_at(
-        out["eps_list"], out, mu["cell_size"])), _build_field), None, "sweep"),
-    "report_radius": (_positive("report radius"), None, "sweep"),
-    "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None,
-                   "sweep translation"),
-    "estimate": (_ESTIMATE, _REQUIRED, "estimate_constant"),
-    "mosco": (_object({"threshold": (_positive("mosco threshold"), None)}), {}, "mosco"),
-    "example17": (_EXAMPLE17, _REQUIRED, "example17"),
-    "diagnostics": (_rule(_object({}, _DIAGNOSTIC_KEYS), _field_refusals), _REQUIRED,
-                    " ".join(_DIAGNOSTIC_KEYS)),
-}
 
 
 # ---------------------------------------------------------------------------
-# top-level config
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The resolved echo and the library objects built from it while parsing;
-    each object is built once, and the runners only execute them."""
-    kind: str
-    resolved: dict
-    grid: Grid | None = None
-    params: KernelParams | None = None
-    cone: ConeSpec | None = None
-    form: CoefficientForm | None = None  # example17: the time-changed constant form
-    field: env.RandomField | None = None
-    sweep: H.SweepConfig | None = None
-    z_mu: float | None = None  # example17: E[lambda2 / lambda1]
-
-
-def _sweep_plan(out: dict, plan: dict, eps_list, mu_field, **extra) -> H.SweepConfig:
-    return H.SweepConfig(
-        grid=plan["grid"], form=plan["form"], cone=plan["cone"], params=plan["params"],
-        eps_list=tuple(eps_list), seeds=out["seeds"], lam=out["lambda"], mu_field=mu_field,
-        master_seed=out["master_seed"], tol=out["tol"], **extra,
-    )
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON config, resolve every default into the echo and build
-    the experiment from it.
-
-    Re-parsing the echo yields the same resolved dictionary, so reports can be
-    reproduced from the config they embed.
-    """
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from None
-    _known_keys(raw, "config", ("schema_version", "experiment", *_CONFIG))
-    version = _resolve_key(raw, "schema_version", _schema_version, _REQUIRED, "config", {})
-    experiment = _resolve_key(raw, "experiment", _one_of(*_EXPERIMENTS), _REQUIRED, "config", {})
-    kind, label = experiment, f"experiment '{experiment}'"
-    if experiment == "diagnostics":
-        diag = raw.get("diagnostics")
-        if not isinstance(diag, dict) or "kind" not in diag:
-            raise ConfigurationError(
-                "experiment 'diagnostics' requires config.diagnostics with a 'kind'"
-            )
-        kind = _one_of(*_DIAGNOSTIC_KEYS)(diag["kind"], "config.diagnostics.kind")
-        label += f" (kind '{kind}')"
-
-    applicable = {key: spec for key, spec in _CONFIG.items()
-                  if kind in spec[2].replace("!", "").split()}
-    for key in raw:
-        if key not in applicable and key not in ("schema_version", "experiment"):
-            raise ConfigurationError(f"key '{key}' does not apply to {label}")
-    for key, (_, default, where) in applicable.items():
-        if (default is _REQUIRED or f"{kind}!" in where.split()) and raw.get(key) is None:
-            raise ConfigurationError(f"{label} requires top-level key '{key}'")
-
-    out = _Walk(schema_version=version, experiment=experiment)
-    for key, (resolve, default, _) in applicable.items():
-        out[key] = _resolve_key(raw, key, resolve, default, "config", out)
-
-    built = out.built
-    plan = {key: built.get(f"config.{key}") for key in ("grid", "cone", "form", "field")}
-    grid = plan["grid"]
-    if "alpha" in out:
-        plan["params"] = KernelParams(alpha=out["alpha"], dim=grid.dim)
-    if experiment in ("sweep", "mosco"):
-        effective_kernel(plan["form"])  # their limit refuses fields of infinite mean
-    if experiment == "sweep":
-        rhs = None if out["rhs_radius"] is None else evaluate(grid, bump(grid, out["rhs_radius"]))
-        plan["sweep"] = _sweep_plan(out, plan, out["eps_list"], built.get("config.mu"),
-                                    report_radius=out["report_radius"], rhs=rhs)
-    elif experiment == "example17":
-        # the time change divides lambda2 by z_mu = lambda2 E[1/lambda1]; the
-        # sweep's measure is 1/lambda1 scaled to mean 1
-        c2, inv_marginal = out["example17"]["lambda2"], built["config.example17.inv_lambda1"]
-        plan["z_mu"] = z_mu = c2 * env.mean_value(inv_marginal)
-        plan["form"] = ConstantForm(c2 * c2 / z_mu)
-        if out["example17"]["sweep"]:
-            mu_field = env.RandomField(dim=grid.dim, marginal=inv_marginal, mixing=env.MixingSpec(),
-                                       cell_size=1.0, seed=0, scale=c2 / z_mu)
-            plan["sweep"] = _sweep_plan(out, plan, out["eps_list"] or _EXAMPLE17_LADDER, mu_field)
-    return ExperimentConfig(kind=experiment, resolved=dict(out), **plan)
-
-
-# ---------------------------------------------------------------------------
-# experiment execution
+# runners.  An experiment runner maps the config to (results, checks).
 
 
 def _fields(report, *names, **keys) -> dict:
@@ -685,37 +531,188 @@ def _run_covariance(config: ExperimentConfig, diag: dict) -> tuple[dict, list]:
         _check("covariance_decay", passed, detail)]
 
 
-_DIAGNOSTICS = {
-    "nash": _run_nash,
-    "cone": _run_cone,
-    "translation": _run_translation,
-    "moments": _run_moments,
-    "birkhoff": _run_birkhoff,
-    "maximal": _run_maximal,
-    "covariance": _run_covariance,
+# ---------------------------------------------------------------------------
+# one row per experiment and diagnostic kind: the top-level keys it takes
+# besides master_seed (which every kind takes) and diagnostics (which every
+# diagnostic kind takes), a trailing '!' making a defaulted key required there,
+# and its runner.  A diagnostic kind also has its section's keys (name ->
+# (kind, default)) and its field refusals: whether its limit is the field's
+# mean, and its reach, the farthest points, in field units, at which it
+# evaluates its field.
+
+_Kind = namedtuple("_Kind", "keys run section finite_mean reach", defaults=(None, False, None))
+_KINDS = {
+    "sweep": _Kind("grid alpha cone form lambda tol seeds eps_list! mu report_radius rhs_radius",
+                   _run_sweep_experiment),
+    "estimate_constant": _Kind("grid alpha cone form estimate", _run_estimate_experiment),
+    "mosco": _Kind("grid alpha cone form seeds eps_list! mosco", _run_mosco_experiment),
+    "example17": _Kind("grid alpha cone lambda tol seeds eps_list example17", _run_example17),
+    "nash": _Kind("grid alpha cone", _run_nash, {}),
+    "cone": _Kind("grid alpha cone", _run_cone, {}),
+    "translation": _Kind("grid alpha cone form lambda tol rhs_radius", _run_translation, {
+        "h_multiples": (_h_multiples, [1, 2, 4, 8]),
+        "radius": (_positive("translation radius"), _quarter_length), "eps": (_eps, 1.0)}),
+    "moments": _Kind("grid form", _run_moments, {
+        "eps_list": (_moment_eps, _REQUIRED), "seeds": (_seeds, 5),
+        "radius": (_moment_radius, _quarter_length)}),
+    "birkhoff": _Kind("field", _run_birkhoff, {
+        "eps": (_eps, _REQUIRED),
+        "region": (_REGION, lambda out: [[x] * out["field"]["dim"] for x in (0.0, 1.0)]),
+        "n_seeds": (_count("n_seeds"), 20),
+    }, True, lambda diag: np.divide(diag["region"], diag["eps"])),
+    "maximal": _Kind("field", _run_maximal, {
+        "eps_grid": (_eps_grid, [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]),
+        "r0": (_positive("r0"), 1.0), "n_seeds": (_count("n_seeds"), 200),
+    }, True, lambda diag: diag["r0"] / min(diag["eps_grid"])),
+    "covariance": _Kind("field", _run_covariance, {
+        "z1": (_POINT, _REQUIRED), "z2": (_POINT, _REQUIRED), "x": (_POINT, _REQUIRED),
+        "trials": (_count("trials", 100), 1000), "truncation": (_positive("truncation"), 1e3),
+    }, reach=lambda diag: [diag["z1"], diag["x"], np.add(diag["x"], diag["z2"])]),
 }
 
 
-def _run_diagnostics(config: ExperimentConfig) -> tuple[dict, list]:
-    diag = config.resolved["diagnostics"]
-    block, checks = _DIAGNOSTICS[diag["kind"]](config, diag)
-    return {diag["kind"]: block}, checks
+def _field_refusals(diag, out) -> None:
+    """Refuse, with run's messages, a field of infinite mean for the studies
+    whose limit is that mean, and points whose field cells env cannot index."""
+    row = _KINDS[diag["kind"]]
+    if row.finite_mean:
+        env.check_finite_mean(out.built["config.field"])
+    if row.reach:
+        with np.errstate(over="ignore"):  # a point that overflows to inf is refused
+            env.check_points(out.built["config.field"], row.reach(diag))
 
 
-_RUNNERS = {
-    "sweep": _run_sweep_experiment,
-    "estimate_constant": _run_estimate_experiment,
-    "mosco": _run_mosco_experiment,
-    "example17": _run_example17,
-    "diagnostics": _run_diagnostics,
+# top-level key -> (kind, default), in echo order
+_CONFIG = {
+    "master_seed": (_integer, 0),
+    "field": (_FIELD, _REQUIRED),
+    "grid": (_GRID, _REQUIRED),
+    "alpha": (_alpha, _REQUIRED),
+    "cone": (_CONE, {"full_space": True}),
+    "form": (_FORM, _REQUIRED),
+    "lambda": (_lambda, 1.0),
+    "tol": (_tol, 1e-9),
+    "seeds": (_seeds, 10),
+    "eps_list": (_eps_list, None),
+    "mu": (_builds(_rule(_FIELD_KEYS, lambda mu, out: _resolved_at(
+        out["eps_list"], out, mu["cell_size"])), _build_field), None),
+    "report_radius": (_positive("report radius"), None),
+    "rhs_radius": (_inside_torus("; the bump must stay well inside the torus"), None),
+    "estimate": (_ESTIMATE, _REQUIRED),
+    "mosco": (_object({"threshold": (_positive("mosco threshold"), None)}), {}),
+    "example17": (_EXAMPLE17, _REQUIRED),
+    "diagnostics": (_rule(_object({}, {kind: row.section for kind, row in _KINDS.items()
+                                       if row.section is not None}), _field_refusals), _REQUIRED),
 }
+
+
+# ---------------------------------------------------------------------------
+# top-level config: parse and run
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """The resolved echo and the library objects built from it while parsing;
+    each object is built once, and the runners only execute them."""
+    kind: str
+    resolved: dict
+    grid: Grid | None = None
+    params: KernelParams | None = None
+    cone: ConeSpec | None = None
+    form: CoefficientForm | None = None  # example17: the time-changed constant form
+    field: env.RandomField | None = None
+    sweep: H.SweepConfig | None = None
+    z_mu: float | None = None  # example17: E[lambda2 / lambda1]
+
+
+def _sweep_plan(out: dict, plan: dict, eps_list, mu_field, **extra) -> H.SweepConfig:
+    return H.SweepConfig(
+        grid=plan["grid"], form=plan["form"], cone=plan["cone"], params=plan["params"],
+        eps_list=tuple(eps_list), seeds=out["seeds"], lam=out["lambda"], mu_field=mu_field,
+        master_seed=out["master_seed"], tol=out["tol"], **extra,
+    )
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Validate a JSON config, resolve every default into the echo and build
+    the experiment from it.
+
+    Re-parsing the echo yields the same resolved dictionary, so reports can be
+    reproduced from the config they embed.
+    """
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(
+            f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from None
+    _known_keys(raw, "config", ("schema_version", "experiment", *_CONFIG))
+    version = _resolve_key(raw, "schema_version", _schema_version, _REQUIRED, "config", {})
+    experiments = [kind for kind, row in _KINDS.items() if row.section is None]
+    experiment = _resolve_key(raw, "experiment", _one_of("diagnostics", *experiments), _REQUIRED,
+                              "config", {})
+    kind, label, takes = experiment, f"experiment '{experiment}'", ["master_seed"]
+    if experiment == "diagnostics":
+        diag = raw.get("diagnostics")
+        if not isinstance(diag, dict) or "kind" not in diag:
+            raise ConfigurationError(
+                "experiment 'diagnostics' requires config.diagnostics with a 'kind'"
+            )
+        kind = _one_of(*(k for k in _KINDS if k not in experiments))(
+            diag["kind"], "config.diagnostics.kind")
+        label += f" (kind '{kind}')"
+        takes.append("diagnostics")
+
+    takes += _KINDS[kind].keys.split()
+    applicable = {key: spec for key, spec in _CONFIG.items() if key in takes or f"{key}!" in takes}
+    for key in raw:
+        if key not in applicable and key not in ("schema_version", "experiment"):
+            raise ConfigurationError(f"key '{key}' does not apply to {label}")
+    for key, (_, default) in applicable.items():
+        if (default is _REQUIRED or f"{key}!" in takes) and raw.get(key) is None:
+            raise ConfigurationError(f"{label} requires top-level key '{key}'")
+
+    out = _Walk(schema_version=version, experiment=experiment)
+    for key, (resolve, default) in applicable.items():
+        out[key] = _resolve_key(raw, key, resolve, default, "config", out)
+
+    built = out.built
+    plan = {key: built.get(f"config.{key}") for key in ("grid", "cone", "form", "field")}
+    grid = plan["grid"]
+    if "alpha" in out:
+        plan["params"] = KernelParams(alpha=out["alpha"], dim=grid.dim)
+    if experiment in ("sweep", "mosco"):
+        effective_kernel(plan["form"])  # their limit refuses fields of infinite mean
+    if experiment == "sweep":
+        rhs = None if out["rhs_radius"] is None else evaluate(grid, bump(grid, out["rhs_radius"]))
+        plan["sweep"] = _sweep_plan(out, plan, out["eps_list"], built.get("config.mu"),
+                                    report_radius=out["report_radius"], rhs=rhs)
+    elif experiment == "example17":
+        # the time change divides lambda2 by z_mu = lambda2 E[1/lambda1]; the
+        # sweep's measure is 1/lambda1 scaled to mean 1
+        c2, inv_marginal = out["example17"]["lambda2"], built["config.example17.inv_lambda1"]
+        inv_mean = env.mean_value(inv_marginal)
+        if not np.isfinite(inv_mean):
+            raise ConfigurationError("E[1/lambda1] is not finite")
+        plan["z_mu"] = z_mu = c2 * inv_mean
+        plan["form"] = ConstantForm(c2 * c2 / z_mu)
+        if out["example17"]["sweep"]:
+            mu_field = env.RandomField(dim=grid.dim, marginal=inv_marginal, mixing=env.MixingSpec(),
+                                       cell_size=1.0, seed=0, scale=c2 / z_mu)
+            plan["sweep"] = _sweep_plan(out, plan, out["eps_list"] or _EXAMPLE17_LADDER, mu_field)
+    return ExperimentConfig(kind=experiment, resolved=dict(out), **plan)
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute the experiment and assemble the full report dictionary."""
     start = time.perf_counter()
     resolved = config.resolved
-    results, checks = _RUNNERS[config.kind](config)
+    diag = resolved.get("diagnostics")
+    if diag is None:
+        results, checks = _KINDS[config.kind].run(config)
+    else:
+        block, checks = _KINDS[diag["kind"]].run(config, diag)
+        results = {diag["kind"]: block}
     return {
         "schema_version": SCHEMA_VERSION,
         "artifact_version": __version__,

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -72,7 +73,9 @@ def write_config(tmp_path, cfg, name="config.json"):
 # ball of 12,853 nodes whose node-by-node matrices take 1.26 GiB each.
 # `validate` also accepted `library-birkhoff-mean-infinite` and
 # `library-maximal-mean-infinite`, whose field mean, the studies' limit,
-# diverges or overflows; `run` refused them.
+# diverges or overflows; `run` refused them.  `validate` and `run` both
+# accepted `library-example17-inv-lambda1-mean-infinite`, whose infinite
+# z_mu made the time-changed constant 0, and passed its check.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
@@ -226,12 +229,21 @@ def test_unknown_diagnostic_kind():
         cli.parse_config(json.dumps(cfg))
 
 
-def test_schema_names_only_existing_kinds():
-    # a stale kind left in an applicability string is accepted silently
-    kinds = set(cli._EXPERIMENTS) | set(cli._DIAGNOSTIC_KEYS)
-    for key, (_, _, applies) in cli._CONFIG.items():
-        assert {word.rstrip("!") for word in applies.split()} <= kinds, key
-    assert cli._DIAGNOSTICS.keys() == cli._DIAGNOSTIC_KEYS.keys()
+def _assert_rows_match_schema(kinds, config):
+    named = {key.rstrip("!") for row in kinds.values() for key in row.keys.split()}
+    assert named <= config.keys(), sorted(named - config.keys())
+    assert config.keys() - {"master_seed", "diagnostics"} <= named
+    assert all(callable(row.run) for row in kinds.values())
+
+
+def test_kind_rows_name_only_schema_keys():
+    # a key misspelled in a row would make the key inapplicable to its kind
+    _assert_rows_match_schema(cli._KINDS, cli._CONFIG)
+    sweep = cli._KINDS["sweep"]
+    misspelled = {**cli._KINDS,
+                  "sweep": sweep._replace(keys=sweep.keys.replace("eps_list", "eps_lsit"))}
+    with pytest.raises(AssertionError, match="eps_lsit"):
+        _assert_rows_match_schema(misspelled, cli._CONFIG)
 
 
 def test_checks_fail_on_nan_medians(monkeypatch):
@@ -307,14 +319,15 @@ def test_sweep_with_every_cell_failed_writes_its_report(tmp_path, capsys):
     assert (out / "cells.csv").read_text() == "eps,seed,metric,value\n"
 
 
+# exp(-3000 |G|) underflows to 0 in some cell of every realization
+_UNDERFLOWING_MEASURE = sweep_config(form={"kind": "constant", "k0": 1.0},
+                                     mu={"marginal": {"kind": "exp_abs_gauss", "s": 3000.0}})
+
+
 def test_sweep_cell_whose_measure_underflows_writes_its_report(tmp_path, capsys):
-    # exp(-3000 |G|) underflows to 0 in some cell of every realization: each
-    # sweep cell fails alone with DomainError, where the run used to end in a
-    # traceback with no report
-    cfg_path = write_config(tmp_path, sweep_config(
-        form={"kind": "constant", "k0": 1.0},
-        mu={"marginal": {"kind": "exp_abs_gauss", "s": 3000.0}},
-    ))
+    # each sweep cell fails alone with DomainError, where the run used to end
+    # in a traceback with no report
+    cfg_path = write_config(tmp_path, _UNDERFLOWING_MEASURE)
     out = tmp_path / "out"
     assert cli.main(["run", cfg_path, "--out", str(out), "--deterministic"]) == 1
     assert "[FAIL] no_cell_failures: 4 failed cells" in capsys.readouterr().out
@@ -415,6 +428,27 @@ def test_example17_recovers_effective_constant(tmp_path):
     assert np.allclose(block["c_hat"], 0.5, rtol=1e-9)
 
 
+@pytest.mark.parametrize("marginal", [
+    {"kind": "shifted_pareto", "x_min": 1.0, "tail_index": 0.8},
+    {"kind": "lognormal", "m": 0.0, "s": 60.0},  # its mean overflows to inf
+], ids=["pareto", "lognormal-overflow"])
+def test_example17_refuses_an_inverse_speed_of_infinite_mean(tmp_path, capsys, marginal):
+    # z_mu = inf made the time-changed constant 0, which passed the check
+    # against its own target 0
+    cfg_path = write_config(tmp_path, {
+        "schema_version": 1,
+        "experiment": "example17",
+        "grid": {"dim": 1, "length": 8.0, "n": 64},
+        "alpha": 1.0,
+        "example17": {"inv_lambda1": marginal},
+    })
+    out = tmp_path / "out"
+    for command in (["validate", cfg_path], ["run", cfg_path, "--out", str(out)]):
+        assert cli.main(command) == 2
+        assert capsys.readouterr().err == "config error: E[1/lambda1] is not finite\n"
+    assert not out.exists()
+
+
 def test_translation_with_a_failed_solve_writes_its_report(tmp_path, capsys):
     # the degenerate alpha = 1.8 product of the sweep test above stalls above
     # tol = 1e-12 in the diagnostic's one solve too: the failure fails the
@@ -445,18 +479,21 @@ def test_translation_with_a_failed_solve_writes_its_report(tmp_path, capsys):
     assert (out / "cells.csv").read_text() == "eps,seed,metric,value\n"
 
 
+# the zero form has no energy while its solution still moves under translation
+_ZERO_FORM_TRANSLATION = {
+    "schema_version": 1,
+    "experiment": "diagnostics",
+    "diagnostics": {"kind": "translation"},
+    "grid": {"dim": 1, "length": 8.0, "n": 64},
+    "alpha": 1.0,
+    "form": {"kind": "constant", "k0": 0.0},
+}
+
+
 def test_translation_detail_names_a_zero_energy_violation(tmp_path, capsys):
-    # the zero form has no energy while its solution still moves under
-    # translation; the check failed on that violation with a detail that
-    # printed only a passing exponent comparison
-    cfg_path = write_config(tmp_path, {
-        "schema_version": 1,
-        "experiment": "diagnostics",
-        "diagnostics": {"kind": "translation"},
-        "grid": {"dim": 1, "length": 8.0, "n": 64},
-        "alpha": 1.0,
-        "form": {"kind": "constant", "k0": 0.0},
-    })
+    # the check failed on that violation with a detail that printed only a
+    # passing exponent comparison
+    cfg_path = write_config(tmp_path, _ZERO_FORM_TRANSLATION)
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().out.splitlines()[0] == (
         "[FAIL] translation_exponent: min exponent 0.9553 vs 0.3; "
@@ -733,3 +770,40 @@ def test_runs_load_no_scipy(tmp_path):
     assert json.loads(out[-1]) == []
     assert (tmp_path / "sweep" / "report.json").exists()
     assert (tmp_path / "mosco" / "report.json").exists()
+
+
+def _corpus_config(name):
+    return json.loads(next(e["config"] for e in CORPUS if e["name"] == name))
+
+
+# A config whose `run` fails each check that cli.py can emit, or None where
+# none is known: such a check cannot be seen to fail yet.
+FAILING_CASES = {
+    "no_cell_failures": _UNDERFLOWING_MEASURE,
+    "err_l2_mu_end_to_end_decrease": _UNDERFLOWING_MEASURE,
+    # NaN medians, as every cell fails
+    "constant_form_environment_independence": _UNDERFLOWING_MEASURE,
+    "mosco_medians_decreasing": _corpus_config("mosco-full"),
+    "mosco_final_below_threshold": _corpus_config("mosco-full"),
+    "example17_constant_within_tolerance": None,
+    "measure_metrics_end_to_end_decrease": None,
+    "nash_ratios_finite": None,
+    "cone_comparability": None,
+    "translation_exponent": _ZERO_FORM_TRANSLATION,
+    "moment_bound_no_growth": _corpus_config("moments-full"),
+    "birkhoff_within_5_percent": _corpus_config("birkhoff-minimal"),
+    "maximal_markov_scaling": None,
+    "covariance_decay": None,
+}
+
+
+def test_failing_cases_name_every_check():
+    source = pathlib.Path(cli.__file__).read_text()
+    assert set(re.findall(r'_check\(\s*"(\w+)"', source)) == FAILING_CASES.keys()
+
+
+@pytest.mark.parametrize("name", [name for name, config in FAILING_CASES.items() if config])
+def test_each_failing_case_fails_its_check(name, tmp_path, capsys):
+    cfg_path = write_config(tmp_path, FAILING_CASES[name])
+    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out"), "--deterministic"]) == 1
+    assert any(line.startswith(f"[FAIL] {name}: ") for line in capsys.readouterr().out.splitlines())
