@@ -657,14 +657,6 @@ def check_region(lo, hi) -> None:
         raise ConfigurationError(f"empty averaging region: min={lo}, max={hi}")
 
 
-def check_eps_grid(eps_grid: list[float]) -> None:
-    """The scales of the maximal functional lie in (0, 1)."""
-    if not eps_grid:
-        raise ConfigurationError("eps_grid must be nonempty")
-    if any(not (0.0 < e < 1.0) for e in eps_grid):
-        raise ConfigurationError(f"eps_grid values must lie in (0, 1), got {eps_grid}")
-
-
 def check_finite_mean(field: RandomField) -> float:
     """E[field], the Birkhoff and maximal studies' limit; refused if not finite."""
     exact = field_mean(field)
@@ -695,9 +687,13 @@ def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> flo
 
 
 def maximal_functional(field: RandomField, eps_grid, r0: float = 1.0) -> float:
-    """Sup over eps of the mass int_{[0,r0]^d} field(x/eps) dx (quadrature)."""
+    """Sup over eps of the mass int_{[0,r0]^d} field(x/eps) dx (quadrature);
+    the scales eps lie in (0, 1)."""
     eps_grid = [float(e) for e in eps_grid]
-    check_eps_grid(eps_grid)
+    if not eps_grid:
+        raise ConfigurationError("eps_grid must be nonempty")
+    if any(not (0.0 < e < 1.0) for e in eps_grid):
+        raise ConfigurationError(f"eps_grid values must lie in (0, 1), got {eps_grid}")
     check_positive("r0", r0)
     check_points(field, r0 / min(eps_grid))  # the farthest point, before r0**dim
     lo = np.zeros(field.dim)

@@ -21,7 +21,6 @@ from . import env
 from .discrete import (
     Grid,
     MeasureWeights,
-    SparseSymmetricForm,
     assemble_effective_form,
     assemble_form,
     bump,
@@ -152,26 +151,26 @@ class ConvergenceReport:
         return self.medians[metric]
 
 
-def _solve_limit(config: SweepConfig) -> tuple[SparseSymmetricForm, MeasureWeights, np.ndarray]:
+def _solve_limit(config: SweepConfig) -> tuple:
     """The limit (lambda E[mu] - A_K) u = E[mu] f: mu(x/eps) dx homogenizes to
-    E[mu] dx, and K is the averaged kernel."""
+    E[mu] dx, and K is the averaged kernel.  Returns the limit's form, measure
+    weights and solution u_K, and what every cell compares with, computed
+    once: the report ball and the limit's pairing <u_K, f>, energy
+    E_K(u_K, f) and norm."""
     kernel_eff = effective_kernel(config.form)
     form_k = assemble_effective_form(config.grid, kernel_eff, config.cone, config.params)
     mean_mu = 1.0 if config.mu_field is None else env.field_mean(config.mu_field)
     mw_k = MeasureWeights(config.grid, mean_mu * measure_weights(config.grid, None).m)
     sol = solve_resolvent(ResolventProblem(form_k, mw_k, config.lam, config.rhs), tol=config.tol)
-    return form_k, mw_k, sol.u
+    u_k, g = sol.u, config.rhs
+    return (form_k, mw_k, u_k, config.grid.ball_mask(config.report_radius),
+            float(np.dot(mw_k.m, u_k * g)), form_k.energy(u_k, g),
+            math.sqrt(float(np.dot(mw_k.m, u_k * u_k))))
 
 
-def _sweep_cell(
-    config: SweepConfig,
-    eps: float,
-    seed_index: int,
-    cell_seed: int,
-    form_k: SparseSymmetricForm,
-    mw_k: MeasureWeights,
-    u_k: np.ndarray,
-) -> SweepCell:
+def _sweep_cell(config: SweepConfig, eps: float, seed_index: int, cell_seed: int,
+                limit: tuple) -> SweepCell:
+    _, mw_k, u_k, ball, pairing_k, energy_k, norm_k = limit
     form = reseed_form(config.form, cell_seed)
     start = time.perf_counter()
     pairs = node_field_pairs(config.grid, form, eps)
@@ -191,14 +190,11 @@ def _sweep_cell(
     grid = config.grid
     hd = grid.h**grid.dim
     diff = u - u_k
-    ball = grid.ball_mask(config.report_radius)
     err_l2_mu = math.sqrt(float(np.dot(mw.m, diff * diff)))
     err_l1_ball = hd * float(np.abs(diff[ball]).sum())
-    pairing_err = abs(float(np.dot(mw.m, u * g)) - float(np.dot(mw_k.m, u_k * g)))
-    form_err = abs(form_eps.energy(u, g) - form_k.energy(u_k, g))
-    norm_err = abs(
-        math.sqrt(float(np.dot(mw.m, u * u))) - math.sqrt(float(np.dot(mw_k.m, u_k * u_k)))
-    )
+    pairing_err = abs(float(np.dot(mw.m, u * g)) - pairing_k)
+    form_err = abs(form_eps.energy(u, g) - energy_k)
+    norm_err = abs(math.sqrt(float(np.dot(mw.m, u * u))) - norm_k)
     return SweepCell(
         eps=eps,
         seed_index=seed_index,
@@ -229,7 +225,7 @@ def run_sweep(config: SweepConfig) -> ConvergenceReport:
     else:
         for _, eps, si, cell_seed in study:
             try:
-                cells.append(_sweep_cell(config, eps, si, cell_seed, *limit))
+                cells.append(_sweep_cell(config, eps, si, cell_seed, limit))
             except (NumericalError, DomainError) as exc:
                 failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
     # quartiles[m][eps index] = (q25, median, q75)

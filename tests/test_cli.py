@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stablehom import cli
+from stablehom import cli, env
 from stablehom.errors import ConfigurationError
 
 
@@ -39,22 +40,17 @@ def write_config(tmp_path, cfg, name="config.json"):
 # the config layer became a declarative schema: one minimal and one fully
 # specified config per experiment and diagnostic kind, and rejections of
 # unknown, missing, mistyped and inapplicable keys, wrong-kind parameters,
-# bad axis and corner lengths, range rules and unresolved grids.  The
-# `library-*` rejections came later: bounds of the solver, the sweep, the
-# cone, the diagnostics and example 17's marginal that `run` used to meet
-# only at run time, with the library check's own message; so did
-# `axis-covariance-point`, a covariance point whose length is not the field's
-# dim.  Some `library-*` configs (zero levels or radii, a negative translation
-# step) used to crash `run` or pass it with an all-zero test function.  A
-# library object's own refusal (grid, cone, form, field, marginal, mixing,
-# angular weight) is prefixed with its section's path, as in
-# `library-form-field-marginal`.  `covariance-full` asks for 100 trials, the fewest
-# `env.empirical_covariance` accepts (it asked for 50, which `run` refused).
+# bad axis lengths, range rules and unresolved grids.  The `library-*`
+# rejections came later: bounds of the solver, the sweep, the cone, the
+# diagnostics and example 17's marginal that `run` used to meet only at run
+# time, with the library check's own message.  Some `library-*` configs (zero
+# radii, a negative translation step) used to crash `run` or pass it with an
+# all-zero test function.  A library object's own refusal (grid, cone, form,
+# field, marginal, mixing, angular weight) is prefixed with its section's
+# path, as in `library-form-field-marginal`.
 # The `gate-*` rejections pin KernelParams' refusal of jump forms beyond d = 2,
 # which used to run a 3D sweep on an unverified sub-cell correction and a 4D
-# one on none.  The `far-*` rejections are coordinates whose cells env cannot
-# index: `validate` used to accept them, and `run` refused the birkhoff and
-# maximal ones with this message but ran the covariance one with lag inf.
+# one on none.
 # `library-translation-radius-*`, `library-moments-radius-negative` and
 # `library-mosco-threshold` used to pass `validate` too: a negative radius
 # measured the ball of its absolute value, a zero one a single node, and a
@@ -67,13 +63,15 @@ def write_config(tmp_path, cfg, name="config.json"):
 # `library-moments-eps-single` used to pass `run` with growth slope 0 whatever
 # the form.  `removed-kind-tails` pins the refusal of the deleted `tails`
 # diagnostic, whose probe measured the jump cutoff L/4 and the test
-# function's support on this torus rather than the kernel's tails.
-# `library-covariance-truncation` used to pass `run` with covariance 0 by
-# construction, and `validate` accepted `library-moments-radius-large`, a
-# ball of 12,853 nodes whose node-by-node matrices take 1.26 GiB each.
-# `validate` also accepted `library-birkhoff-mean-infinite` and
-# `library-maximal-mean-infinite`, whose field mean, the studies' limit,
-# diverges or overflows; `run` refused them.  `validate` and `run` both
+# function's support on this torus rather than the kernel's tails.  The other
+# `removed-kind-*` configs pin the refusal of the nash, cone, birkhoff, maximal
+# and covariance diagnostics, which read no coefficient of the config: the
+# constant kernel's inequalities and the field generator's ergodicity are
+# acceptance criteria 6 and 7, which call the library directly.  With them
+# went the top-level `field` key: `unknown-field` now pins its refusal, and
+# `wrong-kind-diagnostics` gives translation a key of moments.
+# `validate` accepted `library-moments-radius-large`, a ball of 12,853 nodes
+# whose node-by-node matrices take 1.26 GiB each.  `validate` and `run` both
 # accepted `library-example17-inv-lambda1-mean-infinite`, whose infinite
 # z_mu made the time-changed constant 0, and passed its check.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
@@ -165,14 +163,21 @@ def test_inapplicable_key_for_diagnostic_kind():
     cfg = {
         "schema_version": 1,
         "experiment": "diagnostics",
-        "diagnostics": {"kind": "birkhoff", "eps": 0.25},
-        "field": {"marginal": {"kind": "constant", "c": 1.0}},
+        "diagnostics": {"kind": "moments", "eps_list": [1.0, 0.5]},
         "grid": {"dim": 1, "length": 8.0, "n": 64},
+        "form": {"kind": "constant", "k0": 1.0},
+        "alpha": 1.0,
     }
     with pytest.raises(
         ConfigurationError,
-        match=r"key 'grid' does not apply to experiment 'diagnostics' \(kind 'birkhoff'\)",
+        match=r"key 'alpha' does not apply to experiment 'diagnostics' \(kind 'moments'\)",
     ):
+        cli.parse_config(json.dumps(cfg))
+    # a key of the other diagnostic kind is unknown to this one's section
+    cfg["diagnostics"]["h_multiples"] = [1, 2]
+    del cfg["alpha"]
+    with pytest.raises(ConfigurationError,
+                       match="^unknown key 'h_multiples' in config.diagnostics$"):
         cli.parse_config(json.dumps(cfg))
 
 
@@ -335,6 +340,19 @@ def test_sweep_cell_whose_measure_underflows_writes_its_report(tmp_path, capsys)
     assert [(f["eps"], f["seed"]) for f in failures] == [(1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
     assert {f["error"] for f in failures} == {
         "DomainError: measure weights must be strictly positive, min 0"}
+
+
+def test_constant_form_with_a_random_measure_skips_the_independence_check(tmp_path, capsys):
+    # the solution of a random measure depends on the environment, which this
+    # run reported as [FAIL] constant_form_environment_independence: max metric
+    # median 0.14
+    cfg_path = write_config(tmp_path, sweep_config(
+        form={"kind": "constant", "k0": 1.0},
+        mu={"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5}}))
+    cli.main(["run", cfg_path, "--out", str(tmp_path / "out"), "--deterministic"])
+    printed = capsys.readouterr().out.splitlines()[:-1]
+    assert [line.split(":")[0].split()[1] for line in printed] == [
+        "no_cell_failures", "err_l2_mu_end_to_end_decrease"]
 
 
 def test_sweep_cells_carry_solver_telemetry(tmp_path):
@@ -567,30 +585,26 @@ def test_moments_with_zero_medians_fail_without_warnings(tmp_path, capsys):
     assert caught == [] and captured.err == ""
 
 
-_NO_GATE = "[ok] covariance_decay: no zero-covariance gate at this lag or mixing; value reported"
-
-
-@pytest.mark.parametrize("dim, diag, line", [
+@pytest.mark.parametrize("dim, diag, disjoint", [
     # x + z2 is the origin, which nu_a reads too
-    (1, {"z1": [0.0], "z2": [-2.0], "x": [2.0]}, _NO_GATE),
+    (1, {"z1": [0.0], "z2": [-2.0], "x": [2.0]}, False),
     # |x| = 1.13 exceeds the cell, but 0 and x can share a square cell
-    (2, {"z1": [0.0, 0.0], "z2": [0.0, 0.0], "x": [0.8, 0.8], "trials": 20000}, _NO_GATE),
+    (2, {"z1": [0.0, 0.0], "z2": [0.0, 0.0], "x": [0.8, 0.8], "trials": 20000}, False),
     # every point of one pair is 2.75 from every point of the other
-    (1, {"z1": [0.25], "z2": [0.25], "x": [3.0]},
-     "[ok] covariance_decay: |cov| 0.01294 vs 3 se 0.02771"),
+    (1, {"z1": [0.25], "z2": [0.25], "x": [3.0]}, True),
 ], ids=["shared-origin", "shared-square", "separated"])
-def test_covariance_gates_only_pairs_in_disjoint_cells(tmp_path, capsys, dim, diag, line):
-    # an iid lag beyond one cell used to be gated as independent although
-    # the two pairs could share a cell: the first two configs failed the gate
-    cfg = {
-        "schema_version": 1,
-        "experiment": "diagnostics",
-        "diagnostics": {"kind": "covariance", **diag},
-        "field": {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5}, "dim": dim},
-    }
-    cfg_path = write_config(tmp_path, cfg)
-    assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out"), "--deterministic"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == line
+def test_covariance_gates_only_pairs_in_disjoint_cells(dim, diag, disjoint):
+    # the covariance diagnostic left `run` with the field key; its gate, that
+    # iid pairs are independent when, for each point of {0, z1} and each of
+    # {x, x + z2}, some axis parts the two by a cell or more, holds of the
+    # library: an iid lag beyond one cell used to be gated as independent
+    # although the two pairs could share a cell
+    field = env.sample_field(dim, env.uniform(0.5, 1.5))
+    z1, z2, x = (np.asarray(diag[k], dtype=float) for k in ("z1", "z2", "x"))
+    gaps = [np.abs(b - a).max() for a in (0.0 * x, z1) for b in (x, x + z2)]
+    assert (min(gaps) >= field.cell_size) == disjoint
+    entry = env.empirical_covariance(field, z1, z2, x, trials=diag.get("trials", 1000))
+    assert (entry.estimate <= 3.0 * entry.standard_error) == disjoint
 
 
 def test_config_error_exits_two(tmp_path, capsys):
@@ -632,46 +646,37 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     assert (env_out / "report.json").exists()
 
 
-def test_birkhoff_diagnostic_runs(tmp_path):
-    cfg = {
-        "schema_version": 1,
-        "experiment": "diagnostics",
-        "diagnostics": {"kind": "birkhoff", "eps": 0.015625, "n_seeds": 5},
-        "field": {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5}},
-    }
-    cfg_path = write_config(tmp_path, cfg)
-    out = tmp_path / "out"
-    code = cli.main(["run", cfg_path, "--out", str(out), "--deterministic"])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["experiment"] == "diagnostics"
-    assert report["checks"][0]["name"] == "birkhoff_within_5_percent"
+def test_birkhoff_diagnostic_runs():
+    # the birkhoff diagnostic left `run` with the field key; its study of the
+    # field generator, which acceptance criterion 7 calls, still meets the 5 %
+    # bound that `run` checked at these scales
+    field = env.sample_field(1, env.uniform(0.5, 1.5))
+    study = env.birkhoff_study(field, 0.015625, ([0.0], [1.0]), n_seeds=5)
+    assert study.target == 1.0
+    assert abs(study.median_average - study.target) <= 0.05 * abs(study.target)
 
 
 def test_field_diagnostics_run_in_3d(tmp_path, capsys):
     # KernelParams refuses jump forms beyond d = 2, at validate and at run alike;
-    # the diagnostics with no jump kernel still run in 3D
+    # the moments diagnostic, which uses no jump kernel, still runs in 3D
     cfg_path = write_config(tmp_path, sweep_config(grid={"dim": 3, "length": 8.0, "n": 8}))
     assert cli.main(["validate", cfg_path]) == 2
     refused = capsys.readouterr().err
     assert refused == "config error: jump forms need dim 1 or 2, got 3\n"
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "sweep")]) == 2
     assert capsys.readouterr().err == refused
-    field = {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5}}
-    configs = {
-        "birkhoff": {"diagnostics": {"kind": "birkhoff", "eps": 0.25, "n_seeds": 5},
-                     "field": {**field, "dim": 3}},
-        "moments": {"diagnostics": {"kind": "moments", "eps_list": [1.0, 0.5], "seeds": 2},
-                    "grid": {"dim": 3, "length": 8.0, "n": 8},
-                    "form": {"kind": "summation", "field": field}},
-    }
-    for name, cfg in configs.items():
-        cfg_path = write_config(tmp_path, {"schema_version": 1, "experiment": "diagnostics", **cfg},
-                                f"{name}.json")
-        assert cli.main(["validate", cfg_path]) == 0
-        out = tmp_path / name
-        assert cli.main(["run", cfg_path, "--out", str(out), "--deterministic"]) in (0, 1)
-        assert (out / "report.json").exists()
+    cfg_path = write_config(tmp_path, {
+        "schema_version": 1,
+        "experiment": "diagnostics",
+        "diagnostics": {"kind": "moments", "eps_list": [1.0, 0.5], "seeds": 2},
+        "grid": {"dim": 3, "length": 8.0, "n": 8},
+        "form": {"kind": "summation",
+                 "field": {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5}}},
+    }, "moments.json")
+    assert cli.main(["validate", cfg_path]) == 0
+    out = tmp_path / "moments"
+    assert cli.main(["run", cfg_path, "--out", str(out), "--deterministic"]) in (0, 1)
+    assert (out / "report.json").exists()
 
 
 def _assert_same(got, want, where="report"):
@@ -716,6 +721,14 @@ def test_corpus_reports_unchanged(entry, tmp_path, capsys):
     _assert_same(_csv_rows(lines), _csv_rows(entry["cells_csv"]), "cells.csv")
 
 
+def test_every_kind_has_a_minimal_and_a_full_report():
+    # a kind without reports in the corpus would lose its end-to-end coverage
+    ran = {e["name"]: (e["report"]["config"].get("diagnostics") or {}).get(
+        "kind", e["report"]["experiment"]) for e in REPORTS}
+    for kind in cli._KINDS:
+        assert ran.get(f"{kind}-minimal") == ran.get(f"{kind}-full") == kind, kind
+
+
 def test_mosco_plotdata_writes_the_report_quartiles(tmp_path):
     # skewed form errors: median -/+ iqr/2 are no quartiles here (q25 < 0)
     config = next(e["config"] for e in CORPUS if e["name"] == "mosco-full")
@@ -741,7 +754,7 @@ def test_mosco_plotdata_writes_the_report_quartiles(tmp_path):
 # Gauss-Legendre rules are a table of its leggauss output).
 _IMPORT_PATH_SCRIPT = """
 import json, sys
-from stablehom import cli
+from stablehom import cli, env
 field = {"marginal": {"kind": "uniform", "a": 0.5, "b": 1.5},
          "mixing": {"kind": "moving_average", "q": 1.5}}
 common = {"schema_version": 1, "grid": {"dim": 2, "length": 4.0, "n": 32}, "alpha": 1.0,
@@ -776,24 +789,27 @@ def _corpus_config(name):
     return json.loads(next(e["config"] for e in CORPUS if e["name"] == name))
 
 
-# A config whose `run` fails each check that cli.py can emit, or None where
-# none is known: such a check cannot be seen to fail yet.
+def _limit_kernel_scaled_by_nine_tenths(monkeypatch):
+    # every cell of a constant form solves with the constant itself, so each
+    # differs from a limit whose kernel is 0.9 times it
+    effective = cli.H.effective_kernel
+    monkeypatch.setattr(cli.H, "effective_kernel", lambda form: dataclasses.replace(
+        effective(form), k0=0.9 * effective(form).k0))
+
+
+# A config whose `run` fails each check that cli.py can emit, paired with a
+# patch of the library where no config alone is known to fail it, or None
+# where no case is known: such a check cannot be seen to fail yet.
 FAILING_CASES = {
     "no_cell_failures": _UNDERFLOWING_MEASURE,
     "err_l2_mu_end_to_end_decrease": _UNDERFLOWING_MEASURE,
-    # NaN medians, as every cell fails
-    "constant_form_environment_independence": _UNDERFLOWING_MEASURE,
+    "constant_form_environment_independence": (sweep_config(), _limit_kernel_scaled_by_nine_tenths),
     "mosco_medians_decreasing": _corpus_config("mosco-full"),
     "mosco_final_below_threshold": _corpus_config("mosco-full"),
     "example17_constant_within_tolerance": None,
     "measure_metrics_end_to_end_decrease": None,
-    "nash_ratios_finite": None,
-    "cone_comparability": None,
     "translation_exponent": _ZERO_FORM_TRANSLATION,
     "moment_bound_no_growth": _corpus_config("moments-full"),
-    "birkhoff_within_5_percent": _corpus_config("birkhoff-minimal"),
-    "maximal_markov_scaling": None,
-    "covariance_decay": None,
 }
 
 
@@ -803,7 +819,11 @@ def test_failing_cases_name_every_check():
 
 
 @pytest.mark.parametrize("name", [name for name, config in FAILING_CASES.items() if config])
-def test_each_failing_case_fails_its_check(name, tmp_path, capsys):
-    cfg_path = write_config(tmp_path, FAILING_CASES[name])
+def test_each_failing_case_fails_its_check(name, tmp_path, capsys, monkeypatch):
+    config = FAILING_CASES[name]
+    if isinstance(config, tuple):
+        config, patch = config
+        patch(monkeypatch)
+    cfg_path = write_config(tmp_path, config)
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out"), "--deterministic"]) == 1
     assert any(line.startswith(f"[FAIL] {name}: ") for line in capsys.readouterr().out.splitlines())

@@ -300,6 +300,149 @@ def test_stencil_geometry_refuses_an_asymmetric_stencil(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the grid's limit operator against the paper's: the symbol mean_symbol()/h^d
+# of the limit form at xi = 2 pi k / L against the Levy exponent of its kernel
+# truncated where the stencil stops,
+#     phi_R(xi) = int_Omega (1 - cos xi.z) K(z) |z|^(-d-alpha) dz,
+# Omega the union of the stencil's cells and the node's own cell.  A cell's
+# weight sits at its centre, so the relative error falls like h^(2 - alpha).
+
+
+def _truncated_exponent_1d(xi, alpha, radius):
+    """phi_R in 1D by adaptive quadrature, one piece per period of the cosine."""
+    def f(z):
+        return 2.0 * math.sin(0.5 * xi * z) ** 2 * z ** (-1.0 - alpha)
+
+    periods = [2.0 * math.pi * j / xi for j in range(1, int(radius * xi / (2.0 * math.pi)) + 1)]
+    edges = [0.0, *(p for p in periods if p < radius), radius]
+    return 2.0 * sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                     for a, b in zip(edges, edges[1:]))
+
+
+# today's relative errors of the 1D limit symbol at n = 512 (L = 8), k = 1, 4, 16
+_SYMBOL_ERRORS_1D = {0.5: (3.73e-4, 1.047e-3, 6.765e-3), 1.0: (3.703e-3, 7.686e-3, 2.817e-2),
+                     1.5: (2.674e-2, 3.949e-2, 7.634e-2), 1.8: (5.261e-2, 6.185e-2, 7.916e-2)}
+
+
+@pytest.mark.parametrize("alpha", sorted(_SYMBOL_ERRORS_1D))
+def test_limit_symbol_matches_truncated_levy_exponent_1d(alpha):
+    errors = {}
+    for n in (512, 2048):
+        grid = discrete.Grid(dim=1, length=8.0, n=n)
+        form = discrete.assemble_effective_form(grid, kernel.ConstantForm(1.0),
+                                                kernel.full_space_cone(1),
+                                                kernel.KernelParams(alpha, 1))
+        symbol = form.mean_symbol() / grid.h
+        radius = (n // 4 + 0.5) * grid.h
+        errors[n] = [symbol[k] / _truncated_exponent_1d(2.0 * math.pi * k / 8.0, alpha, radius)
+                     - 1.0 for k in (1, 4, 16)]
+    for err, today in zip(errors[512], _SYMBOL_ERRORS_1D[alpha]):
+        assert 0.0 < err <= 1.1 * today, (err, today)
+    for coarse, fine in zip(errors[512], errors[2048]):
+        assert 0.0 < fine < coarse and abs(math.log(coarse / fine, 4) - (2.0 - alpha)) < 0.05
+
+
+def _cells_exponent_2d(n, a, alpha, slope, rho):
+    """Integral of 2 sin^2(a.u / 2) rho(u) |u|^(-2-alpha) over the unit-lattice
+    cells s + [-1/2, 1/2]^2, 1 <= |s| <= n/4, clipped to the cone
+    |u2| <= slope |u1| (slope inf: no cone): 8-point Gauss-Legendre in u1 on
+    the pieces between the clip's kinks, and in u2 on the clipped interval."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    x, w = 0.5 * x, 0.5 * w
+    reach = n // 4
+    s1, s2 = (g.ravel().astype(float) for g in np.meshgrid(*[np.arange(-reach, reach + 1)] * 2,
+                                                             indexing="ij"))
+    keep = (s1**2 + s2**2 >= 1.0) & (s1**2 + s2**2 <= reach**2)
+    lo, hi, c, d = s1[keep] - 0.5, s1[keep] + 0.5, s2[keep] - 0.5, s2[keep] + 0.5
+    cuts = [lo, hi]
+    if math.isfinite(slope):
+        cuts += [0.0 * lo, c / slope, -c / slope, d / slope, -d / slope]
+    cuts = np.sort(np.clip(np.stack(cuts, axis=1), lo[:, None], hi[:, None]), axis=1)
+    total = 0.0
+    for p, q in zip(cuts.T[:-1], cuts.T[1:]):
+        u1 = (0.5 * (p + q))[:, None] + (q - p)[:, None] * x
+        clip = slope * np.abs(u1)
+        y0, y1 = np.maximum(c[:, None], -clip), np.minimum(d[:, None], clip)
+        span = np.maximum(y1 - y0, 0.0)[:, :, None]
+        u2 = 0.5 * (y0 + y1)[:, :, None] + span * x
+        u1 = u1[:, :, None]
+        r2 = u1**2 + u2**2
+        f = (2.0 * np.sin(0.5 * (a[0] * u1 + a[1] * u2)) ** 2 * rho(u1**2 / r2)
+             * r2 ** (-1.0 - alpha / 2))
+        total += float(((q - p)[:, None, None] * w[:, None] * span * w * f).sum())
+    return total
+
+
+def _own_cell_exponent_2d(a, alpha, slope, rho):
+    """The same integrand over the node's own cell [-1/2, 1/2]^2 in the cone,
+    in polar coordinates by adaptive quadrature."""
+    def radial(t):
+        e = a[0] * math.cos(t) + a[1] * math.sin(t)
+        edge = 0.5 / max(abs(math.cos(t)), abs(math.sin(t)))
+        return rho(math.cos(t) ** 2) * integrate.quad(
+            lambda r: 2.0 * math.sin(0.5 * e * r) ** 2 * r ** (-1.0 - alpha), 0.0, edge,
+            epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    half = math.atan(slope)
+    total = 0.0
+    for lo, hi in [(-half, half), (math.pi - half, math.pi + half)]:
+        kinks = [j * math.pi / 4 for j in range(-4, 9) if lo < j * math.pi / 4 < hi]
+        edges = [lo, *kinks, hi]
+        total += sum(integrate.quad(radial, p, q, epsabs=0.0, epsrel=1e-12)[0]
+                     for p, q in zip(edges, edges[1:]))
+    return total
+
+
+# (cone, angular weight, the cone's |u2| <= slope |u1|, rho(cos^2 of the angle to
+# the axis (1, 0))) of each 2D case, and today's relative errors at n = 128
+# (L = 4) by alpha, at the wave numbers k listed
+_SYMBOL_CASES_2D = {
+    "full": (kernel.full_space_cone(2), kernel.AngularWeight(), math.inf, lambda c2: 1.0,
+             ((1, 0), (1, 1), (4, 4)),
+             {1.0: (1.535e-2, 1.612e-2, 3.592e-2), 1.8: (6.257e-2, 6.336e-2, 7.387e-2)}),
+    # along the cone's axis: see the xfail test below for the directions across it
+    "cone": (kernel.ConeSpec(axis=(1.0, 0.0), aperture=0.5), kernel.AngularWeight(), math.sqrt(3.0),
+             lambda c2: 1.0, ((1, 0), (4, 0)),
+             {1.0: (1.689e-2, 3.042e-2), 1.8: (7.021e-2, 7.868e-2)}),
+    "cos2": (kernel.full_space_cone(2), kernel.AngularWeight("cos2", (1.0, 0.0)), math.inf,
+             lambda c2: 1.0 + 0.5 * c2, ((1, 0), (0, 1), (1, 1), (4, 4)),
+             {1.0: (1.859e-2, 1.141e-2, 1.612e-2, 3.592e-2),
+              1.8: (1.106e-1, 3.973e-3, 6.336e-2, 7.387e-2)}),
+}
+
+
+def _symbol_errors_2d(case, alpha, n, ks):
+    cone, angular, slope, rho = _SYMBOL_CASES_2D[case][:4]
+    grid = discrete.Grid(dim=2, length=4.0, n=n)
+    form = discrete.assemble_effective_form(grid, kernel.ConstantForm(1.0, angular), cone,
+                                            kernel.KernelParams(alpha, 2))
+    symbol = form.mean_symbol() / grid.h**2
+    errors = []
+    for k in ks:
+        a = [grid.h * 2.0 * math.pi * kk / grid.length for kk in k]  # xi h
+        exponent = grid.h**-alpha * (_cells_exponent_2d(n, a, alpha, slope, rho)
+                                     + _own_cell_exponent_2d(a, alpha, slope, rho))
+        errors.append(symbol[k] / exponent - 1.0)
+    return errors
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.8])
+@pytest.mark.parametrize("case", sorted(_SYMBOL_CASES_2D))
+def test_limit_symbol_matches_truncated_levy_exponent_2d(case, alpha):
+    ks, today = _SYMBOL_CASES_2D[case][4], _SYMBOL_CASES_2D[case][5][alpha]
+    for err, bound in zip(_symbol_errors_2d(case, alpha, 128, ks), today):
+        assert 0.0 < err <= 1.1 * bound, (err, bound)
+    coarse, fine = (_symbol_errors_2d(case, alpha, n, [(1, 0)])[0] for n in (64, 128))
+    assert 0.0 < fine < coarse and abs(math.log2(coarse / fine) - (2.0 - alpha)) < 0.05
+
+
+@pytest.mark.xfail(strict=True, reason="the sub-cell fold drops the own cell's second moment "
+                   "along an axis outside the cone: -45.5 % at k = (0, 1)")
+def test_cone_symbol_across_its_axis_matches_truncated_levy_exponent():
+    err, = _symbol_errors_2d("cone", 1.8, 128, [(0, 1)])
+    assert abs(err) <= 0.08
+
+
+# ---------------------------------------------------------------------------
 # structural invariants of the assembled operator
 
 

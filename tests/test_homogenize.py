@@ -138,11 +138,11 @@ def test_limit_measure_is_the_mean_of_mu():
         grid=grid, form=lognormal_summation(), cone=CONE1, params=PARAMS1,
         eps_list=(0.5,), seeds=2,
     )
-    _, lebesgue, u_plain = H._solve_limit(H.SweepConfig(**base))
+    _, lebesgue, u_plain, *_ = H._solve_limit(H.SweepConfig(**base))
     unit_mean = H.SweepConfig(mu_field=env.sample_field(1, env.uniform(0.5, 1.5), seed=77), **base)
     assert np.array_equal(H._solve_limit(unit_mean)[2], u_plain)
     cfg = H.SweepConfig(mu_field=env.sample_field(1, env.uniform(1.0, 3.0), seed=77), **base)
-    form_k, mw_k, u_k = H._solve_limit(cfg)
+    form_k, mw_k, u_k, *_ = H._solve_limit(cfg)
     assert np.array_equal(mw_k.m, 2.0 * lebesgue.m)
     defect = cfg.lam * mw_k.m * u_k - form_k.apply_generator(u_k) - mw_k.m * cfg.rhs
     assert np.abs(defect).max() <= 1e-12 * np.abs(mw_k.m * cfg.rhs).max()
