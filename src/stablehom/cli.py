@@ -27,9 +27,9 @@ from . import env
 from . import homogenize as H
 from .discrete import (
     Grid,
-    _oscillation_check,
     assemble_form,
     bump,
+    check_oscillation,
     check_translation_steps,
     evaluate,
     measure_weights,
@@ -210,7 +210,7 @@ def _resolved_at(eps_values, out, cell=None) -> None:
         cell = form_cell_size(out.built["config.form"])
     for eps in eps_values:
         if cell is not None:
-            _oscillation_check(out.built["config.grid"], eps, cell)
+            check_oscillation(out.built["config.grid"], eps, cell)
         check_positive("eps", eps)
 
 

@@ -17,8 +17,9 @@ Every coefficient family is node fields times one stencil kernel K; the
 reach n/4 < n/2 makes K an exact circulant on the torus, so the generator is
 an FFT convolution and an energy a Parseval sum over forward transforms (see
 SparseSymmetricForm).  K and its symbol depend on the config alone, and every
-form of one kernel shares them (`_jump_kernel`).  Explicit weight slabs are
-built only on demand, as the oracle path behind the dense checks.
+form of one kernel shares them (`_jump_kernel`).  Every FFT of the package
+is `Grid.rfft` or `Grid.irfft`.  Explicit weight slabs are built only on
+demand, as the oracle path behind the dense checks.
 """
 
 from __future__ import annotations
@@ -82,6 +83,20 @@ class Grid:
 
     def ball_mask(self, radius: float) -> np.ndarray:
         return (self.nodes() ** 2).sum(axis=1) <= radius**2
+
+    def rfft(self, x: np.ndarray) -> np.ndarray:
+        """numpy's rfftn over the trailing dim axes of x, one lattice or a
+        stack, bitwise: rfft on the last axis, then fft on the others inside out."""
+        y = np.fft.rfft(x)
+        for axis in range(-2, -self.dim - 1, -1):
+            y = np.fft.fft(y, axis=axis)
+        return y
+
+    def irfft(self, y: np.ndarray) -> np.ndarray:
+        """The inverse of `rfft`, numpy's irfftn bitwise."""
+        for axis in range(-self.dim, -1):
+            y = np.fft.ifft(y, axis=axis)
+        return np.fft.irfft(y, self.n)
 
 
 def evaluate(grid: Grid, fn) -> np.ndarray:
@@ -241,14 +256,14 @@ def _stencil_geometry(
 
 
 def _symbol(grid: Grid, stencil: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Fourier symbol, in rfftn layout, of the circulant with entries `values`
-    at the displacements `stencil`.
+    """Fourier symbol, in `Grid.rfft` layout, of the circulant with entries
+    `values` at the displacements `stencil`.
 
     K_s sits at -s mod n so that (K * v)_i = sum_s K_s v_{i+s}; K is even,
     so its symbol is real."""
     lattice = np.zeros(grid.shape)
     lattice[tuple((-stencil % grid.n).T)] = values
-    return np.fft.rfftn(lattice, axes=tuple(range(grid.dim))).real
+    return grid.rfft(lattice).real
 
 
 def _parseval_weights(khat: np.ndarray, size: int) -> np.ndarray:
@@ -300,7 +315,7 @@ class SparseSymmetricForm:
         A u = sum_t a_t (K * (b_t u)) - d u,    d = sum_t a_t (K * b_t),
 
     and E(f, g) = -<f, A g>.  By Parseval's identity, with f' = f - f_0,
-    g' = g - g_0 and X_u, Y_u the rfftn of F_u f' and F_u g',
+    g' = g - g_0 and X_u, Y_u the `Grid.rfft` of F_u f' and F_u g',
 
         E(f, g) = <f', d g'> - (1/N) sum_t sum_xi omega_xi K^(xi)
                   Re(conj(X_{ia_t}(xi)) Y_{ib_t}(xi)),
@@ -345,8 +360,7 @@ class SparseSymmetricForm:
     def _pair_sum(self, v: np.ndarray) -> np.ndarray:
         """sum_t a_t (K * (b_t u)) from v = F u, the factor fields times u:
         one transform pair per distinct field."""
-        axes = tuple(range(1, self.grid.dim + 1))
-        conv = np.fft.irfftn(np.fft.rfftn(v, axes=axes) * self._khat, s=self.grid.shape, axes=axes)
+        conv = self.grid.irfft(self.grid.rfft(v) * self._khat)
         (i, j), *rest = self._terms
         out = self._fields[i] * conv[j]
         for i, j in rest:
@@ -355,16 +369,15 @@ class SparseSymmetricForm:
 
     def energy(self, f: np.ndarray, g: np.ndarray) -> float:
         """Dirichlet energy E(f, g) from the cached row sums and Parseval weights."""
-        axes = tuple(range(1, self.grid.dim + 1))
         F = self._as_lattice(f)
         F = F - F.flat[0]
-        x = np.fft.rfftn(self._fields * F, axes=axes)
+        x = self.grid.rfft(self._fields * F)
         if g is f:
             G, y = F, x
         else:
             G = self._as_lattice(g)
             G = G - G.flat[0]
-            y = np.fft.rfftn(self._fields * G, axes=axes)
+            y = self.grid.rfft(self._fields * G)
         wy = self._weights * y
         cross = sum(np.vdot(x[i], wy[j]).real for i, j in self._terms)
         # 0.0 - x keeps a vanishing energy unsigned
@@ -381,7 +394,7 @@ class SparseSymmetricForm:
         return self._d.ravel().copy()
 
     def mean_symbol(self) -> np.ndarray:
-        """Fourier symbol c (K^(0) - K^(xi)) of -A_bar, in rfftn layout.
+        """Fourier symbol c (K^(0) - K^(xi)) of -A_bar, in `Grid.rfft` layout.
 
         A_bar is the translation-invariant generator with kernel c K, where
         c = mean(row sums) / K^(0) gives it this form's mean row sum (c = 0
@@ -390,6 +403,11 @@ class SparseSymmetricForm:
         k0 = float(self._khat.flat[0])
         c = float(self._d.mean()) / k0 if k0 > 0.0 else 0.0
         return c * (k0 - self._khat)
+
+    def mean_resolvent(self, shift: float):
+        """v -> (shift - A_bar)^(-1) v on flat grid functions: v^ / (shift + mean_symbol)."""
+        symbol, grid = shift + self.mean_symbol(), self.grid
+        return lambda v: grid.irfft(grid.rfft(v.reshape(grid.shape)) / symbol).reshape(-1)
 
     def dense_generator(self) -> np.ndarray:
         """Dense A for small instances (tests and the direct solver oracle).
@@ -426,7 +444,7 @@ def _check_dims(grid: Grid, cone: ConeSpec, params: KernelParams):
         )
 
 
-def _oscillation_check(grid: Grid, eps: float, cell_size: float):
+def check_oscillation(grid: Grid, eps: float, cell_size: float):
     if grid.h > eps * cell_size / 4.0 + 1e-15:
         raise ConfigurationError(
             f"h > eps*cell_size/4: h={grid.h:g} does not resolve environment cells "
@@ -451,7 +469,7 @@ def node_field_pairs(
     check_positive("eps", eps)
     cell = form_cell_size(form)
     if cell is not None:
-        _oscillation_check(grid, eps, cell)
+        check_oscillation(grid, eps, cell)
     axes = [grid.axis_coords() / eps] * grid.dim
     return factor_values(
         form_terms(form)[2],
@@ -519,7 +537,7 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
                 f"measure field dim {mu_field.dim} does not match grid dim {grid.dim}"
             )
         check_positive("eps", eps)
-        _oscillation_check(grid, eps, mu_field.cell_size)
+        check_oscillation(grid, eps, mu_field.cell_size)
         m = env.field_on_lattice(mu_field, [grid.axis_coords() / eps] * grid.dim).ravel() * hd
     if not (m > 0).all():
         raise DomainError(f"measure weights must be strictly positive, min {m.min():g}")

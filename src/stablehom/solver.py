@@ -3,7 +3,8 @@
 M is the diagonal mass matrix of the symmetrizing measure and A the jump
 generator, so the system is symmetric positive definite.  The preconditioner
 is the averaged, translation-invariant operator lambda m_bar - A_bar, which
-is diagonal in Fourier space (`SparseSymmetricForm.mean_symbol`), scaled on
+is diagonal in Fourier space (`discrete` owns the transform and applies P^-1:
+`SparseSymmetricForm.mean_resolvent`; this module runs only CG), scaled on
 both sides by s = sqrt(diag(P) / diag(S)) so that it keeps the diagonal of
 the random system: the measure can be heavy-tailed and the coefficients
 degenerate, which makes that diagonal wildly nonuniform.  For the limit
@@ -68,17 +69,13 @@ class ResolventSolution:
     wall_time: float
 
 
-def _apply_system(problem: ResolventProblem, u: np.ndarray) -> np.ndarray:
-    return problem.lam * problem.measure.m * u - problem.form.apply_generator(u)
-
-
 def solve_resolvent(
     problem: ResolventProblem, tol: float = 1e-9, max_iter: int = 10000
 ) -> ResolventSolution:
     """Conjugate gradients preconditioned by the averaged operator.
 
-    The preconditioner is z = s P^{-1}(s r), where P^(xi) = lambda m_bar +
-    mean_symbol(xi) is applied by one rfftn/irfftn pair and
+    The preconditioner is z = s P^{-1}(s r), where P^{-1} is
+    form.mean_resolvent(lambda m_bar) and
     s = sqrt((lambda m_bar + mean(d)) / (lambda m + d)), d the row sums.
     The residual is measured relative to ||f||_M in the M^{-1} norm, which
     makes the reported number the relative defect of the weak formulation
@@ -95,44 +92,39 @@ def solve_resolvent(
     norm_f = math.sqrt(float(np.dot(m, f * f)))
     if norm_f == 0.0:
         return ResolventSolution(np.zeros_like(f), 0, 0.0, time.perf_counter() - start)
-    form = problem.form
-    shape, axes = form.grid.shape, tuple(range(form.grid.dim))
-    lam_mbar = problem.lam * float(m.mean())
+    form, lam_m, lam_mbar = problem.form, problem.lam * m, problem.lam * float(m.mean())
     d = form.row_weight_sums()
-    phat = lam_mbar + form.mean_symbol()
-    scale = np.sqrt((lam_mbar + float(d.mean())) / (problem.lam * m + d))
+    mean_inverse = form.mean_resolvent(lam_mbar)
+    scale = np.sqrt((lam_mbar + float(d.mean())) / (lam_m + d))
     inv_m = 1.0 / m
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfftn((scale * r).reshape(shape), axes=axes) / phat
-        return scale * np.fft.irfftn(spectrum, s=shape, axes=axes).reshape(-1)
 
     def res_norm(r: np.ndarray) -> float:
         return math.sqrt(float(np.dot(inv_m, r * r))) / norm_f
 
     u = np.zeros_like(f)
     r = b.copy()
-    z = precondition(r)
+    z = scale * mean_inverse(scale * r)
     p = z.copy()
     rz = float(np.dot(r, z))
     residual = res_norm(r)
     iterations = 0
     while residual > tol and iterations < max_iter:
-        ap = _apply_system(problem, p)
+        ap = lam_m * p - form.apply_generator(p)
         pap = float(np.dot(p, ap))
         if not pap > 0.0:
             raise NumericalError("negative curvature: system is not positive definite")
         alpha = rz / pap
-        u = u + alpha * p
-        r = r - alpha * ap
-        z = precondition(r)
+        u += alpha * p
+        r -= alpha * ap
+        z = scale * mean_inverse(scale * r)
         rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
         iterations += 1
         residual = res_norm(r)
     # The true defect decides: the recurrence drifts from b - S u by roundoff.
-    residual = res_norm(b - _apply_system(problem, u))
+    residual = res_norm(b - (lam_m * u - form.apply_generator(u)))
     if residual > tol:
         raise ConvergenceFailure(
             f"resolvent CG stopped after {iterations} iterations at a true residual "

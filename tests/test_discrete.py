@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from stablehom import discrete, env, kernel
+from stablehom import discrete, env, kernel, solver
 from stablehom import homogenize as H
 from stablehom.errors import ConfigurationError, DomainError, NumericalError
 
@@ -703,6 +703,52 @@ def test_generator_and_row_sums_match_recorded_digests(dim, n):
         op = discrete.assemble_form(grid, coefficient, cone, params, eps=1.0)
         got = (digest(op.apply_generator(u)), digest(op.row_weight_sums()))
         assert got == _GENERATOR_DIGESTS[f"{dim}d-{name}"], name
+
+
+# sha256 prefixes of solve_resolvent(...).u and CG iteration counts, recorded
+# before the lattice transform moved into Grid.rfft/irfft and CG updated its
+# vectors in place: the 1D summation form of acceptance criterion 3 at
+# eps 1/4, and the first cell (eps 1/2, master seed 0) of the benchmark's 2D
+# moving-average product form on a lognormal(-1/2, 1) measure.
+_SOLVER_DIGESTS = {1: ("2d86529bccb8af41", 23), 2: ("ead8d9c49fc54cf6", 17)}
+
+
+def _digest_problem(dim):
+    if dim == 1:
+        grid = discrete.Grid(dim=1, length=8.0, n=512)
+        form = kernel.SummationForm(env.sample_field(1, env.lognormal(-0.125, 0.5), seed=3))
+        eps, measure = 0.25, discrete.measure_weights(grid, None)
+    else:
+        grid = discrete.Grid(dim=2, length=4.0, n=64)
+        ma = env.moving_average(1.5)
+        form = kernel.ProductForm(nu1=env.sample_field(2, env.uniform(0.5, 1.5), ma, seed=0),
+                                  nu2=env.sample_field(2, env.uniform(0.5, 1.5), ma, seed=1))
+        (_, eps, _, cell_seed), _ = H._study_cells(0, "sweep", (0.5, 0.25), 1)
+        form = H.reseed_form(form, cell_seed)
+        mu = env.sample_field(2, env.lognormal(-0.5, 1.0), seed=env.derive_seed(cell_seed, "mu"))
+        measure = discrete.measure_weights(grid, mu, eps)
+    cone, params = kernel.full_space_cone(dim), kernel.KernelParams(alpha=1.0, dim=dim)
+    op = discrete.assemble_form(grid, form, cone, params, eps)
+    return solver.ResolventProblem(op, measure, 1.0, discrete.evaluate(grid, discrete.bump(grid)))
+
+
+@pytest.mark.skipif(not np.__version__.startswith("2.4."), reason="digests of numpy 2.4's FFT")
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solver_output_matches_recorded_digests(dim):
+    sol = solver.solve_resolvent(_digest_problem(dim), tol=1e-9)
+    digest = hashlib.sha256(np.ascontiguousarray(sol.u).tobytes()).hexdigest()[:16]
+    assert (digest, sol.iterations) == _SOLVER_DIGESTS[dim]
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_grid_transform_pair_is_numpys_rfftn_bitwise(dim, n, stack):
+    grid = discrete.Grid(dim=dim, length=4.0, n=n)
+    x = np.random.default_rng(dim).normal(size=stack + grid.shape)
+    axes = tuple(range(len(stack), x.ndim))
+    spectrum = np.fft.rfftn(x, axes=axes)
+    assert np.array_equal(grid.rfft(x), spectrum)
+    assert np.array_equal(grid.irfft(spectrum), np.fft.irfftn(spectrum, s=grid.shape, axes=axes))
 
 
 def test_n_doubling_energy_drift_small():

@@ -323,8 +323,8 @@ class Indefinite:
         return 10.0 * u
     def row_weight_sums(self):
         return np.ones(grid.size)
-    def mean_symbol(self):
-        return np.zeros(grid.n // 2 + 1)
+    def mean_resolvent(self, shift):
+        return lambda v: v / shift
 
 problem = solver.ResolventProblem(
     form=Indefinite(), measure=discrete.measure_weights(grid, None), lam=1.0,
