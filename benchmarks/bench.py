@@ -35,8 +35,10 @@ the optional modules in `sys.modules` at the exit of one more, untimed run:
 OpenSSL's `_hashlib`, `numpy.ma` and `numpy.polynomial`.
 
 Each run is stored in the output JSON under a label, next to the runs already
-there, so two checkouts measured on the same machine sit side by side.  The
-output file has no default, so a run never lands in another change's record.
+there, with the machine it ran on (cores, Python, numpy, platform and the
+BLAS thread variables), so two checkouts measured on the same machine sit
+side by side.  The output file has no default, so a run never lands in
+another change's record.
 From the repository root:
 
     python3 benchmarks/bench.py --label before --src /path/to/parent/src --out BENCH_x.json
@@ -241,6 +243,9 @@ def main() -> int:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "platform": platform.platform(terse=True),
+            # dot products above 10,000 entries, and so timings, depend on these
+            "blas_threads": {var: os.environ.get(var) for var in
+                             ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
         },
         "cases": {},
     }

@@ -18,8 +18,9 @@ reach n/4 < n/2 makes K an exact circulant on the torus, so the generator is
 an FFT convolution and an energy a Parseval sum over forward transforms (see
 SparseSymmetricForm).  K and its symbol depend on the config alone, and every
 form of one kernel shares them (`_jump_kernel`).  Every FFT of the package
-is `Grid.rfft` or `Grid.irfft`.  Explicit weight slabs are built only on
-demand, as the oracle path behind the dense checks.
+is `Grid.rfft` or `Grid.irfft`, and every inner product `inner`.  Explicit
+weight slabs are built only on demand, as the oracle path behind the dense
+checks.
 """
 
 from __future__ import annotations
@@ -102,6 +103,25 @@ class Grid:
 def evaluate(grid: Grid, fn) -> np.ndarray:
     """Sample a callable of (m, dim) points into a flat grid function."""
     return np.asarray(fn(grid.nodes()), dtype=float).reshape(grid.size)
+
+
+# OpenBLAS splits a dot product of more than 10,000 entries among its threads,
+# which makes the rounding depend on their number.
+_INNER_CHUNK = 8192
+
+
+def inner(x: np.ndarray, y: np.ndarray):
+    """sum_i conj(x_i) y_i over the flattened arrays in a fixed order: one BLAS
+    call per chunk of at most 8,192 entries, the partial sums added left to
+    right, so the bits do not depend on the BLAS thread count.  Up to 8,192
+    entries it is np.vdot itself."""
+    if x.size <= _INNER_CHUNK:
+        return np.vdot(x, y)
+    x, y = x.reshape(-1), y.reshape(-1)
+    total = np.vdot(x[:_INNER_CHUNK], y[:_INNER_CHUNK])
+    for start in range(_INNER_CHUNK, x.size, _INNER_CHUNK):
+        total += np.vdot(x[start:start + _INNER_CHUNK], y[start:start + _INNER_CHUNK])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +399,9 @@ class SparseSymmetricForm:
             G = G - G.flat[0]
             y = self.grid.rfft(self._fields * G)
         wy = self._weights * y
-        cross = sum(np.vdot(x[i], wy[j]).real for i, j in self._terms)
+        cross = sum(inner(x[i], wy[j]).real for i, j in self._terms)
         # 0.0 - x keeps a vanishing energy unsigned
-        return 0.0 - (float(cross) - float(np.vdot(F, self._d * G)))
+        return 0.0 - (float(cross) - float(inner(F, self._d * G)))
 
     def apply_generator(self, u: np.ndarray) -> np.ndarray:
         """(A u)_i = sum_j w(i,j) (u_j - u_i); annihilates constants."""

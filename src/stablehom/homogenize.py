@@ -2,11 +2,11 @@
 
 A sweep solves (lambda M_eps - A_eps) u = M_eps f for a ladder of scale
 ratios eps and independent environment realizations, solves the limiting
-constant-coefficient problem once on the same grid, and records five error
-metrics per (eps, seed) cell.  Companion estimators measure the effective
-constant through energy ratios, check form convergence on smooth test
-functions, and probe the kernel moment bound that the convergence theory
-assumes.
+constant-coefficient problem once on the same grid, exactly (one Fourier
+division), and records five error metrics per (eps, seed) cell.  Companion
+estimators measure the effective constant through energy ratios, check form
+convergence on smooth test functions, and probe the kernel moment bound that
+the convergence theory assumes.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .discrete import (
     bump,
     evaluate,
     form_from_pairs,
+    inner,
     measure_weights,
     node_field_pairs,
 )
@@ -152,20 +153,22 @@ class ConvergenceReport:
 
 
 def _solve_limit(config: SweepConfig) -> tuple:
-    """The limit (lambda E[mu] - A_K) u = E[mu] f: mu(x/eps) dx homogenizes to
-    E[mu] dx, and K is the averaged kernel.  Returns the limit's form, measure
-    weights and solution u_K, and what every cell compares with, computed
-    once: the report ball and the limit's pairing <u_K, f>, energy
-    E_K(u_K, f) and norm."""
+    """The limit (lambda m_bar - A_K) u = m_bar f, m_bar = E[mu] h^d: mu(x/eps) dx
+    homogenizes to E[mu] dx, and K is the averaged kernel.  A_K is translation
+    invariant on the torus, so u_K is one division by its Fourier symbol
+    (`mean_resolvent`, whose A_bar is A_K for a constant kernel).  Returns the
+    limit's form, measure weights and solution u_K, and what every cell
+    compares with, computed once: the report ball and the limit's pairing
+    <u_K, f>, energy E_K(u_K, f) and norm."""
     kernel_eff = effective_kernel(config.form)
     form_k = assemble_effective_form(config.grid, kernel_eff, config.cone, config.params)
     mean_mu = 1.0 if config.mu_field is None else env.field_mean(config.mu_field)
     mw_k = MeasureWeights(config.grid, mean_mu * measure_weights(config.grid, None).m)
-    sol = solve_resolvent(ResolventProblem(form_k, mw_k, config.lam, config.rhs), tol=config.tol)
-    u_k, g = sol.u, config.rhs
+    m_bar, g = float(mw_k.m[0]), config.rhs
+    u_k = form_k.mean_resolvent(config.lam * m_bar)(m_bar * g)
     return (form_k, mw_k, u_k, config.grid.ball_mask(config.report_radius),
-            float(np.dot(mw_k.m, u_k * g)), form_k.energy(u_k, g),
-            math.sqrt(float(np.dot(mw_k.m, u_k * u_k))))
+            float(inner(mw_k.m, u_k * g)), form_k.energy(u_k, g),
+            math.sqrt(float(inner(mw_k.m, u_k * u_k))))
 
 
 def _sweep_cell(config: SweepConfig, eps: float, seed_index: int, cell_seed: int,
@@ -190,11 +193,11 @@ def _sweep_cell(config: SweepConfig, eps: float, seed_index: int, cell_seed: int
     grid = config.grid
     hd = grid.h**grid.dim
     diff = u - u_k
-    err_l2_mu = math.sqrt(float(np.dot(mw.m, diff * diff)))
+    err_l2_mu = math.sqrt(float(inner(mw.m, diff * diff)))
     err_l1_ball = hd * float(np.abs(diff[ball]).sum())
-    pairing_err = abs(float(np.dot(mw.m, u * g)) - pairing_k)
+    pairing_err = abs(float(inner(mw.m, u * g)) - pairing_k)
     form_err = abs(form_eps.energy(u, g) - energy_k)
-    norm_err = abs(math.sqrt(float(np.dot(mw.m, u * u))) - norm_k)
+    norm_err = abs(math.sqrt(float(inner(mw.m, u * u))) - norm_k)
     return SweepCell(
         eps=eps,
         seed_index=seed_index,
@@ -212,22 +215,18 @@ def _sweep_cell(config: SweepConfig, eps: float, seed_index: int, cell_seed: int
 
 
 def run_sweep(config: SweepConfig) -> ConvergenceReport:
-    """Solve the limit problem once, then every (eps, seed) cell against it.
-    A cell whose solve fails, or whose measure weights underflow to zero, is
-    listed in `failures`, and every cell is when the limit's solve fails; an
-    eps with no cell left has NaN quartiles."""
+    """Solve the limit problem once, exactly, then every (eps, seed) cell
+    against it.  A cell whose solve fails, or whose measure weights underflow
+    to zero, is listed in `failures`; an eps with no cell left has NaN
+    quartiles."""
+    limit = _solve_limit(config)
     cells, failures = [], []
     study = _study_cells(config.master_seed, "sweep", config.eps_list, config.seeds)
-    try:
-        limit = _solve_limit(config)
-    except NumericalError as exc:  # ConvergenceFailure included
-        failures = [(eps, si, f"limit {type(exc).__name__}: {exc}") for _, eps, si, _ in study]
-    else:
-        for _, eps, si, cell_seed in study:
-            try:
-                cells.append(_sweep_cell(config, eps, si, cell_seed, limit))
-            except (NumericalError, DomainError) as exc:
-                failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
+    for _, eps, si, cell_seed in study:
+        try:
+            cells.append(_sweep_cell(config, eps, si, cell_seed, limit))
+        except (NumericalError, DomainError) as exc:  # ConvergenceFailure included
+            failures.append((eps, si, f"{type(exc).__name__}: {exc}"))
     # quartiles[m][eps index] = (q25, median, q75)
     quartiles = {m: [env.quartiles([getattr(c, m) for c in cells if c.eps == eps])
                      for eps in config.eps_list] for m in METRICS}

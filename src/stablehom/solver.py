@@ -7,10 +7,11 @@ is diagonal in Fourier space (`discrete` owns the transform and applies P^-1:
 `SparseSymmetricForm.mean_resolvent`; this module runs only CG), scaled on
 both sides by s = sqrt(diag(P) / diag(S)) so that it keeps the diagonal of
 the random system: the measure can be heavy-tailed and the coefficients
-degenerate, which makes that diagonal wildly nonuniform.  For the limit
-problem (constant kernel, constant measure) s = 1 and P is the system itself,
-so CG stops after one step.  All reductions go through numpy dot products in
-a fixed order, so identical inputs give identical iterates.
+degenerate, which makes that diagonal wildly nonuniform.  CG serves the
+random problems only: the averaged limit is one division by its symbol
+(`homogenize._solve_limit`).  Every inner product is `discrete.inner`, which
+sums fixed chunks in a fixed order, so identical inputs give bitwise identical
+iterates, iteration counts and solutions whatever the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import MeasureWeights, SparseSymmetricForm
+from .discrete import MeasureWeights, SparseSymmetricForm, inner
 from .errors import ConfigurationError, ConvergenceFailure, DomainError, NumericalError
 
 
@@ -32,8 +33,10 @@ def check_lambda(lam: float) -> None:
 
 
 def check_tol(tol: float) -> None:
-    """CG's relative residual bound lies in [1e-12, 1e-2]: the true residual
-    b - S u stalls near 1e-13 at best, however far the recursive one falls."""
+    """CG's relative residual bound lies in [1e-12, 1e-2].  The true residual
+    b - S u stalls at a roundoff floor, however far the recursive one falls,
+    and near 1e-12 that floor can lie above tol: 1D n = 512 lognormal
+    summation forms stall at 1.1e-12 to 1.4e-12 for alpha = 1.5."""
     if not 0.0 < tol <= 1e-2:
         raise ConfigurationError(f"tol must lie in (0, 1e-2], got {tol}")
     if tol < 1e-12:
@@ -89,7 +92,7 @@ def solve_resolvent(
     m = problem.measure.m
     f = problem.rhs
     b = m * f
-    norm_f = math.sqrt(float(np.dot(m, f * f)))
+    norm_f = math.sqrt(float(inner(m, f * f)))
     if norm_f == 0.0:
         return ResolventSolution(np.zeros_like(f), 0, 0.0, time.perf_counter() - start)
     form, lam_m, lam_mbar = problem.form, problem.lam * m, problem.lam * float(m.mean())
@@ -99,25 +102,25 @@ def solve_resolvent(
     inv_m = 1.0 / m
 
     def res_norm(r: np.ndarray) -> float:
-        return math.sqrt(float(np.dot(inv_m, r * r))) / norm_f
+        return math.sqrt(float(inner(inv_m, r * r))) / norm_f
 
     u = np.zeros_like(f)
     r = b.copy()
     z = scale * mean_inverse(scale * r)
     p = z.copy()
-    rz = float(np.dot(r, z))
+    rz = float(inner(r, z))
     residual = res_norm(r)
     iterations = 0
     while residual > tol and iterations < max_iter:
         ap = lam_m * p - form.apply_generator(p)
-        pap = float(np.dot(p, ap))
+        pap = float(inner(p, ap))
         if not pap > 0.0:
             raise NumericalError("negative curvature: system is not positive definite")
         alpha = rz / pap
         u += alpha * p
         r -= alpha * ap
         z = scale * mean_inverse(scale * r)
-        rz_new = float(np.dot(r, z))
+        rz_new = float(inner(r, z))
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -166,12 +169,12 @@ def resolvent_contraction_check(
     slack = 1e-8  # the rounding the ratios and positivity may show past their bounds
     u, f, lam = solution.u, problem.rhs, problem.lam
     m = problem.measure.m
-    norm_u = math.sqrt(float(np.dot(m, u * u)))
-    norm_f = math.sqrt(float(np.dot(m, f * f)))
+    norm_u = math.sqrt(float(inner(m, u * u)))
+    norm_f = math.sqrt(float(inner(m, f * f)))
     l2_ratio = lam * norm_u / norm_f if norm_f > 0 else 0.0
     sup_f = float(np.abs(f).max())
     sup_ratio = lam * float(np.abs(u).max()) / sup_f if sup_f > 0 else 0.0
-    pairing = float(np.dot(m, f * u))
+    pairing = float(inner(m, f * u))
     identity_gap = lam * norm_u**2 + problem.form.energy(u, u) - pairing
     scale = max(abs(pairing), lam * norm_u**2, 1e-300)
     energy_rel = abs(identity_gap) / scale

@@ -300,8 +300,8 @@ def test_run_sweep_writes_report_and_csv(tmp_path, capsys):
 
 
 def test_sweep_with_every_cell_failed_writes_its_report(tmp_path, capsys):
-    # a degenerate alpha = 1.8 product stalls above tol = 1e-12 in every cell
-    # (and in its limit): run reports each failure with NaN medians, exit 1
+    # a degenerate alpha = 1.8 product stalls above tol = 1e-12 in every cell:
+    # run reports each failure with NaN medians, exit 1
     def uniform(seed):
         return {"marginal": {"kind": "uniform", "a": 0.0, "b": 2.0}, "seed": seed}
 
@@ -318,6 +318,7 @@ def test_sweep_with_every_cell_failed_writes_its_report(tmp_path, capsys):
     assert [(f["eps"], f["seed"]) for f in sweep["failures"]] == [
         (0.5, 0), (0.5, 1), (0.25, 0), (0.25, 1)]
     assert all("ConvergenceFailure" in f["error"] for f in sweep["failures"])
+    assert not any("limit" in f["error"] for f in sweep["failures"])  # solved exactly
     assert all(math.isnan(v) for v in sweep["metrics"]["err_l2_mu"]["median"])
     assert [(c["name"], c["passed"]) for c in report["checks"]] == [
         ("no_cell_failures", False), ("err_l2_mu_end_to_end_decrease", False)]

@@ -1,5 +1,8 @@
 import hashlib
+import inspect
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -749,6 +752,28 @@ def test_grid_transform_pair_is_numpys_rfftn_bitwise(dim, n, stack):
     spectrum = np.fft.rfftn(x, axes=axes)
     assert np.array_equal(grid.rfft(x), spectrum)
     assert np.array_equal(grid.irfft(spectrum), np.fft.irfftn(spectrum, s=grid.shape, axes=axes))
+
+
+def test_inner_is_vdot_up_to_a_chunk_then_sums_chunks_in_order():
+    rng = np.random.default_rng(0)
+    for size in (1, 8192):
+        x, y = rng.normal(size=size), rng.normal(size=size) + 1j * rng.normal(size=size)
+        assert discrete.inner(x, y) == np.vdot(x, y)
+        assert discrete.inner(y, y) == np.vdot(y, y)  # conjugates its first argument
+    x, y = rng.normal(size=(2, 10000)), rng.normal(size=(2, 10000))
+    chunks = [np.vdot(x.ravel()[k:k + 8192], y.ravel()[k:k + 8192]) for k in range(0, 20000, 8192)]
+    assert discrete.inner(x, y) == (chunks[0] + chunks[1]) + chunks[2]
+
+
+def test_every_inner_product_goes_through_inner():
+    # np.dot and np.vdot thread long products in BLAS; only `inner` may call them
+    lines, start = inspect.getsourcelines(discrete.inner)
+    body = range(start, start + len(lines))
+    calls = [(path.name, number)
+             for path in sorted(pathlib.Path(discrete.__file__).parent.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if re.search(r"np\.v?dot\b", line)]
+    assert calls and all(name == "discrete.py" and number in body for name, number in calls), calls
 
 
 def test_n_doubling_energy_drift_small():

@@ -344,3 +344,33 @@ def test_runtime_guards_fire_under_optimize():
         capture_output=True, text=True, check=True,
     ).stdout.split()
     assert out == ["False", "DomainError", "DomainError", "DomainError", "NumericalError"]
+
+
+# A 1D n = 16,384 degenerate product-form solve, whose inner products are
+# longer than the 10,000 entries above which OpenBLAS threads a dot product.
+_THREADS_SCRIPT = """
+import hashlib
+from stablehom import discrete, env, kernel, solver
+
+grid = discrete.Grid(1, 8.0, 16384)
+form = kernel.ProductForm(nu1=env.sample_field(1, env.uniform(0.0, 2.0), seed=0),
+                          nu2=env.sample_field(1, env.uniform(0.0, 2.0), seed=1))
+op = discrete.assemble_form(grid, form, kernel.full_space_cone(1), kernel.KernelParams(1.0, 1),
+                            eps=0.25)
+sol = solver.solve_resolvent(solver.ResolventProblem(
+    form=op, measure=discrete.measure_weights(grid, None), lam=1.0,
+    rhs=discrete.evaluate(grid, discrete.bump(grid))), tol=1e-9)
+print(sol.iterations, hashlib.sha256(sol.u.tobytes()).hexdigest())
+"""
+
+
+def test_solve_does_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(stablehom.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = [subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads),
+             "OMP_NUM_THREADS": str(threads), "MKL_NUM_THREADS": str(threads)},
+        capture_output=True, text=True, check=True,
+    ).stdout.split() for threads in (1, 2)]
+    assert outs[0] == outs[1]
