@@ -13,7 +13,9 @@ identity between dilated grids exact rather than approximate.  Jump forms
 exist in d = 1, 2 only, the dims KernelParams admits; grids, measure weights
 and the test functions take any d.
 
-Every coefficient family is node fields times one stencil kernel K; the
+Every coefficient family is node fields times one stencil kernel K:
+`node_fields` evaluates each distinct factor that kernel.form_terms lists
+once, and a form reads its terms as index pairs into that stack.  The
 reach n/4 < n/2 makes K an exact circulant on the torus, so the generator is
 an FFT convolution and an energy a Parseval sum over forward transforms (see
 SparseSymmetricForm).  K and its symbol depend on the config alone, and every
@@ -39,7 +41,6 @@ from .kernel import (
     ConeSpec,
     ConstantForm,
     KernelParams,
-    factor_values,
     form_cell_size,
     form_terms,
     full_space_cone,
@@ -321,30 +322,30 @@ class SparseSymmetricForm:
 
     Every node shares one displacement stencil, and the weights factor as
 
-        w(i, i+s) = K_s sum_t a_t(i) b_t(i+s),
+        w(i, i+s) = K_s sum_t F_{i_t}(i) F_{j_t}(i+s),
 
     with K_s (`stencil_kernel`) the geometry factor of displacement s times
-    the constant c and angular weight rho of the form, and (a_t, b_t) its
-    node-field pairs: kernel.form_terms lists both per family.  The form
-    keeps one factor table, the distinct node fields F_u of its pairs (told
-    apart by identity: [nu1, nu2] for a product form, [lam, 1] for a
-    summation form, [1] for a constant one), and the pairs as index pairs
-    (ia_t, ib_t) into it.  K is circulant, so with * the FFT convolution
-    (K * v)_i = sum_s K_s v_{i+s}
+    the constant c and angular weight rho of the form, F the (U, *shape)
+    stack of the form's distinct node fields and (i_t, j_t) its terms, index
+    pairs into F: kernel.form_terms lists both per family ([nu1, nu2] for a
+    product form, [nu] when nu1 equals nu2, [lam, 1] for a summation form,
+    [1] for a constant one) and `node_fields` evaluates the stack.  K is
+    circulant, so with * the FFT convolution (K * v)_i = sum_s K_s v_{i+s}
 
-        A u = sum_t a_t (K * (b_t u)) - d u,    d = sum_t a_t (K * b_t),
+        A u = sum_t F_{i_t} (K * (F_{j_t} u)) - d u,
+        d = sum_t F_{i_t} (K * F_{j_t}),
 
     and E(f, g) = -<f, A g>.  By Parseval's identity, with f' = f - f_0,
     g' = g - g_0 and X_u, Y_u the `Grid.rfft` of F_u f' and F_u g',
 
         E(f, g) = <f', d g'> - (1/N) sum_t sum_xi omega_xi K^(xi)
-                  Re(conj(X_{ia_t}(xi)) Y_{ib_t}(xi)),
+                  Re(conj(X_{i_t}(xi)) Y_{j_t}(xi)),
 
     omega the weight of the half spectrum (`_parseval_weights`): an energy
     takes one forward transform of the U factor fields times f' (and g'),
     and no inverse.  The shift by the first entry keeps constants at exactly
     zero energy.  `weight_slab` builds w(i, i+s) explicitly from the
-    same pairs; it is the independent oracle behind `dense_generator`.
+    same table; it is the independent oracle behind `dense_generator`.
     """
 
     def __init__(
@@ -352,18 +353,16 @@ class SparseSymmetricForm:
         grid: Grid,
         params: KernelParams,
         jump_kernel: tuple[np.ndarray, ...],
-        pairs: list[tuple[np.ndarray, np.ndarray]],
+        fields: np.ndarray,
+        terms: tuple[tuple[int, int], ...],
     ):
         self.grid = grid
         self.params = params
         self.stencil, self.stencil_kernel, self._khat, self._weights = jump_kernel
-        distinct = {id(x): x for pair in pairs for x in pair}
-        index = {key: u for u, key in enumerate(distinct)}
-        self._fields = np.stack(list(distinct.values()))
-        self._terms = tuple((index[id(a)], index[id(b)]) for a, b in pairs)
-        if not (self._fields >= 0.0).all():  # NaN fails too
-            raise DomainError(f"negative coefficient field: min value {self._fields.min():g}")
-        self._d = self._pair_sum(self._fields)  # row sums
+        self._fields, self._terms = fields, terms
+        if not (fields >= 0.0).all():  # NaN fails too
+            raise DomainError(f"negative coefficient field: min value {fields.min():g}")
+        self._d = self._pair_sum(fields)  # row sums
 
     @property
     def stencil_size(self) -> int:
@@ -378,8 +377,8 @@ class SparseSymmetricForm:
         return self.stencil_kernel[k] * pairs
 
     def _pair_sum(self, v: np.ndarray) -> np.ndarray:
-        """sum_t a_t (K * (b_t u)) from v = F u, the factor fields times u:
-        one transform pair per distinct field."""
+        """sum_t F_{i_t} (K * (F_{j_t} u)) from v = F u, the factor fields
+        times u: one transform pair per distinct field."""
         conv = self.grid.irfft(self.grid.rfft(v) * self._khat)
         (i, j), *rest = self._terms
         out = self._fields[i] * conv[j]
@@ -472,43 +471,33 @@ def check_oscillation(grid: Grid, eps: float, cell_size: float):
         )
 
 
-def _build(grid, params, cone, pairs, c=1.0, angular=AngularWeight()) -> SparseSymmetricForm:
-    """Form with K_s = c rho(s) geom(s) and node-field pairs `pairs`."""
-    return SparseSymmetricForm(grid, params, _jump_kernel(grid, params, cone, c, angular), pairs)
-
-
-def node_field_pairs(
-    grid: Grid, form: CoefficientForm, eps: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Node-field pairs (a_t, b_t) of kappa(x/eps, y/eps) on the grid (see
-    SparseSymmetricForm); the constant factor is an array of ones.
-
-    Every random field object is evaluated once on the grid lattice,
-    axis_coords() / eps on each axis.
-    """
+def node_fields(grid: Grid, form: CoefficientForm, eps: float) -> np.ndarray:
+    """The (U, *grid.shape) stack of the factors of kappa(x/eps, y/eps) that
+    kernel.form_terms lists, in its order, on the grid lattice (axis_coords()
+    / eps on each axis); the constant factor is an array of ones."""
     check_positive("eps", eps)
     cell = form_cell_size(form)
     if cell is not None:
         check_oscillation(grid, eps, cell)
     axes = [grid.axis_coords() / eps] * grid.dim
-    return factor_values(
-        form_terms(form)[2],
-        lambda f: np.ones(grid.shape) if f is None else env.field_on_lattice(f, axes),
-    )
+    return np.stack([np.ones(grid.shape) if f is None else env.field_on_lattice(f, axes)
+                     for f in form_terms(form)[2]])
 
 
-def form_from_pairs(
+def form_from_fields(
     grid: Grid,
     form: CoefficientForm,
     cone: ConeSpec,
     params: KernelParams,
-    pairs: list[tuple[np.ndarray, np.ndarray]],
+    fields: np.ndarray,
 ) -> SparseSymmetricForm:
-    """The energy of `form`'s kernel family with the node-field pairs of
-    `node_field_pairs`."""
+    """The energy of `form`'s kernel and terms with the factor stack `fields`
+    of `node_fields`."""
     _check_dims(grid, cone, params)
-    c, angular, _ = form_terms(form)
-    return _build(grid, params, cone, pairs, c, angular)
+    c, angular, _, terms = form_terms(form)
+    return SparseSymmetricForm(
+        grid, params, _jump_kernel(grid, params, cone, c, angular), fields, terms
+    )
 
 
 def assemble_form(
@@ -519,7 +508,7 @@ def assemble_form(
     eps: float,
 ) -> SparseSymmetricForm:
     """Assemble the environment energy with coefficient kappa(x/eps, y/eps)."""
-    return form_from_pairs(grid, form, cone, params, node_field_pairs(grid, form, eps))
+    return form_from_fields(grid, form, cone, params, node_fields(grid, form, eps))
 
 
 def assemble_effective_form(
@@ -530,8 +519,7 @@ def assemble_effective_form(
 ) -> SparseSymmetricForm:
     """Assemble the deterministic limit energy with kernel K(x - y), the
     ConstantForm of kernel.effective_kernel."""
-    one = np.ones(grid.shape)
-    return form_from_pairs(grid, kernel, cone, params, [(one, one)])
+    return form_from_fields(grid, kernel, cone, params, np.ones((1, *grid.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ from .discrete import (
     assemble_form,
     bump,
     evaluate,
-    form_from_pairs,
+    form_from_fields,
     inner,
     measure_weights,
-    node_field_pairs,
+    node_fields,
 )
 from .errors import (
     ConfigurationError,
@@ -46,7 +46,6 @@ from .kernel import (
     ProductForm,
     SummationForm,
     effective_kernel,
-    factor_values,
     form_terms,
 )
 from .solver import ResolventProblem, check_lambda, solve_resolvent
@@ -57,8 +56,9 @@ METRICS = ("err_l2_mu", "err_l1_ball", "pairing_err", "form_err", "norm_err")
 def reseed_form(form: CoefficientForm, cell_seed: int) -> CoefficientForm:
     """Give every random field of the form a seed derived from cell_seed.
 
-    Equal nu1/nu2 fields of a product form stay one object, preserving the
-    perfectly correlated construction used by the ratio-of-means experiment.
+    Equal nu1/nu2 fields of a product form stay equal, so form_terms lists
+    one factor, preserving the perfectly correlated construction used by the
+    ratio-of-means experiment.
     """
     if isinstance(form, SummationForm):
         seed = env.derive_seed(cell_seed, "lambda")
@@ -176,14 +176,14 @@ def _sweep_cell(config: SweepConfig, eps: float, seed_index: int, cell_seed: int
     _, mw_k, u_k, ball, pairing_k, energy_k, norm_k = limit
     form = reseed_form(config.form, cell_seed)
     start = time.perf_counter()
-    pairs = node_field_pairs(config.grid, form, eps)
+    fields = node_fields(config.grid, form, eps)
     if config.mu_field is None:
         mw = mw_k
     else:
         mu = replace(config.mu_field, seed=env.derive_seed(cell_seed, "mu"))
         mw = measure_weights(config.grid, mu, eps)
     fields_done = time.perf_counter()
-    form_eps = form_from_pairs(config.grid, form, config.cone, config.params, pairs)
+    form_eps = form_from_fields(config.grid, form, config.cone, config.params, fields)
     assembly_s = time.perf_counter() - fields_done
     field_s = fields_done - start
     sol = solve_resolvent(
@@ -358,9 +358,10 @@ class MomentBoundReport:
 def _kappa_matrix(form: CoefficientForm, axes, ball: np.ndarray, eps: float) -> np.ndarray:
     """Raw coefficient kappa(x_i/eps, x_j/eps) on all pairs of nodes of the lattice
     axes[0] x ... x axes[dim-1] in `ball`, a C-order mask of them; zero diagonal."""
-    c, angular, pairs = form_terms(form)
-    values = factor_values(pairs, lambda f: np.ones(int(ball.sum())) if f is None
-                           else env.field_on_lattice(f, [a / eps for a in axes]).ravel()[ball])
+    c, angular, factors, terms = form_terms(form)
+    values = [np.ones(int(ball.sum())) if f is None
+              else env.field_on_lattice(f, [a / eps for a in axes]).ravel()[ball]
+              for f in factors]
     if angular.kind == "one":
         rho = 1.0
     else:
@@ -369,15 +370,14 @@ def _kappa_matrix(form: CoefficientForm, axes, ball: np.ndarray, eps: float) -> 
         norms = np.sqrt((z**2).sum(axis=-1))
         np.fill_diagonal(norms, 1.0)
         rho = angular.rho_units(z / norms[..., None])
-    k = c * rho * sum(a[:, None] * b[None, :] for a, b in values)
+    k = c * rho * sum(values[i][:, None] * values[j][None, :] for i, j in terms)
     np.fill_diagonal(k, 0.0)
     return k
 
 
 def _declared_p(form: CoefficientForm) -> float:
     """The largest moment exponent the form's fields declare, 1 for constants."""
-    pairs = form_terms(form)[2]
-    return max((f.marginal.declared_p for pair in pairs for f in pair if f is not None),
+    return max((f.marginal.declared_p for f in form_terms(form)[2] if f is not None),
                default=1.0)
 
 

@@ -3,11 +3,12 @@
 The coefficient kappa(x, y) of the jump energy comes in three shapes: a
 summation family Lambda(x) rho(dir) + Lambda(y) rho(dir), a product family
 nu1(x) nu2(y) + nu1(y) nu2(x), and a constant k0 rho(dir).  `form_terms`
-writes each as c rho(dir(y-x)) sum_t a_t(x) b_t(y), node fields times one
-translation-invariant factor, and every evaluation of a form reads that
-table.  Averaging out the environment turns every form into a ConstantForm,
-the deterministic kernel K(z) = k0 rho(z/|z|) of the limit; the Levy
-exponent of the limit process is a closed-form radial constant times an
+writes each as c rho(dir(y-x)) sum_t F_{i_t}(x) F_{j_t}(y), node factors
+times one translation-invariant factor: one table of the form's distinct
+factors F, and its terms as index pairs into it.  Every evaluation of a form
+reads that table.  Averaging out the environment turns every form into a
+ConstantForm, the deterministic kernel K(z) = k0 rho(z/|z|) of the limit; the
+Levy exponent of the limit process is a closed-form radial constant times an
 integral of K over the cone directions.
 """
 
@@ -29,7 +30,7 @@ class ConeSpec:
     """Symmetric double cone {z : |<z, axis>| >= aperture * |z|}.
 
     aperture 0 gives all of R^d minus the origin; full_space skips the
-    membership test entirely.
+    membership test entirely, and so takes aperture 0 only.
     """
 
     axis: tuple[float, ...] = (1.0,)
@@ -40,6 +41,10 @@ class ConeSpec:
         if not (0.0 <= self.aperture < 1.0):
             raise ConfigurationError(
                 f"cone aperture must lie in [0, 1), got {self.aperture}"
+            )
+        if self.full_space and self.aperture != 0.0:
+            raise ConfigurationError(
+                f"a full-space cone has aperture 0, got {self.aperture}"
             )
         norm = math.sqrt(sum(a * a for a in self.axis))
         if norm == 0.0:
@@ -167,36 +172,29 @@ CoefficientForm = SummationForm | ProductForm | ConstantForm
 Factor = RandomField | None
 
 
-def form_terms(form: CoefficientForm) -> tuple[float, AngularWeight, list[tuple[Factor, Factor]]]:
-    """The form as (c, rho, pairs), kappa(x, y) = c rho(dir(y-x)) sum_t a_t(x) b_t(y).
+def form_terms(
+    form: CoefficientForm,
+) -> tuple[float, AngularWeight, tuple[Factor, ...], tuple[tuple[int, int], ...]]:
+    """The form as (c, rho, factors, terms): with F the distinct factors and
+    terms the index pairs (i_t, j_t) into them,
+    kappa(x, y) = c rho(dir(y-x)) sum_t F_{i_t}(x) F_{j_t}(y).
 
-    Every evaluation of a form reads this table; only the seed tokens of
-    reseed_form and the run's constant-form check look at the family itself.
+    Equal product factors are one entry.  Every evaluation of a form reads
+    this table; only the seed tokens of reseed_form and the run's
+    constant-form check look at the family itself.
     """
     if isinstance(form, ConstantForm):
-        return form.k0, form.angular, [(None, None)]
+        return form.k0, form.angular, (None,), ((0, 0),)
     if isinstance(form, SummationForm):
-        lam = form.lambda_field
-        return 1.0, form.angular, [(lam, None), (None, lam)]
-    return 1.0, AngularWeight(), [(form.nu1, form.nu2), (form.nu2, form.nu1)]
-
-
-def factor_values(pairs: list[tuple[Factor, Factor]], evaluate) -> list[tuple]:
-    """The pairs with every factor f replaced by evaluate(f), called once per
-    factor object (None, the constant 1, included).  Objects are told apart by
-    identity, which spares hashing the fields; reseed_form keeps equal nu1 and
-    nu2 one object."""
-    values = {}
-    for f in (f for pair in pairs for f in pair):
-        if id(f) not in values:
-            values[id(f)] = evaluate(f)
-    return [(values[id(a)], values[id(b)]) for a, b in pairs]
+        return 1.0, form.angular, (form.lambda_field, None), ((0, 1), (1, 0))
+    if form.nu1 == form.nu2:
+        return 1.0, AngularWeight(), (form.nu1,), ((0, 0), (0, 0))
+    return 1.0, AngularWeight(), (form.nu1, form.nu2), ((0, 1), (1, 0))
 
 
 def form_cell_size(form: CoefficientForm) -> float | None:
     """Smallest microstructure cell among the form's fields, None for constants."""
-    pairs = form_terms(form)[2]
-    return min((f.cell_size for pair in pairs for f in pair if f is not None), default=None)
+    return min((f.cell_size for f in form_terms(form)[2] if f is not None), default=None)
 
 
 def kappa(form: CoefficientForm, x, y, eps: float) -> float:
@@ -208,25 +206,24 @@ def kappa(form: CoefficientForm, x, y, eps: float) -> float:
     if np.array_equal(x, y):
         raise DomainError("kappa is undefined on the diagonal x = y")
     check_positive("eps", eps)
-    c, angular, pairs = form_terms(form)
+    c, angular, factors, terms = form_terms(form)
     rho = float(angular.rho(y - x)[0])  # even, so one direction suffices
-    at = factor_values(
-        pairs, lambda f: (1.0, 1.0) if f is None else (field_at(f, x / eps), field_at(f, y / eps))
-    )
-    return sum(c * rho * (a[0] * b[1]) for a, b in at)
+    at = [(1.0, 1.0) if f is None else (field_at(f, x / eps), field_at(f, y / eps))
+          for f in factors]
+    return sum(c * rho * (at[i][0] * at[j][1]) for i, j in terms)
 
 
 def effective_kernel(form: CoefficientForm) -> ConstantForm:
     """Environment average of the coefficient: the kernel of the limit form.
 
     The decorrelated mean of kappa(x, y) as |x - y| grows is what survives
-    homogenization: c rho sum_t E[a_t] E[b_t] over the terms of form_terms,
+    homogenization: c rho sum_t E[F_{i_t}] E[F_{j_t}] over the terms of form_terms,
     2 E[Lambda] rho(dir) for the summation form and 2 E[nu1] E[nu2] for the
     product form.
     """
-    c, angular, pairs = form_terms(form)
-    means = factor_values(pairs, lambda f: 1.0 if f is None else field_mean(f))
-    k0 = c * sum(a * b for a, b in means)
+    c, angular, factors, terms = form_terms(form)
+    means = [1.0 if f is None else field_mean(f) for f in factors]
+    k0 = c * sum(means[i] * means[j] for i, j in terms)
     if not math.isfinite(k0):
         raise ConfigurationError("the coefficient fields must have finite means")
     return ConstantForm(k0, angular)

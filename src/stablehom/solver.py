@@ -85,7 +85,10 @@ def solve_resolvent(
     lambda <u, g>_m + E(u, g) = <f, g>_m over all test vectors g.  The loop
     stops on the recursively updated residual or after max_iter steps; the
     reported one is recomputed from b - S u with one more matvec, and
-    ConvergenceFailure is raised when that one exceeds tol.
+    ConvergenceFailure is raised when that one exceeds tol or is NaN.  f = 0
+    gives u = 0; a starting residual that is not positive (it is 1 in exact
+    arithmetic) or a <r, P^-1 r> that is not positive raises NumericalError,
+    as negative curvature does.
     """
     check_tol(tol)
     start = time.perf_counter()
@@ -93,7 +96,7 @@ def solve_resolvent(
     f = problem.rhs
     b = m * f
     norm_f = math.sqrt(float(inner(m, f * f)))
-    if norm_f == 0.0:
+    if not f.any():
         return ResolventSolution(np.zeros_like(f), 0, 0.0, time.perf_counter() - start)
     form, lam_m, lam_mbar = problem.form, problem.lam * m, problem.lam * float(m.mean())
     d = form.row_weight_sums()
@@ -109,9 +112,16 @@ def solve_resolvent(
     z = scale * mean_inverse(scale * r)
     p = z.copy()
     rz = float(inner(r, z))
-    residual = res_norm(r)
+    # 1 in exact arithmetic: 0 means that m f^2 or (m f)^2 underflowed, and
+    # NaN that 1/m overflowed
+    residual = res_norm(r) if norm_f > 0.0 else 0.0
+    if not residual > 0.0:
+        raise NumericalError(
+            f"the starting residual computes to {residual:g}: the measure weights are too small")
     iterations = 0
     while residual > tol and iterations < max_iter:
+        if not rz > 0.0:  # positive in exact arithmetic while r != 0
+            raise NumericalError(f"<r, P^-1 r> = {rz:g} is not positive: the residual underflowed")
         ap = lam_m * p - form.apply_generator(p)
         pap = float(inner(p, ap))
         if not pap > 0.0:
@@ -128,7 +138,7 @@ def solve_resolvent(
         residual = res_norm(r)
     # The true defect decides: the recurrence drifts from b - S u by roundoff.
     residual = res_norm(b - (lam_m * u - form.apply_generator(u)))
-    if residual > tol:
+    if not residual <= tol:
         raise ConvergenceFailure(
             f"resolvent CG stopped after {iterations} iterations at a true residual "
             f"{residual:.3e} above tol={tol:g}", residual=residual, iterations=iterations)

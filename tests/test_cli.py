@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -74,6 +75,8 @@ def write_config(tmp_path, cfg, name="config.json"):
 # whose node-by-node matrices take 1.26 GiB each.  `validate` and `run` both
 # accepted `library-example17-inv-lambda1-mean-infinite`, whose infinite
 # z_mu made the time-changed constant 0, and passed its check.
+# `validate` accepted `aperture-cone-full_space` and echoed its aperture,
+# which full_space overrides: the run built the whole 196-entry stencil.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
@@ -828,3 +831,16 @@ def test_each_failing_case_fails_its_check(name, tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, config)
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out"), "--deterministic"]) == 1
     assert any(line.startswith(f"[FAIL] {name}: ") for line in capsys.readouterr().out.splitlines())
+
+
+def test_benchmark_tracer_names_resolve():
+    # Tracer.install skips a name it cannot find, so a renamed layer would
+    # lose its span in the benchmark's traced runs without an error
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for name, home, attr in tracing.FUNCTIONS:
+        assert home.__name__.startswith("stablehom.") and callable(getattr(home, attr, None)), name
+    for name, cls, attr in tracing.METHODS:
+        assert cls.__module__.startswith("stablehom.") and callable(cls.__dict__.get(attr)), name

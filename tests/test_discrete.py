@@ -3,6 +3,7 @@ import inspect
 import math
 import pathlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -817,6 +818,23 @@ _UNIT = (kernel.full_space_cone(1), kernel.KernelParams(alpha=1.0, dim=1))
 def test_non_finite_form_inputs_rejected(make):
     with pytest.raises(ConfigurationError):
         make()
+
+
+def test_equal_product_factors_are_one_field_row():
+    # equal factors that are distinct objects were two rows of the factor
+    # table, evaluated and transformed twice
+    grid = discrete.Grid(dim=2, length=4.0, n=16)
+    cone, params = kernel.full_space_cone(2), kernel.KernelParams(alpha=1.3, dim=2)
+    nu = env.sample_field(2, env.lognormal(0.0, 0.6), seed=1)
+    shared = discrete.assemble_form(grid, kernel.ProductForm(nu, nu), cone, params, eps=1.0)
+    twin = discrete.assemble_form(grid, kernel.ProductForm(nu, replace(nu)), cone, params, eps=1.0)
+    assert twin._fields.shape == shared._fields.shape == (1, *grid.shape)
+    rng = np.random.default_rng(3)
+    f, g = rng.normal(size=grid.size), rng.normal(size=grid.size)
+    assert np.array_equal(twin.apply_generator(f), shared.apply_generator(f))
+    assert np.array_equal(twin.row_weight_sums(), shared.row_weight_sums())
+    assert twin.energy(f, g) == shared.energy(f, g)
+    assert twin.energy(f, f) == shared.energy(f, f)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.125])

@@ -19,10 +19,10 @@ def lognormal_summation(seed=0):
     )
 
 
-def uniform_product():
+def uniform_product(first_seed=0):
     return kernel.ProductForm(
-        nu1=env.sample_field(1, env.uniform(0.5, 1.5), seed=0),
-        nu2=env.sample_field(1, env.uniform(0.5, 1.5), seed=1),
+        nu1=env.sample_field(1, env.uniform(0.5, 1.5), seed=first_seed),
+        nu2=env.sample_field(1, env.uniform(0.5, 1.5), seed=first_seed + 1),
     )
 
 
@@ -259,6 +259,25 @@ def test_sweep_with_every_cell_failed_reports_nan(monkeypatch):
     assert [(e, s) for e, s, _ in report.failures] == [(1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
     for table in (report.medians, report.q25, report.q75):
         assert all(math.isnan(v) for metric in H.METRICS for v in table[metric])
+
+
+@pytest.mark.parametrize("mu_value", [1e-160, 1e-300, 1e-320])
+def test_cells_whose_residual_underflows_fail_alone(mu_value):
+    # mu 1e-160: <r, P^-1 r> underflows, and its division by 0 used to end
+    # the sweep; at 1e-300 (m f)^2 underflows and at 1e-320 1/m overflows,
+    # and every cell used to report u = 0 as solved after 0 iterations, at a
+    # residual of 0 or NaN
+    cfg = H.SweepConfig(
+        grid=discrete.Grid(dim=1, length=8.0, n=64), form=uniform_product(1), cone=CONE1,
+        params=PARAMS1, eps_list=(1.0, 0.5), seeds=2,
+        mu_field=env.sample_field(1, env.constant(mu_value)),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/m and the limit overflow at 1e-320
+        report = H.run_sweep(cfg)
+    assert report.cells == ()
+    assert [(e, s) for e, s, _ in report.failures] == [(1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
+    assert all(msg.startswith(("NumericalError", "ConvergenceFailure"))
+               for _, _, msg in report.failures)
 
 
 # ---------------------------------------------------------------------------

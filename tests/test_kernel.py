@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,14 @@ def test_cone_validation():
     # axis is stored normalized
     cone = kernel.ConeSpec(axis=(3.0, 4.0), aperture=0.2)
     assert np.allclose(cone.axis, (0.6, 0.8), rtol=1e-14)
+
+
+def test_full_space_cone_refuses_an_aperture():
+    # full_space skips the membership test, so an aperture beside it would
+    # be echoed and ignored
+    with pytest.raises(ConfigurationError, match="^a full-space cone has aperture 0, got 0.9$"):
+        kernel.ConeSpec(axis=(1.0, 0.0), aperture=0.9, full_space=True)
+    assert kernel.ConeSpec(axis=(1.0, 0.0), full_space=True) == kernel.full_space_cone(2)
 
 
 def test_angular_weight_range():
@@ -159,6 +168,24 @@ def test_kappa_summation_pointwise_bounds():
         k = kernel.kappa(form, x, y, 1.0)
         # cos2 spans [1, 3/2]
         assert pair_sum - 1e-12 <= k <= 1.5 * pair_sum + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# factor tables
+
+
+def test_form_terms_lists_each_distinct_factor_once():
+    lam, nu1, nu2 = (env.sample_field(1, env.uniform(0.5, 1.5), seed=s) for s in (1, 2, 3))
+    w = kernel.AngularWeight("cos2", (1.0,))
+    assert kernel.form_terms(kernel.ConstantForm(1.5, w)) == (1.5, w, (None,), ((0, 0),))
+    assert kernel.form_terms(kernel.SummationForm(lam, w)) == (
+        1.0, w, (lam, None), ((0, 1), (1, 0)))
+    assert kernel.form_terms(kernel.ProductForm(nu1, nu2)) == (
+        1.0, kernel.AngularWeight(), (nu1, nu2), ((0, 1), (1, 0)))
+    # equal factors are one entry, whether or not they are one object
+    twin = replace(nu1)
+    assert twin == nu1 and twin is not nu1
+    assert kernel.form_terms(kernel.ProductForm(nu1, twin))[2:] == ((nu1,), ((0, 0), (0, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -310,9 +310,11 @@ grid = discrete.Grid(dim=1, length=4.0, n=16)
 params = kernel.KernelParams(alpha=1.0, dim=1)
 cone = kernel.full_space_cone(1)
 print(__debug__)
-one, negative = np.ones(grid.shape), -np.ones(grid.shape)
-print(fired(lambda: discrete._build(grid, params, cone, [(one, one)], c=-1.0), DomainError))
-print(fired(lambda: discrete._build(grid, params, cone, [(negative, negative)]), DomainError))
+print(fired(lambda: discrete._jump_kernel(grid, params, cone, -1.0, kernel.AngularWeight()),
+            DomainError))
+negative = -np.ones((1, *grid.shape))
+print(fired(lambda: discrete.form_from_fields(grid, kernel.ConstantForm(1.0), cone, params,
+                                              negative), DomainError))
 vanishing = env.sample_field(1, env.lognormal(-800.0, 0.0))
 print(fired(lambda: discrete.measure_weights(grid, vanishing, eps=1.0), DomainError))
 
