@@ -3,8 +3,7 @@
 The package assembles scaled nonlocal Dirichlet forms with stationary random
 coefficients on a periodic grid, solves their resolvent problems, and measures
 convergence toward the constant-coefficient limit form, together with the
-ergodic, spectral, and functional-inequality diagnostics that support those
-runs.
+translation-modulus and kernel-moment diagnostics of the user's coefficients.
 """
 
 __version__ = "0.1.0"

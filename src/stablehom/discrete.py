@@ -43,7 +43,6 @@ from .kernel import (
     KernelParams,
     form_cell_size,
     form_terms,
-    full_space_cone,
     in_cone,
 )
 
@@ -594,89 +593,6 @@ def test_function_suite(grid: Grid) -> list[np.ndarray]:
         evaluate(grid, bump(grid, grid.length / 16.0)),
         evaluate(grid, odd_bump(grid)),
     ]
-
-
-# ---------------------------------------------------------------------------
-# functional-inequality diagnostics
-
-
-@dataclass(frozen=True)
-class NashReport:
-    ratios: tuple[float, ...]
-    max_ratio: float
-    skipped: tuple[int, ...]
-    passed: bool
-
-
-def nash_check(grid: Grid, cone: ConeSpec, params: KernelParams, test_fns) -> NashReport:
-    """Empirical constant of ||f||_2^2 <= c E0(f,f)^(d/(d+a)) ||f||_1^(2a/(d+a))
-    with E0 the Constant{2} cone energy."""
-    if not test_fns:
-        raise ConfigurationError("test_fns must be nonempty")
-    e0 = assemble_effective_form(grid, ConstantForm(2.0), cone, params)
-    hd = grid.h**grid.dim
-    d, alpha = grid.dim, params.alpha
-    ratios, skipped = [], []
-    for idx, f in enumerate(test_fns):
-        f = np.asarray(f, dtype=float)
-        if not f.any():
-            skipped.append(idx)
-            ratios.append(math.nan)
-            continue
-        l2sq = hd * float((f**2).sum())
-        l1 = hd * float(np.abs(f).sum())
-        en = e0.energy(f, f)
-        denom = en ** (d / (d + alpha)) * l1 ** (2 * alpha / (d + alpha))
-        ratios.append(l2sq / denom if denom > 0 else math.inf)
-    finite = [r for r in ratios if not math.isnan(r)]
-    max_ratio = max(finite) if finite else math.nan
-    passed = bool(finite) and all(math.isfinite(r) for r in finite)
-    return NashReport(
-        ratios=tuple(ratios), max_ratio=max_ratio, skipped=tuple(skipped), passed=passed
-    )
-
-
-@dataclass(frozen=True)
-class ConeComparabilityReport:
-    ratios: tuple[float, ...]
-    max_ratio: float
-    skipped: tuple[int, ...]
-    violations: tuple[int, ...]
-    passed: bool
-
-
-def cone_comparability_check(
-    grid: Grid, cone: ConeSpec, params: KernelParams, test_fns
-) -> ConeComparabilityReport:
-    """Ratio of full-space to cone-restricted energy per test function."""
-    if not test_fns:
-        raise ConfigurationError("test_fns must be nonempty")
-    full = assemble_effective_form(grid, ConstantForm(1.0), full_space_cone(grid.dim), params)
-    coned = assemble_effective_form(grid, ConstantForm(1.0), cone, params)
-    ratios, skipped, violations = [], [], []
-    for idx, f in enumerate(test_fns):
-        f = np.asarray(f, dtype=float)
-        e_full = full.energy(f, f)
-        e_cone = coned.energy(f, f)
-        if e_full == 0.0 and e_cone == 0.0:
-            skipped.append(idx)
-            ratios.append(math.nan)
-            continue
-        if e_cone == 0.0:
-            violations.append(idx)
-            ratios.append(math.inf)
-            continue
-        ratios.append(e_full / e_cone)
-    finite = [r for r in ratios if not math.isnan(r)]
-    max_ratio = max(finite) if finite else math.nan
-    passed = not violations and bool(finite) and all(math.isfinite(r) for r in finite)
-    return ConeComparabilityReport(
-        ratios=tuple(ratios),
-        max_ratio=max_ratio,
-        skipped=tuple(skipped),
-        violations=tuple(violations),
-        passed=passed,
-    )
 
 
 @dataclass(frozen=True)

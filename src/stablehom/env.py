@@ -11,10 +11,9 @@ Two entries evaluate a field.  `field_on_lattice` serves tensor lattices
 such as grid nodes and quadrature midpoints: it forms cells per axis, hashes
 every cell of their bounding box (padded by the window radius for a moving
 average) once, forms window sums as shifted adds over the flattened box, and
-gathers the lattice.  `field_values` serves scattered points, and
-`_field_values_seeds` the per-row seeds of the covariance trials: both hash
-every window cell of every point, and `field_values` is the lattice path's
-oracle.  Non-finite parameters and points are rejected where they enter.
+gathers the lattice.  `field_values` serves scattered points: it hashes
+every window cell of every point, and it is the lattice path's oracle.
+Non-finite parameters and points are rejected where they enter.
 """
 
 from __future__ import annotations
@@ -22,12 +21,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from _blake2 import blake2b  # hashlib's blake2b, without hashlib loading OpenSSL
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count, check_positive
+from .errors import ConfigurationError
 
 _M64 = (1 << 64) - 1
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -514,12 +513,6 @@ def _cells_of(field: RandomField, coords: np.ndarray, shift) -> np.ndarray:
     return scaled.astype(np.int64)
 
 
-def check_points(field: RandomField, points) -> None:
-    """Refuse points whose cells the field's evaluation refuses under some seed."""
-    for shift in (0.0, field.cell_size):  # cells grow with the shift, in [0, cell_size)
-        _cells_of(field, np.asarray(points, dtype=float), shift)
-
-
 def field_values(field: RandomField, points) -> np.ndarray:
     """Evaluate the field at an (m, dim) array of scattered points, hashing
     every window cell of every point.  Grid nodes and other tensor lattices
@@ -627,89 +620,8 @@ def _window_sum(g: np.ndarray, q: float) -> np.ndarray:
     return acc[keep]
 
 
-def field_at(field: RandomField, x) -> float:
-    """Evaluate the field at a single point."""
-    pts = np.asarray(x, dtype=float).reshape(1, field.dim)
-    return float(field_values(field, pts)[0])
-
-
-def _field_values_seeds(field: RandomField, seeds: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate with a per-row uint64 seed array (independent realizations in one call)."""
-    cells = _cells_of(field, points, _shifts(seeds[:, None], field.dim, field.cell_size))
-    return _values_at_cells(field, seeds, cells)
-
-
 # ---------------------------------------------------------------------------
-# ergodic functionals
-
-
-def _midpoint_grid(lo: np.ndarray, hi: np.ndarray, eps_cell: float, cap: int) -> list:
-    """Per-axis midpoints of the box [lo, hi], about four per eps-cell, at
-    least 8 and at most `cap` per axis."""
-    counts = [int(min(cap, max(8, math.ceil(4.0 * (b - a) / eps_cell)))) for a, b in zip(lo, hi)]
-    return [a + (b - a) * (np.arange(n) + 0.5) / n for a, b, n in zip(lo, hi, counts)]
-
-
-def check_region(lo, hi) -> None:
-    """An averaging box needs max > min along every axis."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if not np.all(hi > lo):
-        raise ConfigurationError(f"empty averaging region: min={lo}, max={hi}")
-
-
-def check_finite_mean(field: RandomField) -> float:
-    """E[field], the Birkhoff and maximal studies' limit; refused if not finite."""
-    exact = field_mean(field)
-    if not math.isfinite(exact):
-        raise ConfigurationError("the field must have a finite mean")
-    return exact
-
-
-def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> float:
-    """Quadrature of int_region weight(x) * field(x/eps) dx.
-
-    `region` is an axis-aligned box given as a (min, max) pair; `weight` is a
-    callable on an (m, dim) point array, or None for weight 1.  As eps -> 0
-    the value approaches E[field] * int weight dx.
-    """
-    lo = np.asarray(region[0], dtype=float).reshape(field.dim)
-    hi = np.asarray(region[1], dtype=float).reshape(field.dim)
-    check_region(lo, hi)
-    check_positive("eps", eps)
-    cap = 4096 if field.dim == 1 else 128
-    axes = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
-    vol = float(np.prod(hi - lo))
-    vals = field_on_lattice(field, [a / eps for a in axes]).ravel()
-    if weight is not None:
-        points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        vals = vals * np.asarray(weight(points), dtype=float)
-    return vol * float(vals.mean())
-
-
-def maximal_functional(field: RandomField, eps_grid, r0: float = 1.0) -> float:
-    """Sup over eps of the mass int_{[0,r0]^d} field(x/eps) dx (quadrature);
-    the scales eps lie in (0, 1)."""
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid:
-        raise ConfigurationError("eps_grid must be nonempty")
-    if any(not (0.0 < e < 1.0) for e in eps_grid):
-        raise ConfigurationError(f"eps_grid values must lie in (0, 1), got {eps_grid}")
-    check_positive("r0", r0)
-    check_points(field, r0 / min(eps_grid))  # the farthest point, before r0**dim
-    lo = np.zeros(field.dim)
-    hi = np.full(field.dim, r0)
-    cap = 1024 if field.dim == 1 else 64
-    vol = r0**field.dim
-    best = -math.inf
-    for eps in eps_grid:
-        axes = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
-        vals = field_on_lattice(field, [a / eps for a in axes]).ravel()
-        best = max(best, vol * float(vals.mean()))
-    return best
-
-
-# ---------------------------------------------------------------------------
-# multi-seed diagnostics built on the functionals above
+# sample summaries
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -729,129 +641,3 @@ def quartiles(values) -> tuple[float, float, float]:
     mid = n // 2
     median = x[mid] if n % 2 else (x[mid - 1] + x[mid]) / 2.0
     return at(0.25), median, at(0.75)
-
-
-@dataclass(frozen=True)
-class BirkhoffStudy:
-    eps: float
-    exact_mean: float
-    target: float  # exact_mean times the region volume
-    averages: tuple[float, ...]
-    median_average: float
-    median_abs_rel_error: float
-
-
-def birkhoff_study(
-    field: RandomField, eps: float, region, n_seeds: int = 20, weight=None
-) -> BirkhoffStudy:
-    """Run birkhoff_average over n_seeds derived realizations of the field."""
-    check_count("n_seeds", n_seeds)
-    exact = check_finite_mean(field)
-    lo = np.asarray(region[0], dtype=float).reshape(field.dim)
-    hi = np.asarray(region[1], dtype=float).reshape(field.dim)
-    vol = float(np.prod(hi - lo))
-    target = exact * vol
-    vals = []
-    for i in range(n_seeds):
-        f_i = replace(field, seed=derive_seed(field.seed, "birkhoff", i))
-        vals.append(birkhoff_average(f_i, eps, region, weight))
-    rel = [abs(v - target) / abs(target) for v in vals]
-    return BirkhoffStudy(
-        eps=eps,
-        exact_mean=exact,
-        target=target,
-        averages=tuple(vals),
-        median_average=quartiles(vals)[1],
-        median_abs_rel_error=quartiles(rel)[1],
-    )
-
-
-@dataclass(frozen=True)
-class MaximalReport:
-    eps_grid: tuple[float, ...]
-    levels: tuple[float, ...]
-    frequencies: tuple[float, ...]
-    fitted_c: float
-    markov_bound_ok: bool
-
-
-def maximal_tail_check(
-    field: RandomField,
-    eps_grid=(0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625),
-    r0: float = 1.0,
-    n_seeds: int = 200,
-) -> MaximalReport:
-    """Weak-type tail check for the maximal functional.
-
-    Fits C from the exceedance frequency at the level lambda = 2 r0^d E[F]
-    (Markov form C = lambda * freq), then requires freq <= C / lambda at
-    lambda = 8 r0^d E[F].
-    """
-    check_count("n_seeds", n_seeds)
-    exact = check_finite_mean(field)
-    sups = []
-    for i in range(n_seeds):
-        f_i = replace(field, seed=derive_seed(field.seed, "maximal", i))
-        sups.append(maximal_functional(f_i, eps_grid, r0))
-    sups_arr = np.array(sups)
-    vol = r0**field.dim
-    levels = tuple(m * vol * exact for m in (2.0, 8.0))
-    freqs = tuple(float((sups_arr > lvl).mean()) for lvl in levels)
-    fitted_c = levels[0] * freqs[0]
-    ok = all(freqs[k] <= fitted_c / levels[k] for k in range(1, len(levels)))
-    return MaximalReport(
-        eps_grid=tuple(float(e) for e in eps_grid),
-        levels=levels,
-        frequencies=freqs,
-        fitted_c=fitted_c,
-        markov_bound_ok=ok,
-    )
-
-
-# ---------------------------------------------------------------------------
-# covariance of the jump coefficient
-
-
-@dataclass(frozen=True)
-class CovarianceEntry:
-    lag: float
-    estimate: float  # |Cov|
-    signed: float
-    standard_error: float
-    trials: int
-
-
-def empirical_covariance(
-    field: RandomField, z1, z2, x, trials: int = 1000, truncation: float = 1e3
-) -> CovarianceEntry:
-    """Monte Carlo Cov(nu_n(z1), nu_n(z2) shifted by x) over independent seeds.
-
-    nu(z) = F(0) + F(z) is the summation-form jump coefficient seen from the
-    origin; nu_n caps it at `truncation` so heavy tails keep a finite second
-    moment.  Each trial uses its own derived seed.
-    """
-    check_count("trials", trials, 100)
-    check_positive("truncation", truncation)
-    z1 = np.asarray(z1, dtype=float).reshape(field.dim)
-    z2 = np.asarray(z2, dtype=float).reshape(field.dim)
-    x = np.asarray(x, dtype=float).reshape(field.dim)
-    seeds = np.array(
-        [derive_seed(field.seed, "covariance", i) for i in range(trials)], dtype=np.uint64
-    )
-    offsets = np.stack([np.zeros(field.dim), z1, x, x + z2])  # (4, dim)
-    points = np.broadcast_to(offsets[None, :, :], (trials, 4, field.dim)).reshape(-1, field.dim)
-    seeds_rep = np.repeat(seeds, 4)
-    vals = _field_values_seeds(field, seeds_rep, points).reshape(trials, 4)
-    nu_a = np.minimum(vals[:, 0] + vals[:, 1], truncation)
-    nu_b = np.minimum(vals[:, 2] + vals[:, 3], truncation)
-    c = float(np.cov(nu_a, nu_b, ddof=1)[0, 1])
-    se = math.sqrt(
-        (float(nu_a.var(ddof=1)) * float(nu_b.var(ddof=1)) + c * c) / trials
-    )
-    return CovarianceEntry(
-        lag=float(np.sqrt((x**2).sum())),
-        estimate=abs(c),
-        signed=c,
-        standard_error=se,
-        trials=trials,
-    )

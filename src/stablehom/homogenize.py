@@ -12,6 +12,7 @@ the convergence theory assumes.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -103,8 +104,13 @@ class SweepConfig:
         object.__setattr__(self, "eps_list", eps)
         check_count("seeds", self.seeds)
         check_lambda(self.lam)
-        if self.mu_field is not None and not math.isfinite(env.field_mean(self.mu_field)):
+        mean_mu = 1.0 if self.mu_field is None else env.field_mean(self.mu_field)
+        if not math.isfinite(mean_mu):
             raise ConfigurationError("the measure field must have a finite mean")
+        mass = mean_mu * self.grid.h**self.grid.dim  # the limit's node mass, a divisor
+        if not sys.float_info.min <= mass < math.inf:
+            raise ConfigurationError(
+                f"the limit's node mass E[mu] h^d = {mass:.3g} is not a finite normal float")
         r = self.grid.length / 8.0 if self.report_radius is None else self.report_radius
         check_positive("report radius", r)
         object.__setattr__(self, "report_radius", float(r))

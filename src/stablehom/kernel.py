@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import (
-    DistributionSpec, RandomField, field_at, field_mean, mean_value, moment,
-)
-from .errors import ConfigurationError, DomainError, NumericalError, check_positive
+from .env import DistributionSpec, RandomField, field_mean, mean_value, moment
+from .errors import ConfigurationError, DomainError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -195,22 +193,6 @@ def form_terms(
 def form_cell_size(form: CoefficientForm) -> float | None:
     """Smallest microstructure cell among the form's fields, None for constants."""
     return min((f.cell_size for f in form_terms(form)[2] if f is not None), default=None)
-
-
-def kappa(form: CoefficientForm, x, y, eps: float) -> float:
-    """Coefficient kappa(x/eps, y/eps) of the scaled energy; symmetric in (x, y)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DomainError("x and y must have the same dimension")
-    if np.array_equal(x, y):
-        raise DomainError("kappa is undefined on the diagonal x = y")
-    check_positive("eps", eps)
-    c, angular, factors, terms = form_terms(form)
-    rho = float(angular.rho(y - x)[0])  # even, so one direction suffices
-    at = [(1.0, 1.0) if f is None else (field_at(f, x / eps), field_at(f, y / eps))
-          for f in factors]
-    return sum(c * rho * (at[i][0] * at[j][1]) for i, j in terms)
 
 
 def effective_kernel(form: CoefficientForm) -> ConstantForm:

@@ -155,55 +155,3 @@ def dense_oracle_solve(problem: ResolventProblem) -> np.ndarray:
     system = np.diag(problem.lam * problem.measure.m) - problem.form.dense_generator()
     rhs = problem.measure.m * problem.rhs
     return cho_solve(cho_factor(system), rhs)
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    l2_ratio: float
-    sup_ratio: float
-    energy_rel: float
-    min_u: float
-    l2_ok: bool
-    sup_ok: bool
-    energy_ok: bool
-    positivity_ok: bool | None
-    passed: bool
-
-
-def resolvent_contraction_check(
-    problem: ResolventProblem, solution: ResolventSolution
-) -> ContractionReport:
-    """Markov-resolvent sanity: lambda-contraction in L2(m) and sup norm,
-    the energy identity lambda ||u||_m^2 + E(u,u) = <f,u>_m, and positivity
-    preservation for nonnegative data."""
-    slack = 1e-8  # the rounding the ratios and positivity may show past their bounds
-    u, f, lam = solution.u, problem.rhs, problem.lam
-    m = problem.measure.m
-    norm_u = math.sqrt(float(inner(m, u * u)))
-    norm_f = math.sqrt(float(inner(m, f * f)))
-    l2_ratio = lam * norm_u / norm_f if norm_f > 0 else 0.0
-    sup_f = float(np.abs(f).max())
-    sup_ratio = lam * float(np.abs(u).max()) / sup_f if sup_f > 0 else 0.0
-    pairing = float(inner(m, f * u))
-    identity_gap = lam * norm_u**2 + problem.form.energy(u, u) - pairing
-    scale = max(abs(pairing), lam * norm_u**2, 1e-300)
-    energy_rel = abs(identity_gap) / scale
-    l2_ok = l2_ratio <= 1.0 + slack
-    sup_ok = sup_ratio <= 1.0 + slack
-    energy_ok = energy_rel <= 1e-6
-    min_u = float(u.min())
-    positivity_ok = None
-    if (f >= 0.0).all():
-        positivity_ok = min_u >= -slack * max(sup_f, 1.0)
-    passed = l2_ok and sup_ok and energy_ok and (positivity_ok is not False)
-    return ContractionReport(
-        l2_ratio=l2_ratio,
-        sup_ratio=sup_ratio,
-        energy_rel=energy_rel,
-        min_u=min_u,
-        l2_ok=l2_ok,
-        sup_ok=sup_ok,
-        energy_ok=energy_ok,
-        positivity_ok=positivity_ok,
-        passed=passed,
-    )

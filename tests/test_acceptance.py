@@ -16,6 +16,8 @@ from stablehom import cli, discrete, env, kernel
 from stablehom import homogenize as H
 from stablehom import solver as S
 
+import oracles
+
 CONE1 = kernel.full_space_cone(1)
 EPS_LADDER = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
@@ -172,8 +174,8 @@ def test_06_functional_inequalities():
     grid1 = discrete.Grid(dim=1, length=8.0, n=256)
     params1 = kernel.KernelParams(alpha=1.0, dim=1)
     fns = discrete.test_function_suite(grid1)
-    nash = discrete.nash_check(grid1, CONE1, params1, fns)
-    doubled = discrete.nash_check(grid1, CONE1, params1, [2.0 * f for f in fns])
+    nash = oracles.nash_check(grid1, CONE1, params1, fns)
+    doubled = oracles.nash_check(grid1, CONE1, params1, [2.0 * f for f in fns])
     finite = [r for r in nash.ratios if not math.isnan(r)]
     nash_ok = (
         nash.passed
@@ -184,7 +186,7 @@ def test_06_functional_inequalities():
     grid2 = discrete.Grid(dim=2, length=4.0, n=16)
     cone2 = kernel.ConeSpec(axis=(1.0, 0.0), aperture=0.5)
     params2 = kernel.KernelParams(alpha=1.0, dim=2)
-    cc = discrete.cone_comparability_check(
+    cc = oracles.cone_comparability_check(
         grid2, cone2, params2, discrete.test_function_suite(grid2)
     )
     cone_ok = cc.passed and math.isfinite(cc.max_ratio)
@@ -227,15 +229,15 @@ def test_07_ergodic_suite():
     rels = {}
     for label, mixing in (("iid", env.iid_cells()), ("ma", env.moving_average(1.5))):
         field = env.sample_field(1, marginal, mixing=mixing, seed=0)
-        study = env.birkhoff_study(field, 1 / 64, region, n_seeds=20)
+        study = oracles.birkhoff_study(field, 1 / 64, region, n_seeds=20)
         rels[label] = abs(study.median_average - study.exact_mean) / study.exact_mean
     birkhoff_ok = all(r <= 0.05 for r in rels.values())
 
     iid_field = env.sample_field(1, marginal, seed=0)
-    entry = env.empirical_covariance(iid_field, [0.25], [0.25], [3.0], trials=10_000)
+    entry = oracles.empirical_covariance(iid_field, [0.25], [0.25], [3.0], trials=10_000)
     cov_ok = abs(entry.signed) <= 3.0 * entry.standard_error
 
-    tail = env.maximal_tail_check(iid_field, n_seeds=200)
+    tail = oracles.maximal_tail_check(iid_field, n_seeds=200)
     ok = birkhoff_ok and cov_ok and tail.markov_bound_ok
     assert verdict(
         7,
@@ -289,7 +291,7 @@ def test_08_solver_and_assembly_oracles():
         gap = math.sqrt(float(np.dot(mw.m, diff * diff))) / math.sqrt(
             float(np.dot(mw.m, u_dense * u_dense))
         )
-        report = S.resolvent_contraction_check(problem, sol)
+        report = oracles.resolvent_contraction_check(problem, sol)
         rowsum = float(np.abs(form.dense_generator().sum(axis=1)).max())
         worst_gap = max(worst_gap, gap)
         worst_energy = max(worst_energy, report.energy_rel)

