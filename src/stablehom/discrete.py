@@ -20,7 +20,8 @@ reach n/4 < n/2 makes K an exact circulant on the torus, so the generator is
 an FFT convolution and an energy a Parseval sum over forward transforms (see
 SparseSymmetricForm).  K and its symbol depend on the config alone, and every
 form of one kernel shares them (`_jump_kernel`).  Every FFT of the package
-is `Grid.rfft` or `Grid.irfft`, and every inner product `inner`.  Explicit
+but env's window correlation is `Grid.rfft` or `Grid.irfft`, and every inner
+product `inner`.  Explicit
 weight slabs are built only on demand, as the oracle path behind the dense
 checks.
 """
@@ -478,9 +479,17 @@ def node_fields(grid: Grid, form: CoefficientForm, eps: float) -> np.ndarray:
     cell = form_cell_size(form)
     if cell is not None:
         check_oscillation(grid, eps, cell)
-    axes = [grid.axis_coords() / eps] * grid.dim
-    return np.stack([np.ones(grid.shape) if f is None else env.field_on_lattice(f, axes)
-                     for f in form_terms(form)[2]])
+    return lattice_factors(form_terms(form)[2], [grid.axis_coords() / eps] * grid.dim)
+
+
+def lattice_factors(factors, axes) -> np.ndarray:
+    """The (U, *lattice) stack of kernel.form_terms factors on the tensor
+    lattice `axes`: the fields in one env.field_on_lattice call, and ones
+    for the constant factor None."""
+    rows = [i for i, f in enumerate(factors) if f is not None]
+    out = np.ones((len(factors), *(len(a) for a in axes)))
+    out[rows] = env.field_on_lattice([factors[i] for i in rows], axes)
+    return out
 
 
 def form_from_fields(
@@ -545,7 +554,8 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
             )
         check_positive("eps", eps)
         check_oscillation(grid, eps, mu_field.cell_size)
-        m = env.field_on_lattice(mu_field, [grid.axis_coords() / eps] * grid.dim).ravel() * hd
+        axes = [grid.axis_coords() / eps] * grid.dim
+        m = env.field_on_lattice([mu_field], axes)[0].ravel() * hd
     if not (m > 0).all():
         raise DomainError(f"measure weights must be strictly positive, min {m.min():g}")
     return MeasureWeights(grid=grid, m=m)

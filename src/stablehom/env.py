@@ -1,18 +1,22 @@
 """Stationary random environments built from counter-based hashing.
 
-Every field value is a pure function of (seed, cell index): evaluation order,
-batching, and repeated queries cannot change a result, and any region can be
+Every cell's random number is a pure function of (seed, cell index), hashed
+exactly, so evaluation order cannot change it and any region can be
 reproduced from the seed alone.  Marginals come from a catalog table with
 closed-form moments.  Spatial mixing is either independent cells or a
 finite-window moving average with polynomially decaying weights, transformed
 so the declared marginal holds exactly.
 
-Two entries evaluate a field.  `field_on_lattice` serves tensor lattices
-such as grid nodes and quadrature midpoints: it forms cells per axis, hashes
-every cell of their bounding box (padded by the window radius for a moving
-average) once, forms window sums as shifted adds over the flattened box, and
-gathers the lattice.  `field_values` serves scattered points: it hashes
-every window cell of every point, and it is the lattice path's oracle.
+Two entries evaluate a field.  `field_values` serves scattered points: it
+hashes every window cell of every point and sums the window offset by
+offset, and it is the lattice path's oracle.  `field_on_lattice` serves
+tensor lattices such as grid nodes and quadrature midpoints, for a stack of
+fields at once: it forms cells per axis, hashes every cell of their bounding
+box (padded by the window radius for a moving average) once, forms the
+window sums by one circular FFT correlation over the box, and gathers the
+lattice.  Its iid values are `field_values`' bitwise; its window sums agree
+with the per-offset sums to within 16 eps sum_k |w_k| max |g|; and a field's
+values on a lattice do not depend on the other fields of the call.
 Non-finite parameters and points are rejected where they enter.
 """
 
@@ -66,11 +70,15 @@ def _cell_hash(seed, salt: int, coords) -> np.ndarray:
 
     The coordinate arrays broadcast together: equal shapes hash a list of
     cells, shapes along distinct axes hash a whole lattice.  `seed` may be a
-    scalar or a per-cell uint64 array (independent streams in one call).
+    scalar, a per-cell uint64 array (independent streams in one call), or a
+    list of seeds, one per entry of the coordinates' leading axis.
     """
     salt_mixed = _mix_int(salt)
     if isinstance(seed, np.ndarray):
         h = _mix_arr(seed.astype(np.uint64) ^ np.uint64(salt_mixed))
+    elif isinstance(seed, list):
+        h = np.array([_mix_int(int(s) ^ salt_mixed) for s in seed], dtype=np.uint64)
+        h = h.reshape([-1] + [1] * (np.ndim(coords[0]) - 1))
     else:
         h = np.uint64(_mix_int(int(seed) ^ salt_mixed))
     for axis, c in enumerate(coords):
@@ -441,11 +449,12 @@ def sample_field(
 ) -> RandomField:
     """Construct a field realization handle.
 
-    No lattice is stored: every cell value is produced on demand by a
-    counter-based hash of (seed, cell index), so values are independent of
-    traversal order and batching.  A lattice costs one hash per cell of its
-    bounding box padded by the window radius, or one per window cell of
-    every node when that is fewer.
+    No lattice is stored: every cell's random number is produced on demand
+    by a counter-based hash of (seed, cell index), independent of traversal
+    order.  A lattice costs one hash per cell of its bounding box padded by
+    the window radius, and for a moving average one FFT correlation of the
+    box with the window; or one hash per window cell of every node when that
+    is fewer.
     """
     return RandomField(
         dim=dim,
@@ -485,6 +494,32 @@ def _ma_window(dim: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     return offsets, w
 
 
+def _fft_size(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: numpy's FFT takes several times longer on
+    a side with a large prime factor (a 53^2 pair of transforms 277 us
+    against 86 us at 54^2, numpy 2.4 on a 2-core host)."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+@lru_cache(maxsize=64)
+def _window_spectrum(dim: int, q: float, shape: tuple[int, ...]) -> np.ndarray:
+    """conj(W^), with W^ the rfftn of the window weights placed at their
+    offsets modulo a box of `shape` (each side at least the window's)."""
+    offsets, weights = _ma_window(dim, q)
+    w = np.zeros(shape)
+    w[tuple(offsets.T)] = weights  # a negative offset counts from the far face
+    spectrum = np.conj(np.fft.rfftn(w))
+    spectrum.flags.writeable = False  # shared by every caller
+    return spectrum
+
+
 def _values_at_cells(field: RandomField, seed, cells: np.ndarray) -> np.ndarray:
     if field.mixing.kind == "iid_cells":
         u = _uniform01(_cell_hash(seed, _SALT_IID, cells.T))
@@ -521,6 +556,8 @@ def field_values(field: RandomField, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None] if field.dim == 1 else pts[None, :]
+    if pts.ndim != 2:
+        raise ConfigurationError(f"points must be an (m, dim) array, got shape {pts.shape}")
     if pts.shape[1] != field.dim:
         raise ConfigurationError(
             f"points have dimension {pts.shape[1]}, field has dimension {field.dim}"
@@ -529,95 +566,102 @@ def field_values(field: RandomField, points) -> np.ndarray:
     return _values_at_cells(field, field.seed, _cells_of(field, pts, shift))
 
 
-def field_on_lattice(field: RandomField, axes) -> np.ndarray:
-    """Evaluate the field on the tensor lattice axes[0] x ... x axes[dim-1].
+def field_on_lattice(fields, axes) -> np.ndarray:
+    """Evaluate a sequence of fields on the tensor lattice
+    axes[0] x ... x axes[dim-1].
 
-    `axes` holds one 1D coordinate array per dimension; the result has shape
-    (len(axes[0]), ..., len(axes[dim-1])) and equals `field_values` at the
-    meshgrid points ('ij' order) bitwise.  Cells are formed per axis, every
-    cell of their (padded) bounding box is hashed once, so an iid field
-    hashes its distinct cells rather than every node, and the lattice is
-    gathered from the box.
+    `axes` holds one 1D coordinate array per dimension.  The result is the
+    (len(fields), len(axes[0]), ..., len(axes[dim-1])) stack whose row u is
+    fields[u] at the meshgrid points ('ij' order).  Cells are formed per
+    axis, and the rows that share their mixing and cell size are evaluated
+    together on one box of cells (`_rows_on_box`), so an iid field hashes
+    its distinct cells rather than every node.
     """
-    if len(axes) != field.dim:
-        raise ConfigurationError(f"lattice has {len(axes)} axes, field has dimension {field.dim}")
-    shift = _global_shift(field.seed, field.dim, field.cell_size)
-    cells = [_cells_of(field, np.asarray(x, dtype=float), s) for x, s in zip(axes, shift)]
-    shape = tuple(len(c) for c in cells)
-    if 0 in shape:  # an empty axis leaves no cell to hash
-        return np.empty(shape)
-    # the box of cells, padded by the window radius for a moving average, in
-    # Python ints, so that its size cannot wrap around int64 into a small one
-    r = _MA_RADIUS if field.mixing.kind == "moving_average" else 0
-    lo = [int(c.min()) - r for c in cells]
-    pad = [int(c.max()) + r + 1 - a for c, a in zip(cells, lo)]
-    window = len(_ma_window(field.dim, field.mixing.q)[1]) if r else 1
+    axes = [np.asarray(x, dtype=float) for x in axes]
+    if any(x.ndim != 1 for x in axes):
+        raise ConfigurationError(
+            f"lattice axes must be 1D coordinate arrays, got shapes {[x.shape for x in axes]}"
+        )
+    groups: dict = {}
+    for u, f in enumerate(fields):
+        if f.dim != len(axes):
+            raise ConfigurationError(f"lattice has {len(axes)} axes, field has dimension {f.dim}")
+        groups.setdefault((f.mixing, f.cell_size), []).append(u)
+    out = np.empty((len(fields), *(len(x) for x in axes)))
+    if out.size:  # else no field, or an empty axis that leaves no cell to hash
+        for rows in groups.values():
+            _rows_on_box([fields[u] for u in rows], axes, [out[u] for u in rows])
+    return out
+
+
+def _rows_on_box(rows, axes, out) -> None:
+    """Write the lattice values of `rows`, fields that share their mixing and
+    cell size, into the arrays of `out`, one per row.
+
+    Each row hashes the box of cells that holds its lattice, padded by the
+    window radius for a moving average, in one hash call with a seed per
+    row; a moving average then takes one normal quantile, one window
+    correlation (`_window_sums`) and one normal CDF over the stacked boxes.
+    The box's shape is the most cells any shift can give the lattice (for a
+    moving average, padded and rounded up to a fast FFT size), so it
+    depends on the axes and the cell size alone, and a row's values do not
+    depend on the other rows.  The quantile function and the gather run per
+    row.  A lattice sparser than its box is evaluated node by node instead.
+    """
+    f0 = rows[0]
+    dim, size = f0.dim, f0.cell_size
+    shifts = np.array([_global_shift(f.seed, dim, size) for f in rows])
+    cells = [_cells_of(f0, x, shifts[:, k, None]) for k, x in enumerate(axes)]  # (U, n_k) each
+    shape = tuple(len(x) for x in axes)
+    # with shift s in [0, size], floor((x + s) / size) lies between
+    # floor(min / size) and floor((max + size) / size); Python ints cannot wrap
+    span = [math.floor((x.max() + size) / size) - math.floor(x.min() / size) + 1 for x in axes]
+    r = _MA_RADIUS if f0.mixing.kind == "moving_average" else 0
+    pad = [_fft_size(n + 2 * r) if r else n for n in span]
+    window = len(_ma_window(dim, f0.mixing.q)[1]) if r else 1
     if math.prod(pad) > window * math.prod(shape):  # more cells than the nodes' windows
-        mesh = np.stack([m.ravel() for m in np.meshgrid(*cells, indexing="ij")], axis=1)
-        return _values_at_cells(field, field.seed, mesh).reshape(shape)
-    return _values_on_box(field, lo, pad)[np.ix_(*(c - c.min() for c in cells))]
-
-
-def _values_on_box(field: RandomField, lo, pad) -> np.ndarray:
-    """Field values on the box at `lo` of shape `pad`, less the window
-    radius on each side for a moving average.
-
-    Each cell of the box is hashed once.  For a moving average the window
-    sum of the box's lattice Gaussians takes the same operations in the same
-    order as `_values_at_cells`, so the values are bitwise equal.
-    """
-    dim = len(pad)
+        for i, f in enumerate(rows):
+            mesh = np.meshgrid(*(c[i] for c in cells), indexing="ij")
+            out[i][...] = _values_at_cells(
+                f, f.seed, np.stack([m.ravel() for m in mesh], axis=1)
+            ).reshape(shape)
+        return
+    low = [c.min(axis=1, keepdims=True) for c in cells]
     coords = [
-        np.arange(a, a + p).reshape([p if j == k else 1 for j in range(dim)])
-        for k, (a, p) in enumerate(zip(lo, pad))
+        (a + np.arange(-r, p - r)).reshape([-1] + [p if j == k else 1 for j in range(dim)])
+        for k, (a, p) in enumerate(zip(low, pad))
     ]
-    if field.mixing.kind == "iid_cells":
-        u = _uniform01(_cell_hash(field.seed, _SALT_IID, coords))
+    seeds = [f.seed for f in rows]
+    if r:
+        g = _ndtri(_uniform01(_cell_hash(seeds, _SALT_GAUSS, coords)))
+        u = _ndtr(_window_sums(g, f0.mixing.q))
     else:
-        g = _ndtri(_uniform01(_cell_hash(field.seed, _SALT_GAUSS, coords)))
-        u = _ndtr(_window_sum(g, field.mixing.q))
-    return field.scale * _icdf(field.marginal, u)
+        u = _uniform01(_cell_hash(seeds, _SALT_IID, coords))
+    index = [c - a for c, a in zip(cells, low)]  # each row's cells in its box
+    for i, f in enumerate(rows):
+        v = f.scale * _icdf(f.marginal, u[i])
+        for k, idx in enumerate(index):
+            v = v.take(idx[i], axis=k)
+        out[i][...] = v
 
 
-@lru_cache(maxsize=64)
-def _window_terms(dim: int, q: float, shape: tuple[int, ...]):
-    """How `_window_sum` walks a box of `shape` padded by the window radius.
+def _window_sums(g: np.ndarray, q: float) -> np.ndarray:
+    """sum_k w_k g[u, x + offset_k] for each box g[u] of the stack g, at every
+    cell x at least the window radius from the box's faces.
 
-    In the flattened box the inner cells, with the padding cells between
-    their rows, form one run of `span` cells, starting at the first inner
-    cell; the neighbours at a window offset form the same run moved by a
-    fixed shift.  Returns the distinct window weights, the (weight index,
-    shift) of every offset in `_ma_window` order, `span`, and the shape and
-    slice that cut the inner cells out of a run padded to whole rows.
+    One circular correlation, irfftn(rfftn(g) conj(W^)), over the trailing
+    axes: the cells kept see no wrapped neighbour, and each sum agrees with
+    the per-offset sum to within a few ulp of sum_k |w_k| max |g|.
     """
-    offsets, weights = _ma_window(dim, q)
-    distinct, index = np.unique(weights, return_inverse=True)
-    strides = np.cumprod((shape[1:] + (1,))[::-1])[::-1]
-    inner = tuple(p - 2 * _MA_RADIUS for p in shape)
-    span = int((np.array(inner) - 1) @ strides) + 1
-    shifts = (offsets + _MA_RADIUS) @ strides
-    rows = (inner[0],) + shape[1:]
-    keep = (slice(None),) + tuple(slice(0, n) for n in inner[1:])
-    distinct.flags.writeable = False  # shared by every caller
-    return distinct, tuple(zip(index.tolist(), shifts.tolist())), span, rows, keep
-
-
-def _window_sum(g: np.ndarray, q: float) -> np.ndarray:
-    """sum_k w_k g[x + offset_k] at every cell x of the box `g` at least the
-    window radius from its faces, accumulated in `_ma_window` order.
-
-    The box is scaled once per distinct weight, and each offset adds one
-    contiguous run of its scaled box: every cell takes the same products
-    and sums in the same order as a multiply-add per offset.
-    """
-    distinct, terms, span, rows, keep = _window_terms(g.ndim, q, g.shape)
-    flat = g.ravel()
-    scaled = [flat * w for w in distinct]
-    acc = np.zeros(rows)
-    run = acc.reshape(-1)[:span]
-    for k, shift in terms:
-        run += scaled[k][shift:shift + span]
-    return acc[keep]
+    box = g.shape[1:]
+    spectrum = np.fft.rfft(g)  # rfftn over the trailing axes, without its set-up
+    for axis in range(1, g.ndim - 1):
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    spectrum *= _window_spectrum(len(box), q, box)
+    for axis in range(1, g.ndim - 1):
+        spectrum = np.fft.ifft(spectrum, axis=axis)
+    sums = np.fft.irfft(spectrum, box[-1])
+    return sums[(slice(None),) + tuple(slice(_MA_RADIUS, n - _MA_RADIUS) for n in box)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .discrete import (
     evaluate,
     form_from_fields,
     inner,
+    lattice_factors,
     measure_weights,
     node_fields,
 )
@@ -365,9 +366,7 @@ def _kappa_matrix(form: CoefficientForm, axes, ball: np.ndarray, eps: float) -> 
     """Raw coefficient kappa(x_i/eps, x_j/eps) on all pairs of nodes of the lattice
     axes[0] x ... x axes[dim-1] in `ball`, a C-order mask of them; zero diagonal."""
     c, angular, factors, terms = form_terms(form)
-    values = [np.ones(int(ball.sum())) if f is None
-              else env.field_on_lattice(f, [a / eps for a in axes]).ravel()[ball]
-              for f in factors]
+    values = lattice_factors(factors, [a / eps for a in axes]).reshape(len(factors), -1)[:, ball]
     if angular.kind == "one":
         rho = 1.0
     else:

@@ -107,7 +107,7 @@ def birkhoff_average(field: RandomField, eps: float, region, weight=None) -> flo
     cap = 4096 if field.dim == 1 else 128
     axes = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
     vol = float(np.prod(hi - lo))
-    vals = field_on_lattice(field, [a / eps for a in axes]).ravel()
+    vals = field_on_lattice([field], [a / eps for a in axes])[0].ravel()
     if weight is not None:
         points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
         vals = vals * np.asarray(weight(points), dtype=float)
@@ -131,7 +131,7 @@ def maximal_functional(field: RandomField, eps_grid, r0: float = 1.0) -> float:
     best = -math.inf
     for eps in eps_grid:
         axes = _midpoint_grid(lo, hi, eps * field.cell_size, cap)
-        vals = field_on_lattice(field, [a / eps for a in axes]).ravel()
+        vals = field_on_lattice([field], [a / eps for a in axes])[0].ravel()
         best = max(best, vol * float(vals.mean()))
     return best
 

@@ -228,7 +228,7 @@ def test_cached_arrays_are_read_only():
         *discrete._stencil_geometry(2, 16, 1.0, cone),
         *discrete._gl_nodes(16),
         *env._ma_window(2, 1.5),
-        env._window_terms(2, 1.5, (12, 12))[0],
+        env._window_spectrum(2, 1.5, (20, 20)),
         *discrete._jump_kernel(grid, params, cone, 1.0, kernel.AngularWeight()),
     ]
     for array in cached:
@@ -678,18 +678,21 @@ def test_forms_of_one_kernel_share_its_symbol():
 
 # sha256 prefixes of apply_generator(u) and row_weight_sums(), recorded with
 # the generator that multiplied stacks of the a_t and b_t fields, before the
-# factor table.  They pin its operations bitwise for numpy 2.4's FFT.
+# factor table.  They pin its operations bitwise for numpy 2.4's FFT.  The
+# families that read the moving-average nu1 were re-recorded when window sums
+# became an FFT correlation; with per-offset window sums they give the
+# earlier digests.
 _GENERATOR_DIGESTS = {
     "1d-constant": ("1303bb12692d90a2", "e60b8c9cdadf7eb2"),
     "1d-summation-one": ("72e52ebd573b8a74", "ef10ae9a8a17166e"),
-    "1d-summation-cos2": ("a5b05856ff493002", "90243a208dbfd9d1"),
-    "1d-product": ("cbed7e47a905c4f8", "34f569193d55901d"),
-    "1d-product-equal": ("5c00000632d65d47", "8d05993e7e4c0df0"),
+    "1d-summation-cos2": ("9f5cb0da3a45d22d", "0ec7ce63ccdd6c50"),
+    "1d-product": ("b638101a30b4de89", "a53f6d8f89b305cb"),
+    "1d-product-equal": ("c25f860d329955e4", "c56f0d0dc8cba6e0"),
     "2d-constant": ("6dd50ebec606ee90", "e3db50ea91ea4625"),
     "2d-summation-one": ("c98082c7719759dd", "70e1547e5a9e13de"),
-    "2d-summation-cos2": ("6c1120fccee27c3f", "b3d627d407b7286f"),
-    "2d-product": ("98e6e78f1991431c", "ac1ab5543cf63b07"),
-    "2d-product-equal": ("af45ef504c3884ce", "c6159c5362ab930f"),
+    "2d-summation-cos2": ("43d71109a64c7b9d", "01ba845b4b12f4d1"),
+    "2d-product": ("62a4ece31dd5beb4", "50e1da8f643e106e"),
+    "2d-product-equal": ("7ace742859e61ded", "9885c641689dc5bd"),
 }
 
 
@@ -715,8 +718,9 @@ def test_generator_and_row_sums_match_recorded_digests(dim, n):
 # before the lattice transform moved into Grid.rfft/irfft and CG updated its
 # vectors in place: the 1D summation form of acceptance criterion 3 at
 # eps 1/4, and the first cell (eps 1/2, master seed 0) of the benchmark's 2D
-# moving-average product form on a lognormal(-1/2, 1) measure.
-_SOLVER_DIGESTS = {1: ("2d86529bccb8af41", 23), 2: ("ead8d9c49fc54cf6", 17)}
+# moving-average product form on a lognormal(-1/2, 1) measure; the 2D one
+# re-recorded when window sums became an FFT correlation.
+_SOLVER_DIGESTS = {1: ("2d86529bccb8af41", 23), 2: ("f9704836ad2e7029", 17)}
 
 
 def _digest_problem(dim):
@@ -842,7 +846,9 @@ def test_equal_product_factors_are_one_field_row():
 @pytest.mark.parametrize("eps", [0.5, 0.125])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grid_fields_match_field_values_at_nodes_bitwise(dim, eps):
-    # fields are evaluated on the grid lattice; field_values at the nodes is the oracle
+    # fields are evaluated on the grid lattice; field_values at the nodes is the
+    # oracle, bitwise for iid fields and within 1e-13 relative for moving
+    # averages, whose window sums the lattice forms by an FFT correlation
     grid = discrete.Grid(dim=dim, length=2.0, n=64)
     ma = env.moving_average(1.5)
     nu1 = env.sample_field(dim, env.uniform(0.5, 1.5), ma, seed=1)
@@ -860,12 +866,14 @@ def test_grid_fields_match_field_values_at_nodes_bitwise(dim, eps):
         grid, kernel.ProductForm(nu1=nu1, nu2=nu2), cone, params, eps
     )
     # factor tables: [nu1, nu2] and [lam, 1], with the pairs as index pairs
-    assert np.array_equal(product._fields, np.stack([at_nodes(nu1), at_nodes(nu2)]))
+    np.testing.assert_allclose(product._fields[0], at_nodes(nu1), rtol=1e-13, atol=0.0)
+    assert np.array_equal(product._fields[1], at_nodes(nu2))
     assert product._terms == ((0, 1), (1, 0))
     summation = discrete.assemble_form(
         grid, kernel.SummationForm(lambda_field=lam), cone, params, eps
     )
-    assert np.array_equal(summation._fields, np.stack([at_nodes(lam), np.ones(grid.shape)]))
+    np.testing.assert_allclose(summation._fields[0], at_nodes(lam), rtol=1e-13, atol=0.0)
+    assert np.array_equal(summation._fields[1], np.ones(grid.shape))
     assert summation._terms == ((0, 1), (1, 0))
     mw = discrete.measure_weights(grid, mu, eps)
     assert np.array_equal(mw.m, env.field_values(mu, nodes) * grid.h**dim)

@@ -208,8 +208,26 @@ def test_non_finite_lattice_coordinates_rejected(mixing, bad):
     with pytest.raises(ConfigurationError) as scattered:
         env.field_values(field, [[bad, 0.0], [1.0, 1.0]])
     with pytest.raises(ConfigurationError) as lattice:
-        env.field_on_lattice(field, [np.array([bad, 1.0]), np.array([0.0, 1.0])])
+        env.field_on_lattice([field], [np.array([bad, 1.0]), np.array([0.0, 1.0])])
     assert str(lattice.value) == str(scattered.value)
+
+
+def test_lattice_axes_must_be_1d():
+    field = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.5), seed=3)
+    with pytest.raises(ConfigurationError, match="1D coordinate arrays"):
+        env.field_on_lattice([field], [np.zeros((2, 2)), np.arange(3.0)])
+
+
+def test_lattice_axes_must_not_be_scalars():
+    field = env.sample_field(1, env.uniform(0.5, 1.5), seed=3)
+    with pytest.raises(ConfigurationError, match="1D coordinate arrays"):
+        env.field_on_lattice([field], [0.5])
+
+
+def test_scalar_points_rejected():
+    field = env.sample_field(1, env.uniform(0.5, 1.5), seed=3)
+    with pytest.raises(ConfigurationError, match="points must be"):
+        env.field_values(field, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +265,17 @@ def test_moving_average_grid_matches_per_point_bitwise():
     assert np.array_equal(vals, single)
 
 
+def _per_offset_sums(seed, cells, dim, q, weights=None):
+    """sum_k w_k g(cell + offset_k) at each row of the (m, dim) array `cells`,
+    a hash and multiply-add per offset in window order."""
+    offsets, w = env._ma_window(dim, q)
+    acc = np.zeros(len(cells))
+    for off, w_k in zip(offsets, w if weights is None else weights):
+        h = env._cell_hash(seed, env._SALT_GAUSS, (cells + off).T)
+        acc += w_k * env._ndtri(env._uniform01(h))
+    return acc
+
+
 @pytest.mark.parametrize("dim, m", [(1, 20_000), (2, 2_000)])
 def test_window_cells_match_per_offset_loop_bitwise(dim, m):
     # the per-cell path hashes its window cells a batch of offsets at a time;
@@ -255,14 +284,40 @@ def test_window_cells_match_per_offset_loop_bitwise(dim, m):
     field = env.sample_field(dim, env.lognormal(0.1, 0.8), env.moving_average(1.5))
     rng = np.random.default_rng(dim)
     cells = rng.integers(-10**6, 10**6, size=(m, dim))
-    offsets, weights = env._ma_window(dim, 1.5)
     for seed in (7, rng.integers(0, 2**63, size=m).astype(np.uint64)):
-        acc = np.zeros(m)
-        for off, w in zip(offsets, weights):
-            h = env._cell_hash(seed, env._SALT_GAUSS, (cells + off).T)
-            acc += w * env._ndtri(env._uniform01(h))
-        want = env._icdf(field.marginal, env._ndtr(acc))
+        want = env._icdf(field.marginal, env._ndtr(_per_offset_sums(seed, cells, dim, 1.5)))
         assert np.array_equal(env._values_at_cells(field, seed, cells), want)
+
+
+def _lattice_cells(field, axes):
+    """The (m, dim) cells of the meshgrid points of `axes` ('ij' order), and
+    the cells per axis."""
+    shift = env._global_shift(field.seed, field.dim, field.cell_size)
+    cells = [np.floor((x + s) / field.cell_size).astype(np.int64) for x, s in zip(axes, shift)]
+    mesh = np.stack([m.ravel() for m in np.meshgrid(*cells, indexing="ij")], axis=1)
+    return mesh, cells
+
+
+def _lattice_window_sums(monkeypatch, field, axes):
+    """`field`'s lattice values, its window sums at the lattice cells (before
+    the normal CDF) and the bound 16 eps sum_k |w_k| max |g| on their error,
+    read from `env._window_sums` as the lattice path calls it."""
+    calls = []
+
+    def spy(g, q):
+        sums = window_sums(g, q)
+        calls.append((g, sums))
+        return sums
+
+    window_sums = env._window_sums
+    monkeypatch.setattr(env, "_window_sums", spy)
+    vals = env.field_on_lattice([field], axes)[0]
+    monkeypatch.setattr(env, "_window_sums", window_sums)
+    (g, sums), = calls
+    _, cells = _lattice_cells(field, axes)
+    weights = env._ma_window(field.dim, field.mixing.q)[1]
+    bound = 16 * np.finfo(float).eps * np.abs(weights).sum() * np.abs(g).max()
+    return vals, sums[0][np.ix_(*(c - c.min() for c in cells))].ravel(), bound
 
 
 # (dim, cell_size, seed, n, eps, origin) of lattices with coordinates
@@ -281,36 +336,96 @@ _LATTICE_CASES = [
 
 @pytest.mark.parametrize("mixing", [env.moving_average(1.5), env.iid_cells()], ids=["ma", "iid"])
 @pytest.mark.parametrize("dim, cell_size, seed, n, eps, origin", _LATTICE_CASES)
-def test_lattice_matches_per_cell_values_bitwise(dim, cell_size, seed, n, eps, origin, mixing):
-    # the per-cell evaluation at every meshgrid cell is the oracle
+def test_lattice_matches_per_cell_values_bitwise(
+    dim, cell_size, seed, n, eps, origin, mixing, monkeypatch
+):
+    # the per-cell evaluation at every meshgrid cell is the oracle: iid values
+    # are bitwise equal; a moving average's window sums, a correlation by FFT
+    # on the lattice, lie within 16 eps sum_k |w_k| max |g| of the per-offset
+    # sums, and its values within 1e-13 relative
     field = env.sample_field(
         dim, env.lognormal(0.1, 0.8), mixing, cell_size=cell_size, seed=seed
     )
     axis = (origin + 4.0 * (np.arange(n) + 0.5) / n) / eps
-    vals = env.field_on_lattice(field, [axis] * dim)
-    shift = env._global_shift(seed, dim, cell_size)
-    cells = [np.floor((axis + s) / cell_size).astype(np.int64) for s in shift]
-    mesh = np.stack([m.ravel() for m in np.meshgrid(*cells, indexing="ij")], axis=1)
+    mesh, _ = _lattice_cells(field, [axis] * dim)
+    want = env._values_at_cells(field, seed, mesh)
+    if mixing.kind == "iid_cells":
+        vals = env.field_on_lattice([field], [axis] * dim)[0]
+        assert vals.shape == (n,) * dim
+        assert np.array_equal(vals.ravel(), want)
+        return
+    vals, sums, bound = _lattice_window_sums(monkeypatch, field, [axis] * dim)
     assert vals.shape == (n,) * dim
-    assert np.array_equal(vals.ravel(), env._values_at_cells(field, seed, mesh))
+    assert np.max(np.abs(sums - _per_offset_sums(seed, mesh, dim, 1.5))) <= bound
+    np.testing.assert_allclose(vals.ravel(), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("k", ["center", "smallest"])
+def test_window_sum_bound_catches_a_wrong_weight(k, monkeypatch):
+    # one window weight scaled by 1 + 1e-9 in the lattice path moves the
+    # window sums beyond the bound that the per-offset sums keep
+    offsets, weights = env._ma_window(2, 1.5)
+    bad = weights.copy()
+    bad[len(bad) // 2 if k == "center" else np.argmin(weights)] *= 1.0 + 1e-9
+    field = env.sample_field(2, env.lognormal(0.1, 0.8), env.moving_average(1.5), seed=9)
+    axis = -4.0 + 0.25 * np.arange(32)
+    mesh, _ = _lattice_cells(field, [axis] * 2)
+    want = _per_offset_sums(field.seed, mesh, 2, 1.5)
+    env._window_spectrum.cache_clear()
+    try:
+        _, sums, bound = _lattice_window_sums(monkeypatch, field, [axis] * 2)
+        assert np.max(np.abs(sums - want)) <= bound
+        monkeypatch.setattr(env, "_ma_window", lambda dim, q: (offsets, bad))
+        env._window_spectrum.cache_clear()
+        _, sums, bound = _lattice_window_sums(monkeypatch, field, [axis] * 2)
+        assert np.max(np.abs(sums - want)) > bound
+    finally:
+        env._window_spectrum.cache_clear()  # no spectrum of the wrong window survives
+
+
+def test_fft_sizes_are_the_least_5_smooth_sides():
+    sizes = [env._fft_size(n) for n in (1, 7, 17, 49, 53, 97, 101, 128)]
+    assert sizes == [1, 8, 18, 50, 54, 100, 108, 128]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_lattice_values_do_not_depend_on_the_other_rows(dim):
+    # a field alone and inside a stack with other factors: the same values
+    ma = env.moving_average(1.5)
+    nu = env.sample_field(dim, env.uniform(0.5, 1.5), ma, seed=1)
+    others = [
+        env.sample_field(dim, env.lognormal(0.0, 0.5), ma, seed=2),
+        env.sample_field(dim, env.uniform(0.5, 1.5), seed=3),
+        env.sample_field(dim, env.exp_abs_gauss(1.0), ma, cell_size=1.5, seed=4),
+        env.sample_field(dim, env.shifted_pareto(1.0, 3.0), ma, seed=2**63 + 5, scale=2.0),
+    ]
+    axis = -3.0 + (0.5 if dim == 3 else 0.125) * np.arange(12 if dim == 3 else 48)
+    alone = env.field_on_lattice([nu], [axis] * dim)[0]
+    stack = env.field_on_lattice([others[0], nu, *others[1:], nu], [axis] * dim)
+    assert stack.shape == (6, *alone.shape)
+    assert np.array_equal(stack[1], alone) and np.array_equal(stack[5], alone)
+    for u, f in enumerate(others):
+        assert np.array_equal(stack[u + 1 if u else 0], env.field_on_lattice([f], [axis] * dim)[0])
 
 
 def test_lattice_takes_axes_of_any_length():
-    # a non-square lattice, and one too scattered for a box, agree with
-    # field_values at the meshgrid points
+    # a non-square lattice agrees with field_values at the meshgrid points
+    # within the moving average's rounding, and one too scattered for a box,
+    # evaluated node by node, bitwise
     field = env.sample_field(2, env.uniform(0.5, 1.5), env.moving_average(1.0), seed=2)
-    for axes in ([np.arange(5) * 0.3, np.arange(3) * 0.7 - 4.0],
-                 [np.array([-5e3, 7e3]), np.array([0.0, 1e4, -1e4])]):
+    for axes, rtol in (([np.arange(5) * 0.3, np.arange(3) * 0.7 - 4.0], 1e-13),
+                       ([np.array([-5e3, 7e3]), np.array([0.0, 1e4, -1e4])], 0.0)):
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = env.field_on_lattice(field, axes)
+        vals = env.field_on_lattice([field], axes)[0]
         assert vals.shape == tuple(len(a) for a in axes)
-        assert np.array_equal(vals.ravel(), env.field_values(field, pts))
+        np.testing.assert_allclose(vals.ravel(), env.field_values(field, pts), rtol=rtol, atol=0.0)
     with pytest.raises(ConfigurationError, match="lattice has 1 axes"):
-        env.field_on_lattice(field, [np.arange(3.0)])
+        env.field_on_lattice([field], [np.arange(3.0)])
     # an empty axis gives an empty lattice, as field_values gives on no points
-    empty = env.field_on_lattice(field, [np.arange(3.0), np.zeros(0)])
-    assert empty.shape == (3, 0) and empty.dtype == env.field_values(field, np.zeros((0, 2))).dtype
+    empty = env.field_on_lattice([field], [np.arange(3.0), np.zeros(0)])
+    assert empty.shape == (1, 3, 0)
+    assert empty.dtype == env.field_values(field, np.zeros((0, 2))).dtype
 
 
 def test_iid_empirical_mean_within_three_se():
