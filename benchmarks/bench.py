@@ -8,8 +8,10 @@ arbitrarily close to 0), it reports the median wall time of
   the caches of it, `_subcell_axis_mass` and `_gl_nodes` cleared;
 - field evaluation at the grid nodes, for iid and moving-average mixing,
   timed through `discrete.measure_weights(grid, field, eps)`, the call the
-  library itself makes for grid fields (the same API at older commits, so a
-  `--src` run on one of them times that commit's own grid path);
+  library itself makes for a lone grid field (the same API at older commits,
+  so a `--src` run on one of them times that commit's own grid path), and
+  the stacked call `discrete.node_fields(grid, form, eps)` that evaluates a
+  form's factors together, as sweeps and form checks do;
 - assembly of a product form with moving-average factors;
 - one generator matvec;
 - one resolvent solve (lambda = 1, bump right-hand side, Lebesgue measure,
@@ -34,15 +36,18 @@ the optional modules in `sys.modules` at the exit of one more, untimed run:
 `scipy` and its public subpackages (`scipy.special`, `scipy.integrate`, ...),
 OpenSSL's `_hashlib`, `numpy.ma` and `numpy.polynomial`.
 
-Each run is stored in the output JSON under a label, next to the runs already
-there, with the machine it ran on (cores, Python, numpy, platform and the
-BLAS thread variables), so two checkouts measured on the same machine sit
-side by side.  The output file has no default, so a run never lands in
-another change's record.
-From the repository root:
+Every case runs in a child process of its own.  Given several source trees
+(`--src LABEL=PATH`, repeated), the script times them round by round: in each
+round every case runs once per tree, the trees' order alternating from case
+to case and from round to round, so a drift of the host's speed falls on
+both alike.  Each tree is stored in the output JSON under its label, next to
+the runs already there, with the median of every timing over the rounds,
+each round's values, and the machine (cores, Python, numpy, platform and the
+BLAS thread variables).  The output file has no default, so a run never
+lands in another change's record.  From the repository root:
 
-    python3 benchmarks/bench.py --label before --src /path/to/parent/src --out BENCH_x.json
-    python3 benchmarks/bench.py --label after --out BENCH_x.json
+    python3 benchmarks/bench.py --src before=/path/to/parent/src --src after=src \
+        --rounds 5 --out BENCH_x.json
 """
 
 from __future__ import annotations
@@ -111,6 +116,7 @@ def run_case(dim: int, n: int, length: float, eps: float, factor: tuple) -> dict
     out["geometry_s"] = median_time(geometry)
     out["field_iid_s"] = median_time(lambda: discrete.measure_weights(grid, iid, eps))
     out["field_ma_s"] = median_time(lambda: discrete.measure_weights(grid, form.nu1, eps))
+    out["node_fields_s"] = median_time(lambda: discrete.node_fields(grid, form, eps))
     out["assembly_s"] = median_time(
         lambda: discrete.assemble_form(grid, form, cone, params, eps)
     )
@@ -226,61 +232,113 @@ def source_commit(src: str) -> str:
     return head + ("+dirty" if dirty else "")
 
 
+COLD_CASE, ACCEPTANCE_CASE = "cold-cli-2d-sweep", "1d-n512-acceptance-sweep"
+CASE_NAMES = (COLD_CASE, *CASES, ACCEPTANCE_CASE)
+
+
+def run_named(name: str, src: str) -> dict:
+    """One case by name: a key of CASES, the acceptance sweep or the cold start."""
+    if name == COLD_CASE:
+        return run_cold_cli(src)
+    if name == ACCEPTANCE_CASE:
+        return run_acceptance_sweep()
+    return run_case(*CASES[name])
+
+
+DESCRIPTION = (
+    "Median wall time per layer (seconds) of benchmarks/bench.py: product form "
+    "with moving-average uniform(0.5, 1.5) factors (uniform(0, 2) for the "
+    "degenerate case), alpha = 1, full-space cone; 1D L = 8, eps = 1/4; 2D L = 4, "
+    "eps = 1/2; field_iid_s and field_ma_s time discrete.measure_weights on the "
+    "grid with an iid uniform(0.5, 1.5) field and the first factor, node_fields_s "
+    "discrete.node_fields on the form's two factors; geometry_s "
+    "times the first discrete._stencil_geometry call with its caches cleared; "
+    "energy_s is E(f, f) of the bump f, energy_fg_s E(u, f) with the matvec's "
+    "random u; mosco_s (2D) is one homogenize.mosco_form_check at eps 2, 1 and "
+    "1/2, one seed and the three functions of test_function_suite.  "
+    "1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
+    "end (5 eps x 10 seeds) and the CG iterations summed over its cells.  "
+    "cold-cli-2d-sweep: fresh `python -m stablehom.cli run` processes on a 2D "
+    "sweep (n = 64, 2 eps x 1 seed): median, min and max wall time (s), median "
+    "minor page faults per process, the largest child's peak RSS (MB), and "
+    "the optional modules it imports: `scipy`, the public scipy subpackages, "
+    "`_hashlib`, `numpy.ma` and `numpy.polynomial`.  Every case ran in a child "
+    "process of its own, the labels of one record alternating round by round; "
+    "`cases` holds the median over the rounds of every float, and the first "
+    "round's value of everything else, `rounds` each round's values."
+)
+
+
+def run_child(name: str, src: str) -> dict:
+    """Run one case in a fresh process on the tree `src`; its result dict."""
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--case", name, "--src", src],
+        check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def summarize(rounds: list[dict]) -> dict:
+    """Per case, the median over the rounds of every float, and the first
+    round's value of everything else (counts, module lists)."""
+    out = {}
+    for name in rounds[0]:
+        values = [r[name] for r in rounds]
+        out[name] = {
+            key: statistics.median(v[key] for v in values)
+            if all(isinstance(v[key], float) for v in values) else values[0][key]
+            for key in values[0]
+        }
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--label", required=True, help="key of this run in the output")
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="source tree that holds the stablehom package")
-    parser.add_argument("--out", required=True, help="BENCH_<label>.json file to add the run to")
+    parser.add_argument("--src", action="append", required=True, metavar="LABEL=PATH",
+                        help="a source tree holding the stablehom package, and the label "
+                             "of its run in the output (repeat for each tree)")
+    parser.add_argument("--rounds", type=int, default=5,
+                        help="times every case runs on every tree (default 5)")
+    parser.add_argument("--out", help="BENCH_<name>.json file to add the runs to")
+    parser.add_argument("--case", choices=CASE_NAMES, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    sys.path.insert(0, os.path.abspath(args.src))
+    if args.case:  # a child: one case on one tree, its result on the last line
+        sys.path.insert(0, os.path.abspath(args.src[0]))
+        print(json.dumps(run_named(args.case, args.src[0])))
+        return 0
+    trees = dict(pair for pair in (item.split("=", 1) for item in args.src) if len(pair) == 2)
+    if len(trees) != len(args.src) or not args.out or args.rounds < 1:
+        parser.error("give distinct LABEL=PATH trees, --out and --rounds >= 1")
     import numpy as np
 
-    run = {
-        "source": source_commit(args.src),
-        "machine": {
-            "cores": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "platform": platform.platform(terse=True),
-            # dot products above 10,000 entries, and so timings, depend on these
-            "blas_threads": {var: os.environ.get(var) for var in
-                             ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
-        },
-        "cases": {},
+    machine = {
+        "cores": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(terse=True),
+        # dot products above 10,000 entries, and so timings, depend on these
+        "blas_threads": {var: os.environ.get(var) for var in
+                         ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
     }
-    name = "cold-cli-2d-sweep"
-    run["cases"][name] = run_cold_cli(args.src)
-    print(name, json.dumps(run["cases"][name]), flush=True)
-    for name, case in CASES.items():
-        run["cases"][name] = run_case(*case)
-        print(name, json.dumps(run["cases"][name]), flush=True)
-    name = "1d-n512-acceptance-sweep"
-    run["cases"][name] = run_acceptance_sweep()
-    print(name, json.dumps(run["cases"][name]), flush=True)
+    labels = list(trees)
+    rounds = {label: [] for label in labels}
+    for r in range(args.rounds):
+        for label in labels:
+            rounds[label].append({})
+        for c, name in enumerate(CASE_NAMES):
+            for label in labels if (r + c) % 2 == 0 else labels[::-1]:
+                result = run_child(name, trees[label])
+                rounds[label][r][name] = result
+                print(f"round {r} {label} {name}", json.dumps(result), flush=True)
     doc = {"runs": {}}
     if os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc["description"] = (
-        "Median wall time per layer (seconds) of benchmarks/bench.py: product form "
-        "with moving-average uniform(0.5, 1.5) factors (uniform(0, 2) for the "
-        "degenerate case), alpha = 1, full-space cone; 1D L = 8, eps = 1/4; 2D L = 4, "
-        "eps = 1/2; field_iid_s and field_ma_s time discrete.measure_weights on the "
-        "grid with an iid uniform(0.5, 1.5) field and the first factor; geometry_s "
-        "times the first discrete._stencil_geometry call with its caches cleared; "
-        "energy_s is E(f, f) of the bump f, energy_fg_s E(u, f) with the matvec's "
-        "random u; mosco_s (2D) is one homogenize.mosco_form_check at eps 2, 1 and "
-        "1/2, one seed and the three functions of test_function_suite.  "
-        "1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
-        "end (5 eps x 10 seeds) and the CG iterations summed over its cells.  "
-        "cold-cli-2d-sweep: fresh `python -m stablehom.cli run` processes on a 2D "
-        "sweep (n = 64, 2 eps x 1 seed): median, min and max wall time (s), median "
-        "minor page faults per process, the largest child's peak RSS (MB), and "
-        "the optional modules it imports: `scipy`, the public scipy subpackages, "
-        "`_hashlib`, `numpy.ma` and `numpy.polynomial`."
-    )
-    doc["runs"][args.label] = run
+    doc["description"] = DESCRIPTION
+    for label in labels:
+        doc["runs"][label] = {
+            "source": source_commit(trees[label]), "machine": machine,
+            "cases": summarize(rounds[label]), "rounds": rounds[label],
+        }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")

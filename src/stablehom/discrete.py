@@ -17,9 +17,12 @@ Every coefficient family is node fields times one stencil kernel K:
 `node_fields` evaluates each distinct factor that kernel.form_terms lists
 once, and a form reads its terms as index pairs into that stack.  The
 reach n/4 < n/2 makes K an exact circulant on the torus, so the generator is
-an FFT convolution and an energy a Parseval sum over forward transforms (see
-SparseSymmetricForm).  K and its symbol depend on the config alone, and every
-form of one kernel shares them (`_jump_kernel`).  Every FFT of the package
+an FFT convolution.  An energy is a Parseval sum over forward transforms on
+the bounding box of its functions' supports, zero-padded to a grid on which
+K's jumps between box nodes do not alias, and on the torus when that grid
+would be no smaller (see SparseSymmetricForm).  K, its symbol and its
+symbols on the box grids depend on the config alone, and every form of one
+kernel shares them (`_jump_kernel`, `_box_kernel`).  Every FFT of the package
 but env's window correlation is `Grid.rfft` or `Grid.irfft`, and every inner
 product `inner`.  Explicit
 weight slabs are built only on demand, as the oracle path behind the dense
@@ -88,10 +91,12 @@ class Grid:
 
     def rfft(self, x: np.ndarray) -> np.ndarray:
         """numpy's rfftn over the trailing dim axes of x, one lattice or a
-        stack, bitwise: rfft on the last axis, then fft on the others inside out."""
-        y = np.fft.rfft(x)
+        stack, bitwise: rfft on the last axis, then fft on the others inside
+        out.  A shorter axis is zero-padded to n at its end, each transform
+        padding its own axis, which is rfftn of the padded array bitwise."""
+        y = np.fft.rfft(x, self.n)
         for axis in range(-2, -self.dim - 1, -1):
-            y = np.fft.fft(y, axis=axis)
+            y = np.fft.fft(y, self.n, axis=axis)
         return y
 
     def irfft(self, y: np.ndarray) -> np.ndarray:
@@ -317,6 +322,45 @@ def _jump_kernel(
     return (stencil, *_read_only(values, khat, _parseval_weights(khat, grid.size)))
 
 
+@lru_cache(maxsize=64)
+def _box_kernel(
+    grid: Grid, params: KernelParams, cone: ConeSpec, c: float, angular: AngularWeight, m: int
+) -> tuple[Grid, np.ndarray]:
+    """The grid of m < n nodes per axis and spacing h, and the
+    `_parseval_weights` on it of the `_jump_kernel` entries with |s_k| < m/2,
+    read-only: the kernel of an energy on a support box of at most m/2 nodes
+    per axis zero-padded to m, where no displacement between two box nodes
+    aliases and every longer jump leaves the box."""
+    stencil, values, _, _ = _jump_kernel(grid, params, cone, c, angular)
+    box = Grid(grid.dim, grid.length * m / grid.n, m)
+    near = (2 * np.abs(stencil) < m).all(axis=1)
+    return box, *_read_only(_parseval_weights(_symbol(box, stencil[near], values[near]), box.size))
+
+
+def _support_box(f: np.ndarray, g: np.ndarray) -> tuple[slice, ...] | None:
+    """Per axis, the least slice, not wrapping, that holds every nonzero entry
+    of the lattices f and g, or the whole lattice once a side spans half of
+    it, where an energy takes the torus anyway; None when both are zero."""
+    if any(v.flat[1] and v.flat[1 + v.size // 2] for v in (f, g)):  # nonzero n/2 rows apart
+        return tuple(slice(0, n) for n in f.shape)
+    nonzero = f != 0.0
+    if g is not f:
+        nonzero |= g != 0.0
+    box = []
+    for _ in range(f.ndim):  # nonzero: the axes not yet in box, leading one first
+        line = nonzero if nonzero.ndim == 1 else nonzero.any(axis=tuple(range(1, nonzero.ndim)))
+        hit = np.flatnonzero(line)
+        if not hit.size:
+            return None
+        lo, hi = int(hit[0]), int(hit[-1]) + 1
+        if 2 * (hi - lo) >= len(nonzero):
+            return tuple(slice(0, n) for n in f.shape)
+        box.append(slice(lo, hi))
+        if nonzero.ndim > 1:
+            nonzero = nonzero[lo:hi].any(axis=0)
+    return tuple(box)
+
+
 class SparseSymmetricForm:
     """Jump energy E(f,g) = 1/2 sum_{i != j} (f_i - f_j)(g_i - g_j) w(i, j).
 
@@ -335,30 +379,43 @@ class SparseSymmetricForm:
         A u = sum_t F_{i_t} (K * (F_{j_t} u)) - d u,
         d = sum_t F_{i_t} (K * F_{j_t}),
 
-    and E(f, g) = -<f, A g>.  By Parseval's identity, with f' = f - f_0,
-    g' = g - g_0 and X_u, Y_u the `Grid.rfft` of F_u f' and F_u g',
+    and E(f, g) = -<f, A g>.  With f' = f - f_0 and g' = g - g_0, every
+    term of the cross sum sum_t <F_{i_t} f', K * (F_{j_t} g')> pairs two
+    nodes of the bounding box B of the supports of f' and g' (per axis, not
+    wrapping; `_support_box`).  With b the widest side of B, that sum is a
+    Parseval sum over a grid of m = 2 `env._fft_size(b)` >= 2b - 1 nodes per
+    axis (at least 4) on which F f' and F g' are B zero-padded, and the
+    torus itself (m = n) once m >= n.  With X_u, Y_u the `Grid.rfft` of
+    F_u f' and F_u g' on that grid of M = m^d nodes and K^ the symbol there
+    of the entries with |s_k| < m/2 (`_box_kernel`; all of them on the torus),
 
-        E(f, g) = <f', d g'> - (1/N) sum_t sum_xi omega_xi K^(xi)
+        E(f, g) = <f', d g'>_B - (1/M) sum_t sum_xi omega_xi K^(xi)
                   Re(conj(X_{i_t}(xi)) Y_{j_t}(xi)),
 
     omega the weight of the half spectrum (`_parseval_weights`): an energy
-    takes one forward transform of the U factor fields times f' (and g'),
-    and no inverse.  The shift by the first entry keeps constants at exactly
-    zero energy.  `weight_slab` builds w(i, i+s) explicitly from the
-    same table; it is the independent oracle behind `dense_generator`.
+    takes one forward transform of the U factor fields times f' (and g')
+    on B's grid, and no inverse.  Between two nodes of B the displacement is
+    at most b - 1 < m/2 per axis, so it does not alias, and when m < n it is
+    below n/2, so it is the torus displacement too.  The shift by the first
+    entry keeps constants at exactly zero energy: their B is empty.
+    `weight_slab` builds w(i, i+s) explicitly from the same table; it is the
+    independent oracle behind `dense_generator`.
     """
 
     def __init__(
         self,
         grid: Grid,
         params: KernelParams,
-        jump_kernel: tuple[np.ndarray, ...],
+        cone: ConeSpec,
+        c: float,
+        angular: AngularWeight,
         fields: np.ndarray,
         terms: tuple[tuple[int, int], ...],
     ):
         self.grid = grid
         self.params = params
-        self.stencil, self.stencil_kernel, self._khat, self._weights = jump_kernel
+        self._kernel = (grid, params, cone, c, angular)  # the key of `_jump_kernel`
+        self.stencil, self.stencil_kernel, self._khat, self._weights = _jump_kernel(*self._kernel)
         self._fields, self._terms = fields, terms
         if not (fields >= 0.0).all():  # NaN fails too
             raise DomainError(f"negative coefficient field: min value {fields.min():g}")
@@ -387,20 +444,33 @@ class SparseSymmetricForm:
         return out
 
     def energy(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Dirichlet energy E(f, g) from the cached row sums and Parseval weights."""
+        """Dirichlet energy E(f, g) on the support box of f - f_0 and g - g_0,
+        from the cached row sums and Parseval weights."""
         F = self._as_lattice(f)
         F = F - F.flat[0]
-        x = self.grid.rfft(self._fields * F)
         if g is f:
-            G, y = F, x
+            G = F
         else:
             G = self._as_lattice(g)
             G = G - G.flat[0]
-            y = self.grid.rfft(self._fields * G)
-        wy = self._weights * y
+        box = _support_box(F, G)
+        if box is None:
+            return 0.0
+        b = max(s.stop - s.start for s in box)
+        m = 2 * env._fft_size(max(b, 2)) if 2 * b < self.grid.n else self.grid.n
+        fields, d = self._fields, self._d
+        if m < self.grid.n:
+            grid, weights = _box_kernel(*self._kernel, m)
+            F, G = (F[box],) * 2 if G is F else (F[box], G[box])
+            d, fields = d[box], fields[(slice(None), *box)]
+        else:
+            grid, weights = self.grid, self._weights
+        x = grid.rfft(fields * F)
+        y = x if G is F else grid.rfft(fields * G)
+        wy = weights * y
         cross = sum(inner(x[i], wy[j]).real for i, j in self._terms)
         # 0.0 - x keeps a vanishing energy unsigned
-        return 0.0 - (float(cross) - float(inner(F, self._d * G)))
+        return 0.0 - (float(cross) - float(inner(F, d * G)))
 
     def apply_generator(self, u: np.ndarray) -> np.ndarray:
         """(A u)_i = sum_j w(i,j) (u_j - u_i); annihilates constants."""
@@ -503,9 +573,7 @@ def form_from_fields(
     of `node_fields`."""
     _check_dims(grid, cone, params)
     c, angular, _, terms = form_terms(form)
-    return SparseSymmetricForm(
-        grid, params, _jump_kernel(grid, params, cone, c, angular), fields, terms
-    )
+    return SparseSymmetricForm(grid, params, cone, c, angular, fields, terms)
 
 
 def assemble_form(

@@ -17,6 +17,7 @@ iterates, iteration counts and solutions whatever the BLAS thread count.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -86,9 +87,10 @@ def solve_resolvent(
     stops on the recursively updated residual or after max_iter steps; the
     reported one is recomputed from b - S u with one more matvec, and
     ConvergenceFailure is raised when that one exceeds tol or is NaN.  f = 0
-    gives u = 0; a starting residual that is not positive (it is 1 in exact
-    arithmetic) or a <r, P^-1 r> that is not positive raises NumericalError,
-    as negative curvature does.
+    gives u = 0; a starting residual that is not 1 to within 1e-9 (it is 1
+    in exact arithmetic) or a <r, P^-1 r> below the least normal float raises
+    NumericalError, as negative curvature does: a subnormal residual has
+    lost the precision CG needs, and would otherwise run to max_iter.
     """
     check_tol(tol)
     start = time.perf_counter()
@@ -112,16 +114,19 @@ def solve_resolvent(
     z = scale * mean_inverse(scale * r)
     p = z.copy()
     rz = float(inner(r, z))
-    # 1 in exact arithmetic: 0 means that m f^2 or (m f)^2 underflowed, and
-    # NaN that 1/m overflowed
+    # 1 in exact arithmetic and within rounding of it in floating point: 0
+    # means that m f^2 or (m f)^2 underflowed, NaN that 1/m overflowed, and
+    # any other value that they went subnormal, so that no later residual
+    # can be measured against tol
     residual = res_norm(r) if norm_f > 0.0 else 0.0
-    if not residual > 0.0:
+    if not abs(residual - 1.0) <= 1e-9:
         raise NumericalError(
-            f"the starting residual computes to {residual:g}: the measure weights are too small")
+            f"the starting residual computes to {residual:.12g}: the measure weights are too small")
     iterations = 0
     while residual > tol and iterations < max_iter:
-        if not rz > 0.0:  # positive in exact arithmetic while r != 0
-            raise NumericalError(f"<r, P^-1 r> = {rz:g} is not positive: the residual underflowed")
+        if not rz >= sys.float_info.min:  # positive in exact arithmetic while r != 0
+            raise NumericalError(
+                f"<r, P^-1 r> = {rz:g} is not a positive normal float: the residual underflowed")
         ap = lam_m * p - form.apply_generator(p)
         pap = float(inner(p, ap))
         if not pap > 0.0:

@@ -662,6 +662,113 @@ def test_spectral_energy_matches_pair_sum_oracle(kind, dim, coned):
         assert e == 0.0 and math.copysign(1.0, e) == 1.0
 
 
+def _torus_energy(form, f, g):
+    """The Parseval sum of SparseSymmetricForm over the whole torus, whatever
+    the supports: the energy as it was before support boxes."""
+    grid = form.grid
+    f, g = (v.reshape(grid.shape) - v[0] for v in (f, g))
+    x, y = grid.rfft(form._fields * f), grid.rfft(form._fields * g)
+    wy = form._weights * y
+    cross = sum(discrete.inner(x[i], wy[j]).real for i, j in form._terms)
+    return 0.0 - (float(cross) - float(discrete.inner(f, form._d * g)))
+
+
+def _box_case(kernel_kind, dim):
+    grid = discrete.Grid(dim=dim, length=4.0, n=64 if dim == 1 else 32)
+    params = kernel.KernelParams(alpha=1.3, dim=dim)
+    nu1, nu2 = (env.sample_field(dim, env.lognormal(0.0, 0.6), seed=s) for s in (1, 2))
+    axis = (0.6, 0.8) if dim == 2 else (1.0,)
+    cone, form = kernel.full_space_cone(dim), kernel.ProductForm(nu1=nu1, nu2=nu2)
+    if kernel_kind == "cone":
+        cone = kernel.ConeSpec(axis=axis, aperture=0.5)
+    elif kernel_kind == "cos2":
+        form = kernel.SummationForm(nu1, kernel.AngularWeight("cos2", axis))
+    return grid, discrete.assemble_form(grid, form, cone, params, eps=1.0)
+
+
+def _on_box(grid, low, width, seed):
+    """2.5 plus random values on the box of `width` nodes per axis from
+    `low` (wrapping mod n; the last axis 3 nodes narrower in 2D), but 2.5 at
+    node 0: f - f_0 is supported on the box less node 0."""
+    f = np.full(grid.shape, 2.5)
+    sides = [width] + [width - 3] * (grid.dim - 1)
+    box = np.ix_(*((low + np.arange(w)) % grid.n for w in sides))
+    f[box] += np.random.default_rng(seed).normal(size=sides)
+    f.flat[0] = 2.5
+    return f.ravel()
+
+
+def _box_sizes(monkeypatch):
+    """The m of every `_box_kernel` call, that is of every energy on a box."""
+    sizes = []
+    box_kernel = discrete._box_kernel
+    monkeypatch.setattr(discrete, "_box_kernel",
+                        lambda *key: sizes.append(key[-1]) or box_kernel(*key))
+    return sizes
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kernel_kind", ["full", "cone", "cos2"])
+def test_energy_on_support_box_matches_pair_sum_and_torus(kernel_kind, dim, monkeypatch):
+    grid, form = _box_case(kernel_kind, dim)
+    n = grid.n
+    sizes = _box_sizes(monkeypatch)
+    f = _on_box(grid, 3, 7, seed=1)
+    disjoint = _on_box(grid, 11, 5, seed=2)  # union box 13 wide: m = 26 < n
+    overlap = _on_box(grid, 6, 8, seed=3)
+    for a, b in [(f, f), (f, disjoint), (disjoint, f), (f, overlap), (overlap, overlap)]:
+        got = form.energy(a, b)
+        want = _pair_sum_energy(form, a, b)
+        scale = math.sqrt(_pair_sum_energy(form, a, a) * _pair_sum_energy(form, b, b))
+        assert scale > 0.0
+        assert abs(got - want) <= 1e-12 * scale
+        assert abs(got - _torus_energy(form, a, b)) <= 1e-12 * scale
+    assert sizes and all(m < n for m in sizes)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kernel_kind", ["full", "cone", "cos2"])
+def test_energy_across_the_seam_and_at_full_width_is_the_torus_sum(
+        kernel_kind, dim, monkeypatch):
+    grid, form = _box_case(kernel_kind, dim)
+    n = grid.n
+    sizes = _box_sizes(monkeypatch)
+    # 7 nodes across the seam: the box, not wrapping, spans the whole torus
+    seam = _on_box(grid, n - 3, 7, seed=4)
+    got = form.energy(seam, seam)
+    want = _pair_sum_energy(form, seam, seam)
+    assert abs(got - want) <= 1e-12 * want
+    assert got == _torus_energy(form, seam, seam)
+    assert sizes == []
+    # the least width whose m = 2 _fft_size(width) reaches n takes the torus,
+    # one node less a box of m < n nodes
+    full = next(w for w in range(2, n) if 2 * env._fft_size(w) >= n)
+    wide = _on_box(grid, 1, full, seed=5)
+    assert form.energy(wide, wide) == _torus_energy(form, wide, wide)
+    assert sizes == []
+    narrower = _on_box(grid, 1, full - 1, seed=5)
+    got = form.energy(narrower, narrower)
+    want = _pair_sum_energy(form, narrower, narrower)
+    assert abs(got - want) <= 1e-12 * want
+    assert abs(got - _torus_energy(form, narrower, narrower)) <= 1e-12 * want
+    assert sizes == [2 * env._fft_size(full - 1)] and sizes[0] < n
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_energy_of_an_empty_support_is_exactly_zero(dim, monkeypatch):
+    grid, form = _box_case("full", dim)
+    sizes = _box_sizes(monkeypatch)
+    const = np.full(grid.size, -2.5)
+    for e in (form.energy(const, const), form.energy(const, const.copy())):
+        assert e == 0.0 and math.copysign(1.0, e) == 1.0
+    assert sizes == []
+    # a single node: its box is one node wide, on a grid of m = 4 nodes
+    spike = np.where(np.arange(grid.size) == grid.size // 2, 1.0, 0.0)
+    got = form.energy(spike, spike)
+    assert abs(got - _pair_sum_energy(form, spike, spike)) <= 1e-12 * got
+    assert sizes == [4]
+
+
 def test_forms_of_one_kernel_share_its_symbol():
     grid = discrete.Grid(dim=2, length=4.0, n=32)
     cone, params = kernel.full_space_cone(2), kernel.KernelParams(alpha=1.0, dim=2)
