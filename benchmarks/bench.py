@@ -9,9 +9,10 @@ arbitrarily close to 0), it reports the median wall time of
 - field evaluation at the grid nodes, for iid and moving-average mixing,
   timed through `discrete.measure_weights(grid, field, eps)`, the call the
   library itself makes for a lone grid field (the same API at older commits,
-  so a `--src` run on one of them times that commit's own grid path), and
-  the stacked call `discrete.node_fields(grid, form, eps)` that evaluates a
-  form's factors together, as sweeps and form checks do;
+  so a run on one of them times that commit's own grid path), and the
+  stacked call `discrete.node_fields(grid, form, eps)` that evaluates a
+  form's factors together, as sweeps and form checks do (no row on a tree
+  without `node_fields`);
 - assembly of a product form with moving-average factors;
 - one generator matvec;
 - one resolvent solve (lambda = 1, bump right-hand side, Lebesgue measure,
@@ -36,18 +37,18 @@ the optional modules in `sys.modules` at the exit of one more, untimed run:
 `scipy` and its public subpackages (`scipy.special`, `scipy.integrate`, ...),
 OpenSSL's `_hashlib`, `numpy.ma` and `numpy.polynomial`.
 
-Every case runs in a child process of its own.  Given several source trees
-(`--src LABEL=PATH`, repeated), the script times them round by round: in each
-round every case runs once per tree, the trees' order alternating from case
-to case and from round to round, so a drift of the host's speed falls on
-both alike.  Each tree is stored in the output JSON under its label, next to
-the runs already there, with the median of every timing over the rounds,
-each round's values, and the machine (cores, Python, numpy, platform and the
-BLAS thread variables).  The output file has no default, so a run never
-lands in another change's record.  From the repository root:
+Every case runs in a child process of its own.  Given two source trees,
+`--before` and `--after`, the script times them in ROUNDS rounds: in each
+round every case runs once per tree, the tree that goes first alternating
+from case to case and from round to round, so a drift of the host's speed
+falls on both alike.  The output JSON keeps each tree under its label,
+`before` or `after` (replacing a run of that label, keeping the others),
+with the median of every timing over the rounds, each round's values, and
+the machine (cores, Python, numpy, platform and the BLAS thread variables).
+The output file has no default, so a run never lands in another change's
+record.  From the repository root:
 
-    python3 benchmarks/bench.py --src before=/path/to/parent/src --src after=src \
-        --rounds 5 --out BENCH_x.json
+    python3 benchmarks/bench.py --before /path/to/parent/src --after src --out BENCH_x.json
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ CASES = {  # label -> (dim, n, length, eps, factor marginal)
     "1d-n2048-degenerate": (1, 2048, 8.0, 0.25, DEGENERATE),
 }
 COLD_RUNS = 9  # fresh processes of the cold-start case
+ROUNDS = 5  # child processes per case and tree
 REPEATS = 11  # samples per layer, unless BUDGET_S runs out first
 BUDGET_S = 3.0  # seconds per layer after which repeats stop
 
@@ -116,7 +118,8 @@ def run_case(dim: int, n: int, length: float, eps: float, factor: tuple) -> dict
     out["geometry_s"] = median_time(geometry)
     out["field_iid_s"] = median_time(lambda: discrete.measure_weights(grid, iid, eps))
     out["field_ma_s"] = median_time(lambda: discrete.measure_weights(grid, form.nu1, eps))
-    out["node_fields_s"] = median_time(lambda: discrete.node_fields(grid, form, eps))
+    if hasattr(discrete, "node_fields"):
+        out["node_fields_s"] = median_time(lambda: discrete.node_fields(grid, form, eps))
     out["assembly_s"] = median_time(
         lambda: discrete.assemble_form(grid, form, cone, params, eps)
     )
@@ -263,7 +266,8 @@ DESCRIPTION = (
     "minor page faults per process, the largest child's peak RSS (MB), and "
     "the optional modules it imports: `scipy`, the public scipy subpackages, "
     "`_hashlib`, `numpy.ma` and `numpy.polynomial`.  Every case ran in a child "
-    "process of its own, the labels of one record alternating round by round; "
+    "process of its own, before and after alternating which went first from case "
+    "to case and round to round; "
     "`cases` holds the median over the rounds of every float, and the first "
     "round's value of everything else, `rounds` each round's values."
 )
@@ -272,7 +276,7 @@ DESCRIPTION = (
 def run_child(name: str, src: str) -> dict:
     """Run one case in a fresh process on the tree `src`; its result dict."""
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--case", name, "--src", src],
+        [sys.executable, os.path.abspath(__file__), "--case", name, "--tree", src],
         check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -293,21 +297,18 @@ def summarize(rounds: list[dict]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", action="append", required=True, metavar="LABEL=PATH",
-                        help="a source tree holding the stablehom package, and the label "
-                             "of its run in the output (repeat for each tree)")
-    parser.add_argument("--rounds", type=int, default=5,
-                        help="times every case runs on every tree (default 5)")
+    parser.add_argument("--before", help="source tree of the stablehom package before the change")
+    parser.add_argument("--after", help="source tree of the stablehom package after it")
     parser.add_argument("--out", help="BENCH_<name>.json file to add the runs to")
     parser.add_argument("--case", choices=CASE_NAMES, help=argparse.SUPPRESS)
+    parser.add_argument("--tree", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.case:  # a child: one case on one tree, its result on the last line
-        sys.path.insert(0, os.path.abspath(args.src[0]))
-        print(json.dumps(run_named(args.case, args.src[0])))
+        sys.path.insert(0, os.path.abspath(args.tree))
+        print(json.dumps(run_named(args.case, args.tree)))
         return 0
-    trees = dict(pair for pair in (item.split("=", 1) for item in args.src) if len(pair) == 2)
-    if len(trees) != len(args.src) or not args.out or args.rounds < 1:
-        parser.error("give distinct LABEL=PATH trees, --out and --rounds >= 1")
+    if not (args.before and args.after and args.out):
+        parser.error("give --before, --after and --out")
     import numpy as np
 
     machine = {
@@ -319,9 +320,10 @@ def main() -> int:
         "blas_threads": {var: os.environ.get(var) for var in
                          ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
     }
+    trees = {"before": args.before, "after": args.after}
     labels = list(trees)
     rounds = {label: [] for label in labels}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for label in labels:
             rounds[label].append({})
         for c, name in enumerate(CASE_NAMES):

@@ -307,10 +307,12 @@ def _parseval_weights(khat: np.ndarray, size: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _jump_kernel(
     grid: Grid, params: KernelParams, cone: ConeSpec, c: float, angular: AngularWeight
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, dict[int, tuple[Grid, np.ndarray]]]:
     """The stencil (S, dim), K_s = c rho(s) geom(s), the symbol K^ and its
-    `_parseval_weights`, read-only: K depends on the config alone, so every
-    form of one kernel shares them."""
+    `_parseval_weights`, read-only, and a dict, empty at first, in which
+    energies keep the `_box_kernel` of each box grid size m (two callers
+    filling one entry at once store equal values): K depends on the config
+    alone, so every form of one kernel shares them."""
     stencil, q = _stencil_geometry(grid.dim, grid.n, params.alpha, cone)
     geom = grid.h ** (grid.dim - params.alpha) * q
     rho = 1.0 if angular.kind == "one" else angular.rho(stencil.astype(float))
@@ -319,46 +321,56 @@ def _jump_kernel(
     if not (values >= 0.0).all():
         raise DomainError(f"negative jump kernel: min K_s = {values.min():g}")
     khat = _symbol(grid, stencil, values)
-    return (stencil, *_read_only(values, khat, _parseval_weights(khat, grid.size)))
+    return (stencil, *_read_only(values, khat, _parseval_weights(khat, grid.size)), {})
 
 
-@lru_cache(maxsize=64)
 def _box_kernel(
-    grid: Grid, params: KernelParams, cone: ConeSpec, c: float, angular: AngularWeight, m: int
+    grid: Grid, stencil: np.ndarray, values: np.ndarray, m: int
 ) -> tuple[Grid, np.ndarray]:
     """The grid of m < n nodes per axis and spacing h, and the
-    `_parseval_weights` on it of the `_jump_kernel` entries with |s_k| < m/2,
+    `_parseval_weights` on it of the jump kernel entries with |s_k| < m/2,
     read-only: the kernel of an energy on a support box of at most m/2 nodes
     per axis zero-padded to m, where no displacement between two box nodes
     aliases and every longer jump leaves the box."""
-    stencil, values, _, _ = _jump_kernel(grid, params, cone, c, angular)
     box = Grid(grid.dim, grid.length * m / grid.n, m)
     near = (2 * np.abs(stencil) < m).all(axis=1)
     return box, *_read_only(_parseval_weights(_symbol(box, stencil[near], values[near]), box.size))
 
 
-def _support_box(f: np.ndarray, g: np.ndarray) -> tuple[slice, ...] | None:
-    """Per axis, the least slice, not wrapping, that holds every nonzero entry
-    of the lattices f and g, or the whole lattice once a side spans half of
-    it, where an energy takes the torus anyway; None when both are zero."""
-    if any(v.flat[1] and v.flat[1 + v.size // 2] for v in (f, g)):  # nonzero n/2 rows apart
-        return tuple(slice(0, n) for n in f.shape)
-    nonzero = f != 0.0
+def _support_box(
+    f: np.ndarray, g: np.ndarray, f0: float, g0: float
+) -> tuple[tuple, int] | None:
+    """The least box, not wrapping, that holds every entry of the lattices f
+    and g that differs from their first, f0 and g0, as an index (..., one
+    slice per axis), and m = 2 `env._fft_size` of its widest side (at least
+    2); no index, (), with m = n once m would reach n, a side spans half the
+    lattice or a first entry is not finite, where an energy takes the
+    torus; None when both are constant."""
+    n, half = len(f), f.size // 2
+    torus = (), n
+    if not math.isfinite(f0 + g0) or f.item(1) != f0 != f.item(1 + half):  # n/2 rows apart
+        return torus
+    if g is not f and g.item(1) != g0 != g.item(1 + half):
+        return torus
+    nonzero = f != f0
     if g is not f:
-        nonzero |= g != 0.0
-    box = []
-    for _ in range(f.ndim):  # nonzero: the axes not yet in box, leading one first
-        line = nonzero if nonzero.ndim == 1 else nonzero.any(axis=tuple(range(1, nonzero.ndim)))
-        hit = np.flatnonzero(line)
-        if not hit.size:
+        nonzero |= g != g0
+    box, b = [...], 2
+    for k in range(f.ndim):  # nonzero: axis k leading, the axes before it boxed
+        flat = nonzero.tobytes()  # one byte per entry, searched by memchr
+        first = flat.find(1)
+        if first < 0:
             return None
-        lo, hi = int(hit[0]), int(hit[-1]) + 1
-        if 2 * (hi - lo) >= len(nonzero):
-            return tuple(slice(0, n) for n in f.shape)
+        row = len(flat) // n
+        lo, hi = first // row, flat.rfind(1) // row + 1
+        if 2 * (hi - lo) >= n:
+            return torus
         box.append(slice(lo, hi))
-        if nonzero.ndim > 1:
-            nonzero = nonzero[lo:hi].any(axis=0)
-    return tuple(box)
+        b = max(b, hi - lo)
+        if k + 1 < f.ndim:
+            nonzero = nonzero[lo:hi].swapaxes(0, k + 1)
+    m = 2 * env._fft_size(b)
+    return (tuple(box), m) if m < n else torus
 
 
 class SparseSymmetricForm:
@@ -406,16 +418,13 @@ class SparseSymmetricForm:
         self,
         grid: Grid,
         params: KernelParams,
-        cone: ConeSpec,
-        c: float,
-        angular: AngularWeight,
+        jump_kernel: tuple,
         fields: np.ndarray,
         terms: tuple[tuple[int, int], ...],
     ):
         self.grid = grid
         self.params = params
-        self._kernel = (grid, params, cone, c, angular)  # the key of `_jump_kernel`
-        self.stencil, self.stencil_kernel, self._khat, self._weights = _jump_kernel(*self._kernel)
+        self.stencil, self.stencil_kernel, self._khat, self._weights, self._boxes = jump_kernel
         self._fields, self._terms = fields, terms
         if not (fields >= 0.0).all():  # NaN fails too
             raise DomainError(f"negative coefficient field: min value {fields.min():g}")
@@ -447,24 +456,22 @@ class SparseSymmetricForm:
         """Dirichlet energy E(f, g) on the support box of f - f_0 and g - g_0,
         from the cached row sums and Parseval weights."""
         F = self._as_lattice(f)
-        F = F - F.flat[0]
-        if g is f:
-            G = F
-        else:
-            G = self._as_lattice(g)
-            G = G - G.flat[0]
-        box = _support_box(F, G)
-        if box is None:
+        G = F if g is f else self._as_lattice(g)
+        f0 = F.item(0)
+        g0 = f0 if G is F else G.item(0)
+        found = _support_box(F, G, f0, g0)
+        if found is None:
             return 0.0
-        b = max(s.stop - s.start for s in box)
-        m = 2 * env._fft_size(max(b, 2)) if 2 * b < self.grid.n else self.grid.n
-        fields, d = self._fields, self._d
-        if m < self.grid.n:
-            grid, weights = _box_kernel(*self._kernel, m)
-            F, G = (F[box],) * 2 if G is F else (F[box], G[box])
-            d, fields = d[box], fields[(slice(None), *box)]
-        else:
-            grid, weights = self.grid, self._weights
+        box, m = found
+        grid, weights, fields, d = self.grid, self._weights, self._fields, self._d
+        same = G is F
+        if box:
+            if m not in self._boxes:
+                self._boxes[m] = _box_kernel(grid, self.stencil, self.stencil_kernel, m)
+            grid, weights = self._boxes[m]
+            fields, d, F, G = fields[box], d[box], F[box], G[box]
+        F = F - f0
+        G = F if same else G - g0
         x = grid.rfft(fields * F)
         y = x if G is F else grid.rfft(fields * G)
         wy = weights * y
@@ -573,7 +580,9 @@ def form_from_fields(
     of `node_fields`."""
     _check_dims(grid, cone, params)
     c, angular, _, terms = form_terms(form)
-    return SparseSymmetricForm(grid, params, cone, c, angular, fields, terms)
+    return SparseSymmetricForm(
+        grid, params, _jump_kernel(grid, params, cone, c, angular), fields, terms
+    )
 
 
 def assemble_form(

@@ -494,6 +494,7 @@ def _ma_window(dim: int, q: float) -> tuple[np.ndarray, np.ndarray]:
     return offsets, w
 
 
+@lru_cache(maxsize=256)
 def _fft_size(n: int) -> int:
     """The least 2^a 3^b 5^c >= n: numpy's FFT takes several times longer on
     a side with a large prime factor (a 53^2 pair of transforms 277 us

@@ -224,12 +224,15 @@ def test_cached_arrays_are_read_only():
     # a caller writing into a cached array would corrupt every later caller
     grid = discrete.Grid(dim=2, length=4.0, n=16)
     cone, params = kernel.full_space_cone(2), kernel.KernelParams(alpha=1.0, dim=2)
+    # the stencil, K_s, K^ and its Parseval weights; the box kernels' dict fills on use
+    stencil_kernel = discrete._jump_kernel(grid, params, cone, 1.0, kernel.AngularWeight())
     cached = [
         *discrete._stencil_geometry(2, 16, 1.0, cone),
         *discrete._gl_nodes(16),
         *env._ma_window(2, 1.5),
         env._window_spectrum(2, 1.5, (20, 20)),
-        *discrete._jump_kernel(grid, params, cone, 1.0, kernel.AngularWeight()),
+        *stencil_kernel[:4],
+        discrete._box_kernel(grid, *stencil_kernel[:2], 8)[1],
     ]
     for array in cached:
         with pytest.raises(ValueError, match="read-only"):
@@ -698,8 +701,11 @@ def _on_box(grid, low, width, seed):
     return f.ravel()
 
 
-def _box_sizes(monkeypatch):
-    """The m of every `_box_kernel` call, that is of every energy on a box."""
+def _box_sizes(monkeypatch, form):
+    """The m of every `_box_kernel` call from now on, that is of the first
+    energy on a box of each size: `form`'s kernel forgets the box kernels it
+    kept."""
+    form._boxes.clear()
     sizes = []
     box_kernel = discrete._box_kernel
     monkeypatch.setattr(discrete, "_box_kernel",
@@ -712,7 +718,7 @@ def _box_sizes(monkeypatch):
 def test_energy_on_support_box_matches_pair_sum_and_torus(kernel_kind, dim, monkeypatch):
     grid, form = _box_case(kernel_kind, dim)
     n = grid.n
-    sizes = _box_sizes(monkeypatch)
+    sizes = _box_sizes(monkeypatch, form)
     f = _on_box(grid, 3, 7, seed=1)
     disjoint = _on_box(grid, 11, 5, seed=2)  # union box 13 wide: m = 26 < n
     overlap = _on_box(grid, 6, 8, seed=3)
@@ -732,7 +738,7 @@ def test_energy_across_the_seam_and_at_full_width_is_the_torus_sum(
         kernel_kind, dim, monkeypatch):
     grid, form = _box_case(kernel_kind, dim)
     n = grid.n
-    sizes = _box_sizes(monkeypatch)
+    sizes = _box_sizes(monkeypatch, form)
     # 7 nodes across the seam: the box, not wrapping, spans the whole torus
     seam = _on_box(grid, n - 3, 7, seed=4)
     got = form.energy(seam, seam)
@@ -757,7 +763,7 @@ def test_energy_across_the_seam_and_at_full_width_is_the_torus_sum(
 @pytest.mark.parametrize("dim", [1, 2])
 def test_energy_of_an_empty_support_is_exactly_zero(dim, monkeypatch):
     grid, form = _box_case("full", dim)
-    sizes = _box_sizes(monkeypatch)
+    sizes = _box_sizes(monkeypatch, form)
     const = np.full(grid.size, -2.5)
     for e in (form.energy(const, const), form.energy(const, const.copy())):
         assert e == 0.0 and math.copysign(1.0, e) == 1.0
@@ -767,6 +773,17 @@ def test_energy_of_an_empty_support_is_exactly_zero(dim, monkeypatch):
     got = form.energy(spike, spike)
     assert abs(got - _pair_sum_energy(form, spike, spike)) <= 1e-12 * got
     assert sizes == [4]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_energy_of_a_nonfinite_function_is_nan(dim):
+    # a first entry that is not finite takes the torus, where f - f_0 is NaN
+    grid, form = _box_case("full", dim)
+    spike = np.where(np.arange(grid.size) == grid.size // 2, 1.0, 0.0)
+    for f in (np.full(grid.size, np.inf), np.where(spike > 0.0, 0.0, np.nan)):
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert math.isnan(form.energy(f, f))
+            assert math.isnan(form.energy(spike, f)) and math.isnan(form.energy(f, spike))
 
 
 def test_forms_of_one_kernel_share_its_symbol():
@@ -779,6 +796,7 @@ def test_forms_of_one_kernel_share_its_symbol():
              for seed in (3, 4) for eps in (1.0, 0.5)]
     assert all(op._khat is forms[0]._khat for op in forms)
     assert all(op.stencil_kernel is forms[0].stencil_kernel for op in forms)
+    assert all(op._boxes is forms[0]._boxes for op in forms)  # and the box kernels
     limit = discrete.assemble_effective_form(grid, kernel.effective_kernel(form), cone, params)
     assert limit._khat is not forms[0]._khat  # another constant c, another kernel
 
