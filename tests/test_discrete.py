@@ -761,8 +761,9 @@ def test_energy_across_the_seam_and_at_full_width_is_the_torus_sum(
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_energy_of_an_empty_support_is_exactly_zero(dim, monkeypatch):
-    grid, form = _box_case("full", dim)
+@pytest.mark.parametrize("kernel_kind", ["full", "cone", "cos2"])
+def test_energy_of_an_empty_support_is_exactly_zero(kernel_kind, dim, monkeypatch):
+    grid, form = _box_case(kernel_kind, dim)
     sizes = _box_sizes(monkeypatch, form)
     const = np.full(grid.size, -2.5)
     for e in (form.energy(const, const), form.energy(const, const.copy())):
