@@ -124,6 +124,12 @@ def solve_resolvent(
             f"the starting residual computes to {residual:.12g}: the measure weights are too small")
     iterations = 0
     while residual > tol and iterations < max_iter:
+        if iterations:  # the next direction, only for a step that is taken
+            z = scale * mean_inverse(scale * r)
+            rz_new = float(inner(r, z))
+            p *= rz_new / rz
+            p += z
+            rz = rz_new
         if not rz >= sys.float_info.min:  # positive in exact arithmetic while r != 0
             raise NumericalError(
                 f"<r, P^-1 r> = {rz:g} is not a positive normal float: the residual underflowed")
@@ -134,11 +140,6 @@ def solve_resolvent(
         alpha = rz / pap
         u += alpha * p
         r -= alpha * ap
-        z = scale * mean_inverse(scale * r)
-        rz_new = float(inner(r, z))
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
         iterations += 1
         residual = res_norm(r)
     # The true defect decides: the recurrence drifts from b - S u by roundoff.
