@@ -105,6 +105,20 @@ class Grid:
             y = np.fft.ifft(y, axis=axis)
         return np.fft.irfft(y, self.n)
 
+    def smooth(self, v: np.ndarray, width: float) -> np.ndarray:
+        """The flat grid function v convolved with the periodic Gaussian of
+        standard deviation `width`: its transform times exp(-width^2 |xi|^2 / 2)."""
+        return self.irfft(self.rfft(v.reshape(self.shape)) * _gaussian_symbol(self, width)).reshape(-1)
+
+
+@lru_cache(maxsize=8)
+def _gaussian_symbol(grid: Grid, width: float) -> np.ndarray:
+    """exp(-width^2 |xi|^2 / 2) in `Grid.rfft` layout, xi = 2 pi k / L, read-only."""
+    k = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    axes = [k] * (grid.dim - 1) + [np.abs(k[: grid.n // 2 + 1])]
+    xi2 = sum(a**2 for a in np.meshgrid(*axes, indexing="ij", sparse=True))
+    return _read_only(np.exp(-0.5 * (2.0 * math.pi * width / grid.length) ** 2 * xi2))[0]
+
 
 def evaluate(grid: Grid, fn) -> np.ndarray:
     """Sample a callable of (m, dim) points into a flat grid function."""
@@ -411,7 +425,10 @@ class SparseSymmetricForm:
     below n/2, so it is the torus displacement too.  The shift by the first
     entry keeps constants at exactly zero energy: their B is empty.
     `weight_slab` builds w(i, i+s) explicitly from the same table; it is the
-    independent oracle behind `dense_generator`.
+    independent oracle behind `dense_generator`.  `cell_length` is the
+    smallest environment cell of the factors in x units, eps times their
+    cell size (None for a constant form); the solver smooths its scaling at
+    that length.
     """
 
     def __init__(
@@ -421,9 +438,11 @@ class SparseSymmetricForm:
         jump_kernel: tuple,
         fields: np.ndarray,
         terms: tuple[tuple[int, int], ...],
+        cell_length: float | None,
     ):
         self.grid = grid
         self.params = params
+        self.cell_length = cell_length
         self.stencil, self.stencil_kernel, self._khat, self._weights, self._boxes = jump_kernel
         self._fields, self._terms = fields, terms
         if not (fields >= 0.0).all():  # NaN fails too
@@ -575,13 +594,16 @@ def form_from_fields(
     cone: ConeSpec,
     params: KernelParams,
     fields: np.ndarray,
+    eps: float = 1.0,
 ) -> SparseSymmetricForm:
     """The energy of `form`'s kernel and terms with the factor stack `fields`
-    of `node_fields`."""
+    of `node_fields` at scale eps."""
     _check_dims(grid, cone, params)
     c, angular, _, terms = form_terms(form)
+    cell = form_cell_size(form)
     return SparseSymmetricForm(
-        grid, params, _jump_kernel(grid, params, cone, c, angular), fields, terms
+        grid, params, _jump_kernel(grid, params, cone, c, angular), fields, terms,
+        None if cell is None else eps * cell,
     )
 
 
@@ -593,7 +615,7 @@ def assemble_form(
     eps: float,
 ) -> SparseSymmetricForm:
     """Assemble the environment energy with coefficient kappa(x/eps, y/eps)."""
-    return form_from_fields(grid, form, cone, params, node_fields(grid, form, eps))
+    return form_from_fields(grid, form, cone, params, node_fields(grid, form, eps), eps)
 
 
 def assemble_effective_form(
@@ -613,15 +635,18 @@ def assemble_effective_form(
 
 @dataclass(frozen=True)
 class MeasureWeights:
-    """Diagonal mass m_i = mu(x_i / eps) h^d of the symmetrizing measure."""
+    """Diagonal mass m_i = mu(x_i / eps) h^d of the symmetrizing measure, and
+    its environment cell length eps mu.cell_size (None for a constant measure)."""
 
     grid: Grid
     m: np.ndarray
+    cell_length: float | None = None
 
 
 def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1.0) -> MeasureWeights:
     """Node masses for the measure mu(x/eps) dx; mu_field None means Lebesgue."""
     hd = grid.h**grid.dim
+    cell_length = None
     if mu_field is None:
         m = np.full(grid.size, hd)
     else:
@@ -633,9 +658,10 @@ def measure_weights(grid: Grid, mu_field: env.RandomField | None, eps: float = 1
         check_oscillation(grid, eps, mu_field.cell_size)
         axes = [grid.axis_coords() / eps] * grid.dim
         m = env.field_on_lattice([mu_field], axes)[0].ravel() * hd
+        cell_length = eps * mu_field.cell_size
     if not (m > 0).all():
         raise DomainError(f"measure weights must be strictly positive, min {m.min():g}")
-    return MeasureWeights(grid=grid, m=m)
+    return MeasureWeights(grid=grid, m=m, cell_length=cell_length)
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def _sweep_cell(config: SweepConfig, eps: float, seed_index: int, cell_seed: int
         mu = replace(config.mu_field, seed=env.derive_seed(cell_seed, "mu"))
         mw = measure_weights(config.grid, mu, eps)
     fields_done = time.perf_counter()
-    form_eps = form_from_fields(config.grid, form, config.cone, config.params, fields)
+    form_eps = form_from_fields(config.grid, form, config.cone, config.params, fields, eps)
     assembly_s = time.perf_counter() - fields_done
     field_s = fields_done - start
     sol = solve_resolvent(

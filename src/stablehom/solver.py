@@ -5,9 +5,13 @@ generator, so the system is symmetric positive definite.  The preconditioner
 is the averaged, translation-invariant operator lambda m_bar - A_bar, which
 is diagonal in Fourier space (`discrete` owns the transform and applies P^-1:
 `SparseSymmetricForm.mean_resolvent`; this module runs only CG), scaled on
-both sides by s = sqrt(diag(P) / diag(S)) so that it keeps the diagonal of
-the random system: the measure can be heavy-tailed and the coefficients
-degenerate, which makes that diagonal wildly nonuniform.  CG serves the
+both sides by s, a smoothed sqrt(diag(P) / diag(S)), so that it follows the
+diagonal of the random system: the measure can be heavy-tailed and the
+coefficients degenerate, which makes that diagonal wildly nonuniform.  The
+logarithm of that ratio is smoothed by a Gaussian a quarter of the smallest
+environment cell wide (`Grid.smooth`): multiplication by a piecewise constant
+s is not bounded on H^(alpha/2) uniformly in the spacing h, and the plain
+square root made the iteration count grow with n for alpha near 2.  CG serves the
 random problems only: the averaged limit is one division by its symbol
 (`homogenize._solve_limit`).  Every inner product is `discrete.inner`, which
 sums fixed chunks in a fixed order, so identical inputs give bitwise identical
@@ -79,18 +83,25 @@ def solve_resolvent(
     """Conjugate gradients preconditioned by the averaged operator.
 
     The preconditioner is z = s P^{-1}(s r), where P^{-1} is
-    form.mean_resolvent(lambda m_bar) and
-    s = sqrt((lambda m_bar + mean(d)) / (lambda m + d)), d the row sums.
+    form.mean_resolvent(lambda m_bar), d the row sums and
+    s = exp(G_w * log(ratio) / 2), ratio = (lambda m_bar + mean(d)) / (lambda m + d),
+    with G_w * the convolution with the periodic Gaussian of standard
+    deviation w = l/4 (`Grid.smooth`).  l is the smallest environment cell
+    length in x units, eps times the cell size, of the form's factors and the
+    measure (`form.cell_length`, `measure.cell_length`); when both are None
+    (a constant form on a constant measure) s = sqrt(ratio).
     The residual is measured relative to ||f||_M in the M^{-1} norm, which
     makes the reported number the relative defect of the weak formulation
     lambda <u, g>_m + E(u, g) = <f, g>_m over all test vectors g.  The loop
     stops on the recursively updated residual or after max_iter steps; the
     reported one is recomputed from b - S u with one more matvec, and
     ConvergenceFailure is raised when that one exceeds tol or is NaN.  f = 0
-    gives u = 0; a starting residual that is not 1 to within 1e-9 (it is 1
-    in exact arithmetic) or a <r, P^-1 r> below the least normal float raises
-    NumericalError, as negative curvature does: a subnormal residual has
-    lost the precision CG needs, and would otherwise run to max_iter.
+    gives u = 0.  NumericalError is raised, as for negative curvature, by a
+    starting residual that is not 1 to within 1e-9 (it is 1 in exact
+    arithmetic), by a <r, P^-1 r> within the rounding bound N ulp
+    sum_i |r_i z_i| of zero, where the system lost its definiteness to
+    rounding (lambda m far below one ulp of d), and by a subnormal one,
+    where the residual underflowed: either would otherwise run to max_iter.
     """
     check_tol(tol)
     start = time.perf_counter()
@@ -103,8 +114,16 @@ def solve_resolvent(
     form, lam_m, lam_mbar = problem.form, problem.lam * m, problem.lam * float(m.mean())
     d = form.row_weight_sums()
     mean_inverse = form.mean_resolvent(lam_mbar)
-    scale = np.sqrt((lam_mbar + float(d.mean())) / (lam_m + d))
+    ratio = (lam_mbar + float(d.mean())) / (lam_m + d)
+    cells = [c for c in (form.cell_length, problem.measure.cell_length) if c is not None]
+    if cells:
+        scale = np.exp(0.5 * form.grid.smooth(np.log(ratio), 0.25 * min(cells)))
+    else:
+        scale = np.sqrt(ratio)
     inv_m = 1.0 / m
+    # the bound on the rounding error of an inner product of N terms is
+    # N ulp sum_i |x_i y_i|
+    rounding = f.size * sys.float_info.epsilon
 
     def res_norm(r: np.ndarray) -> float:
         return math.sqrt(float(inner(inv_m, r * r))) / norm_f
@@ -130,9 +149,13 @@ def solve_resolvent(
             p *= rz_new / rz
             p += z
             rz = rz_new
-        if not rz >= sys.float_info.min:  # positive in exact arithmetic while r != 0
+        # positive in exact arithmetic while r != 0, and a normal float
+        if not rz > rounding * float(inner(np.abs(r), np.abs(z))):
             raise NumericalError(
-                f"<r, P^-1 r> = {rz:g} is not a positive normal float: the residual underflowed")
+                f"<r, P^-1 r> = {rz:g} is within rounding of zero: "
+                "the system lost its definiteness to rounding")
+        if not rz >= sys.float_info.min:
+            raise NumericalError(f"<r, P^-1 r> = {rz:g} is subnormal: the residual underflowed")
         ap = lam_m * p - form.apply_generator(p)
         pap = float(inner(p, ap))
         if not pap > 0.0:

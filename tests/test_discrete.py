@@ -845,8 +845,10 @@ def test_generator_and_row_sums_match_recorded_digests(dim, n):
 # vectors in place: the 1D summation form of acceptance criterion 3 at
 # eps 1/4, and the first cell (eps 1/2, master seed 0) of the benchmark's 2D
 # moving-average product form on a lognormal(-1/2, 1) measure; the 2D one
-# re-recorded when window sums became an FFT correlation.
-_SOLVER_DIGESTS = {1: ("2d86529bccb8af41", 23), 2: ("f9704836ad2e7029", 17)}
+# re-recorded when window sums became an FFT correlation, and both when the
+# preconditioner's scaling was smoothed at a quarter of the cell length
+# (23 -> 20 and 17 -> 15 iterations).
+_SOLVER_DIGESTS = {1: ("bacb9ebc5984f602", 20), 2: ("3c13d8b5df13f715", 15)}
 
 
 def _digest_problem(dim):
@@ -1059,6 +1061,38 @@ def test_measure_weights_halving_h():
     fine = discrete.measure_weights(discrete.Grid(dim=2, length=8.0, n=16), field, eps=4.0)
     assert np.all(coarse.m == 2.0 * 1.0**2)
     assert np.all(fine.m == coarse.m[0] / 2.0**2)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_smooth_is_the_periodic_gaussian_convolution(dim, n):
+    grid = discrete.Grid(dim=dim, length=4.0, n=n)
+    width = 2.5 * grid.h
+    v = np.random.default_rng(dim).normal(size=grid.size)
+    # sampled Gaussian, periodized over three images per side, as a circulant
+    x = grid.h * np.arange(n)
+    g1 = sum(np.exp(-0.5 * ((x + k * grid.length) / width) ** 2) for k in range(-3, 4))
+    g1 *= grid.h / (math.sqrt(2.0 * math.pi) * width)
+    kern = g1 if dim == 1 else np.multiply.outer(g1, g1)
+    direct = np.real(np.fft.ifftn(np.fft.fftn(kern) * np.fft.fftn(v.reshape(grid.shape))))
+    got = grid.smooth(v, width)
+    assert np.abs(got - direct.ravel()).max() <= 1e-12 * np.abs(v).max()
+    assert grid.smooth(np.full(grid.size, 2.5), width) == pytest.approx(2.5, rel=1e-15)
+    assert discrete._gaussian_symbol(grid, width).flags.writeable is False
+
+
+def test_forms_and_measures_carry_their_cell_length():
+    grid = discrete.Grid(dim=1, length=8.0, n=64)
+    cone, params = kernel.full_space_cone(1), kernel.KernelParams(1.0, 1)
+    form = kernel.ProductForm(nu1=env.sample_field(1, env.uniform(0.5, 1.5), cell_size=2.0),
+                              nu2=env.sample_field(1, env.uniform(0.5, 1.5), seed=1))
+    assert discrete.assemble_form(grid, form, cone, params, eps=0.5).cell_length == 0.5
+    fields = discrete.node_fields(grid, form, 0.5)
+    assert discrete.form_from_fields(grid, form, cone, params, fields, 0.5).cell_length == 0.5
+    constant = discrete.assemble_form(grid, kernel.ConstantForm(1.0), cone, params, eps=0.5)
+    assert constant.cell_length is None
+    mu = env.sample_field(1, env.lognormal(0.0, 0.5), cell_size=3.0)
+    assert discrete.measure_weights(grid, mu, eps=0.5).cell_length == 1.5
+    assert discrete.measure_weights(grid, None).cell_length is None
 
 
 def test_measure_weights_validation():

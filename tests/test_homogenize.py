@@ -263,10 +263,12 @@ def test_sweep_with_every_cell_failed_reports_nan(monkeypatch):
         assert all(math.isnan(v) for metric in H.METRICS for v in table[metric])
 
 
-@pytest.mark.parametrize("mu_value", [1e-154, 1e-160, 1e-300, 1e-320])
+@pytest.mark.parametrize("mu_value", [1e-150, 1e-154, 1e-160, 1e-300, 1e-320])
 def test_cells_whose_residual_underflows_fail_alone(mu_value, monkeypatch):
-    # mu 1e-154: <r, P^-1 r> goes subnormal or negative within a few
-    # iterations; at 1e-160 (m f)^2 is subnormal, the starting residual
+    # mu 1e-150 and 1e-154: lambda m / d is about 1e-151 (1e-155), far below
+    # one ulp, and <r, P^-1 r> falls to rounding noise of either sign within
+    # a few iterations, a loss of definiteness rather than an underflow
+    # (nothing is subnormal); at 1e-160 (m f)^2 is subnormal, the starting residual
     # computes to 1.0024, and the eps 1/2 cells used to run all 10,000 CG
     # iterations; at 1e-300 (m f)^2 underflows, and every cell used to
     # report u = 0 as solved after 0 iterations, at a residual of 0; at
@@ -290,6 +292,9 @@ def test_cells_whose_residual_underflows_fail_alone(mu_value, monkeypatch):
     assert report.cells == ()
     assert [(e, s) for e, s, _ in report.failures] == [(1.0, 0), (1.0, 1), (0.5, 0), (0.5, 1)]
     assert all(msg.startswith("NumericalError") for _, _, msg in report.failures)
+    if mu_value >= 1e-154:
+        assert all(msg.endswith("the system lost its definiteness to rounding")
+                   for _, _, msg in report.failures)
     assert len(matvecs) <= 100  # 10,000 per cell before
 
 
