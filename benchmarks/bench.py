@@ -2,7 +2,7 @@
 
 For 1D grids with n in {512, 2048, 8192} and 2D grids with n in {32, 64, 128},
 and for a degenerate 1D case (n = 2048, factors uniform(0, 2), which come
-arbitrarily close to 0), it reports the median wall time of
+arbitrarily close to 0), it reports the median wall time per call of
 
 - the stencil geometry: the first `discrete._stencil_geometry` call, with
   the caches of it, `_subcell_axis_mass` and `_gl_nodes` cleared;
@@ -23,10 +23,20 @@ arbitrarily close to 0), it reports the median wall time of
   4e, 2e and e for the case's eps e, one seed, the three functions of
   `discrete.test_function_suite`).
 
+Each layer gets up to WARMUP untimed calls first, since a fresh process runs
+its first calls slowly, and a sample times a batch of calls that lasts at
+least BATCH_S, so that layers of tens of microseconds are not timed one call
+at a time.
+
 End to end, it times the acceptance-size sweep: acceptance criterion 3's
 config (1D, n = 512, summation form with lognormal(-1/8, 1/2) lambda,
 5 eps values x 10 seeds) through `homogenize.run_sweep`, and reports the CG
 iterations summed over its cells.
+
+For the solve layer (`1d-preconditioner-rows`), it solves ROADMAP item 1's
+eight rows, four coefficient families at alpha 1 and 1.8, at n = 512, 2048
+and 8192, and reports each solve's CG iterations, true residual, whether it
+met tol, and its wall time.
 
 Cold start (`cold-cli-2d-sweep`), it spawns fresh `python -m stablehom.cli
 run` processes on a 2D sweep config (the benchmark's sweep-2d-measure study:
@@ -55,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import resource
@@ -77,19 +88,35 @@ CASES = {  # label -> (dim, n, length, eps, factor marginal)
 }
 COLD_RUNS = 9  # fresh processes of the cold-start case
 ROUNDS = 5  # child processes per case and tree
+WARMUP = 3  # untimed calls per layer, unless they take BUDGET_S
 REPEATS = 11  # samples per layer, unless BUDGET_S runs out first
-BUDGET_S = 3.0  # seconds per layer after which repeats stop
+BATCH_S = 2e-3  # a sample times as many calls as this takes, at least one
+BUDGET_S = 3.0  # seconds per layer after which warm-up and repeats stop
 
 
 def median_time(fn) -> float:
-    """Median of up to REPEATS timed calls; stops early once BUDGET_S seconds
-    have gone by, after at least one call."""
+    """Median seconds per call of up to REPEATS samples, after up to WARMUP
+    untimed calls: a fresh process runs its first calls of a layer slowly.
+    A sample times a batch of as many calls as the fastest warm-up call fits
+    into BATCH_S, so a layer of tens of microseconds is not timed call by
+    call.  Warm-up and samples stop once BUDGET_S seconds have gone by,
+    after one call and one sample."""
+    start = time.perf_counter()
+    fastest = math.inf
+    for _ in range(WARMUP):
+        t0 = time.perf_counter()
+        fn()
+        fastest = min(fastest, time.perf_counter() - t0)
+        if time.perf_counter() - start >= BUDGET_S:
+            break
+    batch = max(1, int(BATCH_S / fastest))
     times = []
     start = time.perf_counter()
     while len(times) < REPEATS and (not times or time.perf_counter() - start < BUDGET_S):
         t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
+        for _ in range(batch):
+            fn()
+        times.append((time.perf_counter() - t0) / batch)
     return statistics.median(times)
 
 
@@ -144,6 +171,58 @@ def run_case(dim: int, n: int, length: float, eps: float, factor: tuple) -> dict
         fns = discrete.test_function_suite(grid)
         out["mosco_s"] = median_time(lambda: H.mosco_form_check(
             grid, form, cone, params, (4 * eps, 2 * eps, eps), 1, fns))
+    return out
+
+
+# ROADMAP item 1's rows: 1D, L = 8, iid factors, lambda = 1, bump right-hand
+# side, Lebesgue measure, tol 1e-9.  label -> (form, marginal, eps, alpha)
+ROWS = {
+    f"{name}-a{alpha}": (form, marginal, eps, alpha)
+    for name, form, marginal, eps in (
+        ("product-U(0.5,1.5)", "product", ("uniform", 0.5, 1.5), 0.25),
+        ("product-U(0,2)", "product", ("uniform", 0.0, 2.0), 0.25),
+        ("summation-lognormal(-1/8,1/2)", "summation", ("lognormal", -0.125, 0.5), 0.0625),
+        ("summation-lognormal(-9/8,3/2)", "summation", ("lognormal", -1.125, 1.5), 0.0625),
+    )
+    for alpha in (1.0, 1.8)
+}
+ROW_SIZES = (512, 2048, 8192)
+
+
+def run_rows() -> dict:
+    """Per row and n, one resolvent solve: its CG iterations, its true
+    residual, whether that met tol, and its median wall time."""
+    from stablehom import discrete, env, kernel, solver
+    from stablehom.errors import ConvergenceFailure
+
+    out = {}
+    for label, (kind, (dist, a, b), eps, alpha) in ROWS.items():
+        marginal = getattr(env, dist)(a, b)
+        if kind == "product":
+            form = kernel.ProductForm(nu1=env.sample_field(1, marginal, seed=1),
+                                      nu2=env.sample_field(1, marginal, seed=2))
+        else:
+            form = kernel.SummationForm(lambda_field=env.sample_field(1, marginal, seed=0))
+        for n in ROW_SIZES:
+            grid = discrete.Grid(dim=1, length=8.0, n=n)
+            problem = solver.ResolventProblem(
+                form=discrete.assemble_form(grid, form, kernel.full_space_cone(1),
+                                            kernel.KernelParams(alpha=alpha, dim=1), eps),
+                measure=discrete.measure_weights(grid, None), lam=1.0,
+                rhs=discrete.evaluate(grid, discrete.bump(grid)),
+            )
+            results = []
+
+            def solve():
+                try:
+                    sol = solver.solve_resolvent(problem, tol=1e-9)
+                    results.append((sol.iterations, sol.residual, True))
+                except ConvergenceFailure as exc:
+                    results.append((exc.iterations, exc.residual, False))
+
+            key = f"{label}-n{n}"
+            out[f"{key}-solve_s"] = median_time(solve)
+            out[f"{key}-iterations"], out[f"{key}-residual"], out[f"{key}-converged"] = results[-1]
     return out
 
 
@@ -236,20 +315,26 @@ def source_commit(src: str) -> str:
 
 
 COLD_CASE, ACCEPTANCE_CASE = "cold-cli-2d-sweep", "1d-n512-acceptance-sweep"
-CASE_NAMES = (COLD_CASE, *CASES, ACCEPTANCE_CASE)
+ROWS_CASE = "1d-preconditioner-rows"
+CASE_NAMES = (COLD_CASE, *CASES, ACCEPTANCE_CASE, ROWS_CASE)
 
 
 def run_named(name: str, src: str) -> dict:
-    """One case by name: a key of CASES, the acceptance sweep or the cold start."""
+    """One case by name: a key of CASES, the acceptance sweep, item 1's rows
+    or the cold start."""
     if name == COLD_CASE:
         return run_cold_cli(src)
     if name == ACCEPTANCE_CASE:
         return run_acceptance_sweep()
+    if name == ROWS_CASE:
+        return run_rows()
     return run_case(*CASES[name])
 
 
 DESCRIPTION = (
-    "Median wall time per layer (seconds) of benchmarks/bench.py: product form "
+    "Median wall time per call (seconds) of each layer of benchmarks/bench.py, "
+    "after up to 3 untimed calls, a sample timing a batch of calls that lasts "
+    "at least 2 ms: product form "
     "with moving-average uniform(0.5, 1.5) factors (uniform(0, 2) for the "
     "degenerate case), alpha = 1, full-space cone; 1D L = 8, eps = 1/4; 2D L = 4, "
     "eps = 1/2; field_iid_s and field_ma_s time discrete.measure_weights on the "
@@ -261,6 +346,13 @@ DESCRIPTION = (
     "1/2, one seed and the three functions of test_function_suite.  "
     "1d-n512-acceptance-sweep: acceptance criterion 3's sweep end to "
     "end (5 eps x 10 seeds) and the CG iterations summed over its cells.  "
+    "1d-preconditioner-rows: ROADMAP item 1's eight rows (1D, L = 8, iid "
+    "product forms with uniform(0.5, 1.5) and uniform(0, 2) factors at eps "
+    "1/4, seeds 1 and 2, summation forms with lognormal(-1/8, 1/2) and "
+    "lognormal(-9/8, 3/2) coefficients at eps 1/16, seed 0; alpha 1 and 1.8; "
+    "lambda = 1, bump data, Lebesgue measure, tol 1e-9) at n = 512, 2048 "
+    "and 8192: per solve <row>-n<n>-solve_s, -iterations, the true "
+    "-residual, and -converged, false where it stayed above tol.  "
     "cold-cli-2d-sweep: fresh `python -m stablehom.cli run` processes on a 2D "
     "sweep (n = 64, 2 eps x 1 seed): median, min and max wall time (s), median "
     "minor page faults per process, the largest child's peak RSS (MB), and "

@@ -9,9 +9,9 @@ both sides by s, a smoothed sqrt(diag(P) / diag(S)), so that it follows the
 diagonal of the random system: the measure can be heavy-tailed and the
 coefficients degenerate, which makes that diagonal wildly nonuniform.  The
 logarithm of that ratio is smoothed by a Gaussian a quarter of the smallest
-environment cell wide (`Grid.smooth`): multiplication by a piecewise constant
-s is not bounded on H^(alpha/2) uniformly in the spacing h, and the plain
-square root made the iteration count grow with n for alpha near 2.  CG serves the
+environment cell wide (`Grid.smooth`): multiplication by a piecewise
+constant s is not bounded on H^(alpha/2) uniformly in the spacing h, and
+with it the iteration count grows with n for alpha near 2.  CG serves the
 random problems only: the averaged limit is one division by its symbol
 (`homogenize._solve_limit`).  Every inner product is `discrete.inner`, which
 sums fixed chunks in a fixed order, so identical inputs give bitwise identical
